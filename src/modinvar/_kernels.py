@@ -1,24 +1,228 @@
-"""Kernel backend selection: compiled extension when available, else pure Python.
+"""Term-dict kernels: the inner loops of polynomial arithmetic and reduction.
 
-Set MODINVAR_PURE_PY=1 to force the fallback (used by the benchmark).
+Polynomial terms are dict[packed_monomial_int, coeff_index_int]; packed keys
+add under monomial multiplication (16-bit chunks, wdeg chunk on top).
 """
 
-import os
+import heapq
 
-if os.environ.get("MODINVAR_PURE_PY"):
-    from . import _kernels_py as impl
-else:
-    try:
-        from . import _kernels_cy as impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as impl
+BACKEND = "python"
 
-BACKEND = impl.BACKEND
-mul_terms = impl.mul_terms
-add_terms = impl.add_terms
-scale_terms = impl.scale_terms
-iadd_scaled = impl.iadd_scaled
-neg_terms = impl.neg_terms
-grevlex_okey = impl.grevlex_okey
-leading_key = impl.leading_key
-normal_form_terms = impl.normal_form_terms
+CHUNK = 16
+MASK = 0xFFFF
+
+
+def mul_terms(A, B, p, q, mul_flat, add_flat):
+    """Term-merge product of two term dicts over GF(p) or a tabled GF(q)."""
+    if not A or not B:
+        return {}
+    if len(B) < len(A):
+        A, B = B, A
+    out = {}
+    if mul_flat is None:
+        for ka, ca in A.items():
+            for kb, cb in B.items():
+                k = ka + kb
+                v = (out.get(k, 0) + ca * cb) % p
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+    else:
+        for ka, ca in A.items():
+            cq = ca * q
+            for kb, cb in B.items():
+                k = ka + kb
+                c = mul_flat[cq + cb]
+                prev = out.get(k, 0)
+                v = add_flat[prev * q + c]
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+    return out
+
+
+def add_terms(A, B, p, q, add_flat, neg_flat, subtract):
+    """A + B (or A - B) as a fresh dict."""
+    out = dict(A)
+    if add_flat is None:
+        for k, cb in B.items():
+            if subtract:
+                cb = p - cb
+            v = (out.get(k, 0) + cb) % p
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+    else:
+        for k, cb in B.items():
+            if subtract:
+                cb = neg_flat[cb]
+            v = add_flat[out.get(k, 0) * q + cb]
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
+    return out
+
+
+def scale_terms(A, c, kshift, p, q, mul_flat):
+    """c * monomial(kshift) * A as a fresh dict; c must be nonzero."""
+    out = {}
+    if mul_flat is None:
+        for k, v in A.items():
+            out[k + kshift] = v * c % p
+    else:
+        cq = c * q
+        for k, v in A.items():
+            out[k + kshift] = mul_flat[cq + v]
+    return out
+
+
+def iadd_scaled(acc, A, c, kshift, p, q, mul_flat, add_flat):
+    """acc += c * monomial(kshift) * A, in place; c nonzero."""
+    if mul_flat is None:
+        for k, v in A.items():
+            kk = k + kshift
+            w = (acc.get(kk, 0) + c * v) % p
+            if w:
+                acc[kk] = w
+            elif kk in acc:
+                del acc[kk]
+    else:
+        cq = c * q
+        for k, v in A.items():
+            kk = k + kshift
+            w = add_flat[acc.get(kk, 0) * q + mul_flat[cq + v]]
+            if w:
+                acc[kk] = w
+            elif kk in acc:
+                del acc[kk]
+
+
+def neg_terms(A, p, neg_flat):
+    if neg_flat is None:
+        return {k: p - v for k, v in A.items()}
+    return {k: neg_flat[v] for k, v in A.items()}
+
+
+def grevlex_okey(k, n):
+    """Order key whose integer comparison realizes weighted grevlex.
+
+    Ties on wdeg break by the complemented exponents of the LAST variable
+    first, so that chunk sits highest below the degree chunk.
+    """
+    o = 0
+    shift = CHUNK * (n - 1)
+    rest = k >> (CHUNK * n)  # wdeg chunk
+    for _ in range(n):
+        o |= (MASK - (k & MASK)) << shift  # e_{n-1} lands highest
+        k >>= CHUNK
+        shift -= CHUNK
+    return (rest << (CHUNK * n)) | o
+
+
+def leading_key(terms, n, order_code):
+    """Packed key of the leading monomial; order_code 0=grlex 1=grevlex 2=lex."""
+    if order_code == 0:
+        return max(terms)
+    if order_code == 2:
+        lexmask = (1 << (CHUNK * n)) - 1
+        best = None
+        bestk = -1
+        for k in terms:
+            kk = k & lexmask
+            if kk > bestk:
+                bestk = kk
+                best = k
+        return best
+    best = None
+    besto = -1
+    for k in terms:
+        o = grevlex_okey(k, n)
+        if o > besto:
+            besto = o
+            best = k
+    return best
+
+
+def normal_form_terms(f, lt_keys, tails, n, order_code, guard,
+                      p, q, mul_flat, add_flat, neg_flat, track):
+    """Complete reduction of f by a monic basis given as (lt_keys, tails).
+
+    tails[i] holds basis[i] minus its leading term (leading coefficient 1).
+    Returns (remainder_dict, cofactors) where cofactors[i] is a term dict with
+    f = sum_i cofactors[i] * basis[i] + remainder (None unless track).
+    """
+    nb = len(lt_keys)
+    pending = dict(f)
+    if order_code == 0:
+        heap = [-k for k in pending]
+        decode = None
+    elif order_code == 1:
+        heap = [(-grevlex_okey(k, n), k) for k in pending]
+    else:
+        lexmask = (1 << (CHUNK * n)) - 1
+        heap = [(-(k & lexmask), k) for k in pending]
+    heapq.heapify(heap)
+    remainder = {}
+    cof = [None] * nb if track else None
+    while heap:
+        if order_code == 0:
+            k = -heapq.heappop(heap)
+        else:
+            k = heapq.heappop(heap)[1]
+        if k not in pending:
+            continue
+        c = pending.pop(k)
+        if not c:
+            continue
+        hit = -1
+        for i in range(nb):
+            m = lt_keys[i]
+            if ((k | guard) - m) & guard == guard:
+                hit = i
+                break
+        if hit < 0:
+            remainder[k] = c
+            continue
+        kq = k - lt_keys[hit]
+        if track:
+            d = cof[hit]
+            if d is None:
+                d = cof[hit] = {}
+            d[kq] = c  # leading monomials strictly decrease, so kq is fresh
+        tail = tails[hit]
+        if not tail:
+            continue
+        if mul_flat is None:
+            cneg = p - c
+            for kt, ct in tail.items():
+                kk = kt + kq
+                fresh = kk not in pending
+                v = (pending.get(kk, 0) + cneg * ct) % p
+                pending[kk] = v
+                if fresh:
+                    if order_code == 0:
+                        heapq.heappush(heap, -kk)
+                    elif order_code == 1:
+                        heapq.heappush(heap, (-grevlex_okey(kk, n), kk))
+                    else:
+                        heapq.heappush(heap, (-(kk & lexmask), kk))
+        else:
+            cneg = neg_flat[c]
+            cq = cneg * q
+            for kt, ct in tail.items():
+                kk = kt + kq
+                fresh = kk not in pending
+                v = add_flat[pending.get(kk, 0) * q + mul_flat[cq + ct]]
+                pending[kk] = v
+                if fresh:
+                    if order_code == 0:
+                        heapq.heappush(heap, -kk)
+                    elif order_code == 1:
+                        heapq.heappush(heap, (-grevlex_okey(kk, n), kk))
+                    else:
+                        heapq.heappush(heap, (-(kk & lexmask), kk))
+    return remainder, cof

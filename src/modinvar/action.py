@@ -12,7 +12,7 @@ import itertools
 
 from . import _kernels as K
 from .gf import FieldMismatch
-from .mpoly import CHUNK, MASK, Polynomial, PolyRing, RingMismatch
+from .mpoly import Polynomial, PolyRing, RingMismatch
 
 R4_NAMES = ("x1", "x2", "y1", "y2")
 
@@ -174,15 +174,13 @@ def frobenius_star(f):
     return Polynomial(ring, out)
 
 
+_SWAP = {"x1": "y2", "x2": "y1", "y1": "x2", "y2": "x1"}
+
+
 def involution_star(f):
     """The order-2 swap x1<->y2, x2<->y1 (exponent tuple reversal)."""
     _require_r4(f.ring)
-    ring = f.ring
-    out = {}
-    for k, c in f.terms.items():
-        e1, e2, e3, e4 = ring.unpack(k)
-        out[ring.pack((e4, e3, e2, e1))] = c
-    return Polynomial(ring, out)
+    return f.remap(f.ring, _SWAP)
 
 
 def is_invariant(f, elements):

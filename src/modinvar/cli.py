@@ -15,7 +15,7 @@ import time
 
 from . import verify
 from ._version import __version__
-from .gens import BasisSpec, GensError, context, s7_weights
+from .gens import RELATION_NAMES, BasisSpec, GensError, context, s7_weights
 from .gf import FieldError, NotPrime, ff_from_q
 from .groebner import DegreeBoundExceeded, TimeoutExceeded
 from .mpoly import PolyError
@@ -36,7 +36,7 @@ _R4_SHOW = {
     "delta": lambda ctx: ctx.delta_r4(),
 }
 
-_S7_SHOW = ("T1", "T1s", "T00", "T01", "T10", "W")
+_S7_SHOW = RELATION_NAMES + ("W",)
 
 _IDENTITY_SHOW = ("T0", "K00", "Rs", "Ks", "Kss", "HsId")
 
@@ -48,10 +48,6 @@ def _field_from_args(args):
     if args.q not in SUPPORTED_Q:
         raise NotPrime("q must be one of %s" % (SUPPORTED_Q,))
     return ff_from_q(args.q, modulus=args.modulus)
-
-
-def _default_degree(q):
-    return 24 if q == 2 else 16
 
 
 def _emit(text, out):
@@ -90,7 +86,7 @@ def cmd_hilbert(args):
     field = _field_from_args(args)
     degree = args.max_degree
     if degree is None:
-        degree = _default_degree(args.q)
+        degree = verify.default_max_degree(args.q)
     return _finish(verify.check_hilbert(field, degree,
                                         deadline=_deadline(args)), args)
 
@@ -99,7 +95,7 @@ def cmd_kernel(args):
     field = _field_from_args(args)
     degree = args.max_degree
     if degree is None:
-        degree = _default_degree(args.q)
+        degree = verify.default_max_degree(args.q)
     return _finish(verify.check_kernel(field, degree,
                                        deadline=_deadline(args)), args)
 

@@ -2,7 +2,8 @@
 ring that surjects onto the invariant ring, and the free-module basis.
 
 Everything lives in one cached per-field context so repeated CLI calls and
-test cases share the (sometimes expensive) constructions.
+test cases share the (sometimes expensive) constructions: each context keeps
+one memo, read through InvariantContext.memo.
 """
 
 from __future__ import annotations
@@ -10,11 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .action import R4_NAMES, involution_star
 from .gf import ff_from_q
-from .mpoly import Polynomial, PolyRing
+from .mpoly import PolyRing
 
-R4_NAMES = ("x1", "x2", "y1", "y2")
 S7_NAMES = ("C0", "C1", "C0s", "C1s", "Um1", "U0", "U1")
+RELATION_NAMES = ("T1", "T1s", "T00", "T01", "T10")
+
+# the swap automorphism of the abstract ring, as a variable renaming
+_S7_SWAP = {"C0": "C0s", "C1": "C1s", "C0s": "C0", "C1s": "C1",
+            "Um1": "U1", "U1": "Um1"}
 
 
 class GensError(Exception):
@@ -133,9 +139,20 @@ class InvariantContext:
         self.R4 = PolyRing(field, R4_NAMES)
         self.S7 = PolyRing(field, S7_NAMES, weights=s7_weights(field.q))
         self.bidegrees = s7_bidegrees(field.q)
-        self._u = {}
-        self._h = {}
-        self._cache = {}
+        self._memo = {}
+
+    def memo(self, key, build, usable=None):
+        """The value stored under key.  build() makes and stores it when
+        there is none, or when usable(value) rejects the stored one."""
+        try:
+            value = self._memo[key]
+        except KeyError:
+            pass
+        else:
+            if usable is None or usable(value):
+                return value
+        value = self._memo[key] = build()
+        return value
 
     # ---- scalar helpers -------------------------------------------------
 
@@ -175,66 +192,47 @@ class InvariantContext:
     def u(self, i):
         """u_i = x1^(q^i) y1 + x2^(q^i) y2 for i>=0, the y-twisted mirror
         for i<0."""
-        if i in self._u:
-            return self._u[i]
+        return self.memo(("u", i), lambda: self._build_u(i))
+
+    def _build_u(self, i):
         if not -3 <= i <= 3:
             raise IndexOutOfRange("u index %d outside [-3, 3]" % i)
         R, q = self.R4, self.q
         e = q ** abs(i)
         if i >= 0:
-            f = R.var("x1", e) * R.var("y1") + R.var("x2", e) * R.var("y2")
-        else:
-            f = R.var("x1") * R.var("y1", e) + R.var("x2") * R.var("y2", e)
-        self._u[i] = f
-        return f
+            return R.var("x1", e) * R.var("y1") + R.var("x2", e) * R.var("y2")
+        return R.var("x1") * R.var("y1", e) + R.var("x2") * R.var("y2", e)
 
     def d(self, i):
         """Two-variable determinants d0, d1, d2 in x1, x2."""
-        key = ("d", i)
-        if key in self._cache:
-            return self._cache[key]
+        return self.memo(("d", i), lambda: self._build_d(i))
+
+    def _build_d(self, i):
         if i not in (0, 1, 2):
             raise IndexOutOfRange("d index %d outside [0, 2]" % i)
         R, q = self.R4, self.q
         lo, hi = {0: (q, q * q), 1: (1, q * q), 2: (1, q)}[i]
-        f = R.var("x1", lo) * R.var("x2", hi) \
+        return R.var("x1", lo) * R.var("x2", hi) \
             - R.var("x1", hi) * R.var("x2", lo)
-        self._cache[key] = f
-        return f
 
     def ds(self, i):
-        key = ("ds", i)
-        if key in self._cache:
-            return self._cache[key]
-        from .action import involution_star
-        f = involution_star(self.d(i))
-        self._cache[key] = f
-        return f
+        return self.memo(("ds", i), lambda: involution_star(self.d(i)))
 
     def c(self, i):
         """c0 = d0/d2, c1 = d1/d2 (exact divisions)."""
-        key = ("c", i)
-        if key in self._cache:
-            return self._cache[key]
+        return self.memo(("c", i), lambda: self._build_c(i))
+
+    def _build_c(self, i):
         if i not in (0, 1):
             raise IndexOutOfRange("c index %d outside [0, 1]" % i)
         f = self.d(i).divide_exact(self.d(2))
-        if i == 0:
-            # cross-check: d0/d2 must agree with d2^(q-1)
-            alt = self.d(2) ** (self.q - 1)
-            if f != alt:
-                raise GensError("c0 disagrees with d2^(q-1)")
-        self._cache[key] = f
+        # cross-check: d0/d2 must agree with d2^(q-1)
+        if i == 0 and f != self.d(2) ** (self.q - 1):
+            raise GensError("c0 disagrees with d2^(q-1)")
         return f
 
     def cs(self, i):
-        key = ("cs", i)
-        if key in self._cache:
-            return self._cache[key]
-        from .action import involution_star
-        f = involution_star(self.c(i))
-        self._cache[key] = f
-        return f
+        return self.memo(("cs", i), lambda: involution_star(self.c(i)))
 
     def h_numerator(self, s):
         """u1^(s+1) d2s^(q-1-s) + um1^(q-s) d2^s, divisible by u0^q."""
@@ -245,12 +243,8 @@ class InvariantContext:
             + self.u(-1) ** (q - s) * self.d(2) ** s
 
     def h(self, s):
-        if s in self._h:
-            return self._h[s]
-        q = self.q
-        f = self.h_numerator(s).divide_exact(self.u(0) ** q)
-        self._h[s] = f
-        return f
+        return self.memo(("h", s), lambda: self.h_numerator(s).divide_exact(
+            self.u(0) ** self.q))
 
     def generators(self):
         """The seven generators keyed by display name."""
@@ -276,11 +270,8 @@ class InvariantContext:
 
     def w_poly(self):
         """W = Um1*U1 - U0^(q+1), the abstract form of d2*d2s."""
-        key = "W"
-        if key not in self._cache:
-            self._cache[key] = self.S7var("Um1") * self.S7var("U1") \
-                - self.S7var("U0") ** (self.q + 1)
-        return self._cache[key]
+        return self.memo("W", lambda: self.S7var("Um1") * self.S7var("U1")
+                         - self.S7var("U0") ** (self.q + 1))
 
     def _tail_sum_s7(self, lo):
         """sum_{i=lo}^{q-1} (-1)^i binom(q-1,i) (Um1*U1)^(q-1-i)
@@ -299,17 +290,14 @@ class InvariantContext:
     def relation_tail_s7(self):
         """The full tail sum (from i=1) appearing in the two mixed
         relations."""
-        key = "tail1"
-        if key not in self._cache:
-            self._cache[key] = self._tail_sum_s7(1)
-        return self._cache[key]
+        return self.memo("tail1", lambda: self._tail_sum_s7(1))
 
     def delta_sum_s7(self):
         """The correction term delta: the tail sum from i=2, equal after
         expansion to the double sum over powers of W."""
-        key = "Delta"
-        if key in self._cache:
-            return self._cache[key]
+        return self.memo("Delta", self._build_delta_sum_s7)
+
+    def _build_delta_sum_s7(self):
         q, S = self.q, self.S7
         P = self._tail_sum_s7(2)
         # expansion cross-check against the W-form double sum
@@ -328,16 +316,15 @@ class InvariantContext:
         # delta plus that monomial
         if self.relation_tail_s7() != P + mm ** (q - 2):
             raise GensError("tail sum split is inconsistent")
-        self._cache[key] = P
         return P
 
     def delta_r4(self):
         """The tail sum evaluated in the base ring, pinned to the exact
         division oracle (c1 c0s - c1s u1^(q-1) - um1^(q-1) u0 u1^(q-2)) /
         (um1 u0)."""
-        key = "delta"
-        if key in self._cache:
-            return self._cache[key]
+        return self.memo("delta", self._build_delta_r4)
+
+    def _build_delta_r4(self):
         q = self.q
         f = self.pi(self.delta_sum_s7())
         num = self.c(1) * self.cs(0) - self.cs(1) * self.u(1) ** (q - 1) \
@@ -345,7 +332,6 @@ class InvariantContext:
         oracle = num.divide_exact(self.u(-1) * self.u(0))
         if f != oracle:
             raise GensError("tail sum disagrees with its division oracle")
-        self._cache[key] = f
         return f
 
     def ks_sum(self, s):
@@ -363,9 +349,9 @@ class InvariantContext:
 
     def relation(self, name):
         """Abstract ideal generators T1, T1s, T00, T01, T10."""
-        key = ("rel", name)
-        if key in self._cache:
-            return self._cache[key]
+        return self.memo(("rel", name), lambda: self._build_relation(name))
+
+    def _build_relation(self, name):
         q = self.q
         V = self.S7var
         if name == "T1":
@@ -383,12 +369,11 @@ class InvariantContext:
                 - V("U0") * V("U1") * self.relation_tail_s7()
         else:
             raise UnknownName("no abstract relation named %r" % (name,))
-        self._cache[key] = F
         return F
 
     def ideal_generators(self):
         """The five defining relations, fixed order."""
-        return [self.relation(n) for n in ("T1", "T1s", "T00", "T01", "T10")]
+        return [self.relation(n) for n in RELATION_NAMES]
 
     # ---- identity polynomials (must expand to zero) ----------------------
 
@@ -460,16 +445,7 @@ class InvariantContext:
         """The swap automorphism on the abstract ring: C0<->C0s, C1<->C1s,
         Um1<->U1, U0 fixed.  Commutes with the evaluation map and the
         variable-reversing swap on the concrete ring."""
-        S = self.S7
-        perm = (2, 3, 0, 1, 6, 5, 4)
-        terms = {}
-        for key, cidx in F.terms.items():
-            exps = S.unpack(key)
-            new = [0] * 7
-            for pos, e in enumerate(exps):
-                new[perm[pos]] = e
-            terms[S.pack(new)] = cidx
-        return Polynomial(S, terms)
+        return F.remap(self.S7, _S7_SWAP)
 
     def x_pullback(self, i, j, t):
         """Abstract preimage of um1^i u1^j (d2s d2)^t."""

@@ -148,34 +148,6 @@ def rank_field(rows, field):
     return rank_modp(big, p) // s
 
 
-def rank_generic(rows, field):
-    """Rank of a list of coefficient-index rows over an arbitrary FieldParams."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv_i(rows[rank][col])
-        rows[rank] = [field.mul_i(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = field.neg_i(rows[r][col])
-                prow = rows[rank]
-                rows[r] = [field.add_i(v, field.mul_i(c, w))
-                           for v, w in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def solve_generic(rows, rhs, field):
     """Exact solve over an arbitrary FieldParams; returns list or None."""
     m = [list(r) + [v] for r, v in zip(rows, rhs)]

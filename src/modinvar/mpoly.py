@@ -481,6 +481,38 @@ class Polynomial:
                           fld.mul_flat, fld.add_flat)
         return Polynomial(target, out)
 
+    def remap(self, ring, var_map=None):
+        """The same polynomial in another ring over the same field, each
+        variable renamed by var_map (a name it omits keeps its name).
+
+        Works on packed keys and keeps every coefficient; a variable in use
+        that has no place in the target ring raises MissingImage.
+        """
+        src = self.ring
+        if ring.field != src.field:
+            raise FieldMismatch("remap must preserve the field")
+        var_map = var_map or {}
+        for nm in var_map:
+            if nm not in src._index:
+                raise PolyError("no variable %r in %r" % (nm, src.names))
+        dest = [ring._index.get(var_map.get(nm, nm)) for nm in src.names]
+        placed = [j for j in dest if j is not None]
+        if len(set(placed)) != len(placed):
+            raise PolyError("var_map sends two variables to one")
+        out = {}
+        n = ring.n
+        for k, c in self.terms.items():
+            new = [0] * n
+            for i, e in enumerate(src.unpack(k)):
+                if e:
+                    j = dest[i]
+                    if j is None:
+                        raise MissingImage("variable %r has no place in %r"
+                                           % (src.names[i], ring))
+                    new[j] = e
+            out[ring.pack(new)] = c
+        return Polynomial(ring, out)
+
     def evaluate(self, point):
         """Value at a point given as {name: FieldElement}."""
         fld = self.ring.field

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import linalg
 from ._version import __version__
-from .action import enumerate_gl2, enumerate_sl2, involution_star, \
-    invariant_dimension, is_invariant
-from .gens import BasisSpec, S7_NAMES, context, s7_weights
+from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
+    involution_star, invariant_dimension, is_invariant
+from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, context, s7_weights
 from .groebner import TimeoutExceeded, buchberger, cofactors_on_inputs, \
     normal_form, standard_monomial_count
 from .mpoly import Polynomial, PolyRing
@@ -138,51 +138,64 @@ def _zero_item(poly):
     return False, "nonzero difference: %s" % _clip(poly)
 
 
+def default_max_degree(q):
+    """Degree bound of the hilbert, kernel and controls suites when none is
+    given."""
+    return 24 if q == 2 else 16
+
+
 # ---------------------------------------------------------------------------
-# shared caches (attached to the per-field context)
+# shared results, kept in the per-field context's memo
 
 
 def _cached_gb(ctx, bound, deadline=None):
-    store = getattr(ctx, "_verify_gb", None)
-    if store is None or store.bound < bound:
-        store = buchberger(ctx.ideal_generators(), bound=bound, track=True,
-                           deadline=deadline)
-        ctx._verify_gb = store
-    return store
+    return ctx.memo("gb", lambda: buchberger(
+        ctx.ideal_generators(), bound=bound, track=True, deadline=deadline),
+        usable=lambda gb: gb.bound >= bound)
 
 
 def _cached_dim(ctx, d):
-    store = getattr(ctx, "_verify_dims", None)
-    if store is None:
-        store = ctx._verify_dims = {}
-    if d not in store:
-        store[d] = invariant_dimension(ctx.field, d)
-    return store[d]
+    return ctx.memo(("dim", d), lambda: invariant_dimension(ctx.field, d))
 
 
 def _pow_list(ctx, name, base, upto):
-    store = getattr(ctx, "_verify_pows", None)
-    if store is None:
-        store = ctx._verify_pows = {}
-    lst = store.setdefault(name, [base.ring.one])
+    lst = ctx.memo(("pow", name), lambda: [base.ring.one])
     while len(lst) <= upto:
         lst.append(lst[-1] * base)
     return lst
 
 
-def hilbert_series_from_basis(ctx, bound):
-    """Coefficients through T^bound of (sum of T^deg over the basis) divided
-    by (1-T^(q^2-1))^2 (1-T^(q^2-q))^2."""
-    q = ctx.q
+def _module_series(q, degrees, bound):
+    """Coefficients through T^bound of (sum of T^d over degrees) divided by
+    (1-T^(q^2-1))^2 (1-T^(q^2-q))^2."""
     coef = [0] * (bound + 1)
-    for spec in ctx.enumerate_basis():
-        d = spec.degree(q)
+    for d in degrees:
         if d <= bound:
             coef[d] += 1
     for w in (q * q - 1, q * q - 1, q * q - q, q * q - q):
         for d in range(w, bound + 1):
             coef[d] += coef[d - w]
     return coef
+
+
+def hilbert_series_from_basis(ctx, bound):
+    """Coefficients through T^bound of the Hilbert series of the free module
+    on the basis over F_q[c0,c1,c0*,c1*]."""
+    q = ctx.q
+    return _module_series(
+        q, [spec.degree(q) for spec in ctx.enumerate_basis()], bound)
+
+
+def _block_vector(poly, a, b):
+    """Coefficient indices of a bihomogeneous base-ring polynomial of
+    bidegree (a, b), one slot per monomial x1^e1 x2^(a-e1) y1^e3 y2^(b-e3)
+    at e1*(b+1) + e3."""
+    unpack = poly.ring.unpack
+    vec = [0] * ((a + 1) * (b + 1))
+    for key, cidx in poly.terms.items():
+        e1, _e2, e3, _e4 = unpack(key)
+        vec[e1 * (b + 1) + e3] = cidx
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +248,7 @@ def check_relations(field, deadline=None):
 
     rec.run("hboundary", boundary)
 
-    for name in ("T1", "T1s", "T00", "T01", "T10"):
+    for name in RELATION_NAMES:
         def vanish(n=name):
             rel = ctx.relation(n)
             ctx.s7_bidegree(rel)  # raises unless bihomogeneous
@@ -344,7 +357,6 @@ def _standard_image_ranks(ctx, gb, bound):
     weighted degree d and ranks[d] the dimension of their image span.
     """
     S = ctx.S7
-    R = ctx.R4
     field = ctx.field
     n = S.n
     weights = S.weights
@@ -379,12 +391,8 @@ def _standard_image_ranks(ctx, gb, bound):
                 da, db = bidegs[i]
                 a += exps[i] * da
                 b += exps[i] * db
-        vec = [0] * ((a + 1) * (b + 1))
-        for key, cidx in poly.terms.items():
-            e1, _e2, e3, _e4 = R.unpack(key)
-            vec[e1 * (b + 1) + e3] = cidx
         counts[wd] += 1
-        buckets.setdefault((wd, a, b), []).append(vec)
+        buckets.setdefault((wd, a, b), []).append(_block_vector(poly, a, b))
 
     def rec(pos, poly, wd):
         if pos == n:
@@ -420,7 +428,7 @@ def check_kernel(field, max_degree, deadline=None):
 
     def vanishing():
         bad = []
-        for name in ("T1", "T1s", "T00", "T01", "T10"):
+        for name in RELATION_NAMES:
             if ctx.pi(ctx.relation(name)):
                 bad.append(name)
         if not bad:
@@ -488,8 +496,7 @@ class ReductionCertificate:
                     for spec, poly in sorted(self.ell.items(),
                                              key=lambda kv: kv[0].label())},
             "cofactors": {name: str(poly) for name, poly in
-                          zip(("T1", "T1s", "T00", "T01", "T10"),
-                              self.cofactors)},
+                          zip(RELATION_NAMES, self.cofactors)},
         }
 
 
@@ -521,7 +528,6 @@ def _fit_in_module(ctx, target, degree):
     q = ctx.q
     field = ctx.field
     S = ctx.S7
-    R = ctx.R4
     dx, dy = ctx.r4_bidegree(target)
     w1 = q * q - 1
     w2 = q * q - q
@@ -550,15 +556,8 @@ def _fit_in_module(ctx, target, degree):
     if not cols:
         raise NotExpressible("no module candidates in degree %d" % degree)
 
-    def vec(poly):
-        v = [0] * ((dx + 1) * (dy + 1))
-        for key, cidx in poly.terms.items():
-            e1, _e2, e3, _e4 = R.unpack(key)
-            v[e1 * (dy + 1) + e3] = cidx
-        return v
-
-    matrix_cols = [vec(poly) for _spec, _m, poly in cols]
-    rhs = vec(target)
+    matrix_cols = [_block_vector(poly, dx, dy) for _spec, _m, poly in cols]
+    rhs = _block_vector(target, dx, dy)
     nrows = (dx + 1) * (dy + 1)
     rows = [[col[r] for col in matrix_cols] for r in range(nrows)]
     if field.s == 1:
@@ -629,8 +628,7 @@ def verify_certificate(field, cert):
         ell_s7 = ell_s7 + npoly * ctx.basis_pullback(spec)
     lhs = ctx.basis_pullback(cert.f) * ctx.basis_pullback(cert.g) - ell_s7
     rhs = ctx.S7.zero
-    for cofactor, name in zip(cert.cofactors,
-                              ("T1", "T1s", "T00", "T01", "T10")):
+    for cofactor, name in zip(cert.cofactors, RELATION_NAMES):
         rhs = rhs + cofactor * ctx.relation(name)
     if lhs != rhs:
         return False, "cofactor identity fails: %s" % _clip(lhs - rhs)
@@ -765,12 +763,11 @@ def elimination_crosscheck(field, deadline=None):
     state = {}
 
     def lex_elimination():
-        names = ("x1", "x2", "y1", "y2") + S7_NAMES
+        names = R4_NAMES + S7_NAMES
         weights = (1, 1, 1, 1) + tuple(s7_weights(q))
         R11 = PolyRing(field, names, weights=weights, order="lex")
         images = ctx.pi_images()
-        gens = [R11.var(nm) - R11.parse(str(images[nm]))
-                for nm in S7_NAMES]
+        gens = [R11.var(nm) - images[nm].remap(R11) for nm in S7_NAMES]
         gb = buchberger(gens, deadline=deadline)
         pure = [f for f in gb.basis
                 if not any(any(R11.unpack(k)[:4]) for k in f.terms)]
@@ -787,7 +784,7 @@ def elimination_crosscheck(field, deadline=None):
         if "pure" not in state:
             return False, "no eliminated ideal to compare"
         S7 = ctx.S7
-        elim = [S7.parse(str(f)) for f in state["pure"]]
+        elim = [f.remap(S7) for f in state["pure"]]
         gb_elim = buchberger(elim, deadline=deadline)
         gb_ideal = buchberger(ctx.ideal_generators(), deadline=deadline)
         a = sorted(str(f) for f in gb_elim.basis)
@@ -811,7 +808,7 @@ def negative_controls(field, max_degree=None, deadline=None):
     ctx = context(field)
     q = ctx.q
     if max_degree is None:
-        max_degree = 24 if q == 2 else 16
+        max_degree = default_max_degree(q)
     rec = _Recorder(deadline)
 
     def corrupted_t1():
@@ -826,7 +823,7 @@ def negative_controls(field, max_degree=None, deadline=None):
     rec.run("corrupted-T1", corrupted_t1)
 
     def dropped_t10():
-        gens = [ctx.relation(n) for n in ("T1", "T1s", "T00", "T01")]
+        gens = [ctx.relation(n) for n in RELATION_NAMES if n != "T10"]
         small = buchberger(gens, bound=max_degree, track=False,
                            deadline=deadline)
         for d in range(max_degree + 1):
@@ -842,23 +839,14 @@ def negative_controls(field, max_degree=None, deadline=None):
     def misplaced_family():
         if q == 2:
             return True, "skipped: the uncoupled range is empty at q=2"
-        coef = [0] * (max_degree + 1)
-        for spec in ctx.enumerate_basis():
-            if spec.kind == "C":
-                continue
-            d = spec.degree(q)
-            if d <= max_degree:
-                coef[d] += 1
-        base = q * q - q
-        for s in range(1, q - 1):
-            for k in range(q):
-                for t in range(q - 1):
-                    d = base + s * (q + 1) + 2 * k + t * (2 * q + 2)
-                    if d <= max_degree:
-                        coef[d] += 1
-        for w in (q * q - 1, q * q - 1, q * q - q, q * q - q):
-            for d in range(w, max_degree + 1):
-                coef[d] += coef[d - w]
+        # family C with its t range uncoupled from s: one element per
+        # (s, k, t) instead of a pair over the coupled range
+        degrees = [spec.degree(q) for spec in ctx.enumerate_basis()
+                   if spec.kind != "C"]
+        degrees += [q * q - q + s * (q + 1) + 2 * k + t * (2 * q + 2)
+                    for s in range(1, q - 1) for k in range(q)
+                    for t in range(q - 1)]
+        coef = _module_series(q, degrees, max_degree)
         for d in range(max_degree + 1):
             if coef[d] != _cached_dim(ctx, d):
                 return True, "uncoupled basis ranges detected at degree %d " \

@@ -6,11 +6,13 @@ from modinvar.action import enumerate_gl2, involution_star, is_invariant
 from modinvar.gens import (
     BasisSpec,
     IndexOutOfRange,
+    InvariantContext,
     UnknownName,
     context_for_q,
     s7_bidegrees,
     s7_weights,
 )
+from modinvar.gf import ff_from_q
 from modinvar.mpoly import NotDivisible
 
 
@@ -191,3 +193,21 @@ def test_trivial_basis_element():
     one = BasisSpec.parse("A:0,0,0")
     assert ctx.basis_value(one) == ctx.R4.one
     assert ctx.basis_pullback(one) == ctx.S7.one
+
+
+def test_memo_builds_once_and_rebuilds_when_unusable():
+    ctx = InvariantContext(ff_from_q(2))
+    calls = []
+
+    def build():
+        calls.append(len(calls))
+        return len(calls)
+
+    assert ctx.memo("k", build) == 1
+    assert ctx.memo("k", build) == 1
+    assert ctx.memo("k", build, usable=lambda v: v >= 1) == 1
+    assert ctx.memo("k", build, usable=lambda v: v >= 2) == 2
+    assert len(calls) == 2
+    assert ctx.u(0) is ctx.u(0)
+    with pytest.raises(IndexOutOfRange):
+        ctx.u(4)

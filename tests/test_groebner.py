@@ -150,7 +150,7 @@ def test_standard_counts_order_independent():
     ctx = context_for_q(2)
     gb1 = buchberger(ctx.ideal_generators(), bound=14)
     alt = PolyRing(ctx.field, S7_NAMES, weights=s7_weights(2), order="grlex")
-    alt_gens = [alt.parse(str(g)) for g in ctx.ideal_generators()]
+    alt_gens = [g.remap(alt) for g in ctx.ideal_generators()]
     gb2 = buchberger(alt_gens, bound=14)
     for d in range(15):
         assert standard_monomial_count(gb1, d) == \

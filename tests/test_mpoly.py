@@ -2,12 +2,13 @@
 
 import pytest
 
-from modinvar.gf import ff_from_q, ff_make
+from modinvar.gf import FieldMismatch, ff_from_q, ff_make
 from modinvar.mpoly import (
     ExponentOverflow,
     MissingImage,
     NotDivisible,
     ParseError,
+    PolyError,
     PolyRing,
     RingMismatch,
 )
@@ -155,3 +156,98 @@ def test_extension_field_coefficients():
     f = R.var("x") * t + R.var("y") * (t * t)
     assert R.parse(str(f)) == f
     assert f + f == R.zero
+
+
+# --- moving polynomials between rings ---
+
+R4_VARS = ("x1", "x2", "y1", "y2")
+S7_VARS = ("C0", "C1", "C0s", "C1s", "Um1", "U0", "U1")
+
+
+def random_poly(ring, rng, names=None, terms=8, top=5):
+    """Random polynomial supported on the given variables of ring."""
+    names = ring.names if names is None else names
+    out = {}
+    for _ in range(terms):
+        exps = [0] * ring.n
+        for nm in names:
+            exps[ring.names.index(nm)] = rng.randrange(top)
+        out[ring.pack(exps)] = rng.randrange(1, ring.field.q)
+    return ring.from_dict(out)
+
+
+def remap_rings(q):
+    fld = ff_from_q(q)
+    w7 = (q * q - 1, q * q - q, q * q - 1, q * q - q, q + 1, 2, q + 1)
+    R4 = PolyRing(fld, R4_VARS)
+    R11 = PolyRing(fld, R4_VARS + S7_VARS, weights=(1,) * 4 + w7,
+                   order="lex")
+    S7 = PolyRing(fld, S7_VARS, weights=w7)
+    S7_grlex = PolyRing(fld, S7_VARS, weights=w7, order="grlex")
+    return R4, R11, S7, S7_grlex
+
+
+@pytest.mark.parametrize("q", (3, 4, 9))
+def test_remap_matches_parse_of_str(q):
+    import random
+
+    rng = random.Random(q)
+    R4, R11, S7, S7_grlex = remap_rings(q)
+    for _ in range(20):
+        f = random_poly(R4, rng)
+        assert f.remap(R11) == R11.parse(str(f))
+        g = random_poly(R11, rng, names=S7_VARS)
+        assert g.remap(S7) == S7.parse(str(g))
+        h = random_poly(S7, rng)
+        assert h.remap(S7_grlex) == S7_grlex.parse(str(h))
+        assert h.remap(R11) == R11.parse(str(h))
+
+
+@pytest.mark.parametrize("q", (3, 4, 9))
+def test_remap_renaming_matches_substitution(q):
+    import random
+
+    rng = random.Random(10 + q)
+    R4 = remap_rings(q)[0]
+    swap = {"x1": "y2", "x2": "y1", "y1": "x2", "y2": "x1"}
+    images = {a: R4.var(b) for a, b in swap.items()}
+    for _ in range(20):
+        f = random_poly(R4, rng)
+        assert f.remap(R4, swap) == f.substitute(images)
+
+
+@pytest.mark.parametrize("q", (3, 4, 9))
+def test_remap_round_trip(q):
+    import random
+
+    rng = random.Random(20 + q)
+    R4, R11, S7, S7_grlex = remap_rings(q)
+    swap = {"C0": "C0s", "C0s": "C0", "Um1": "U1", "U1": "Um1"}
+    for _ in range(20):
+        f = random_poly(R4, rng)
+        assert f.remap(R11).remap(R4) == f
+        h = random_poly(S7, rng)
+        assert h.remap(S7_grlex).remap(S7) == h
+        assert h.remap(S7, swap).remap(S7, swap) == h
+
+
+def test_remap_rejects_variable_without_place():
+    R4, R11, S7, _ = remap_rings(3)
+    f = R11.var("C0") * R11.var("x1") + R11.var("U0")
+    with pytest.raises(MissingImage):
+        f.remap(S7)
+    with pytest.raises(MissingImage):
+        R4.var("x1").remap(R4, {"x1": "z"})
+    # an unused variable needs no place
+    assert (R11.var("C0") + 1).remap(S7) == S7.var("C0") + 1
+
+
+def test_remap_rejects_bad_maps():
+    R4, R11, _, _ = remap_rings(3)
+    f = R4.var("x1")
+    with pytest.raises(PolyError):
+        f.remap(R4, {"w": "x1"})
+    with pytest.raises(PolyError):
+        f.remap(R4, {"x1": "x2"})
+    with pytest.raises(FieldMismatch):
+        f.remap(PolyRing(ff_make(5), R4_VARS))

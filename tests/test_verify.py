@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from modinvar.gens import BasisSpec, context_for_q
+from modinvar.gens import BasisSpec, InvariantContext, context_for_q
 from modinvar.gf import ff_from_q
 from modinvar.verify import (
     check_hilbert,
@@ -14,6 +14,7 @@ from modinvar.verify import (
     check_kernel,
     check_products,
     check_relations,
+    default_max_degree,
     hilbert_series_from_basis,
     negative_controls,
     reduce_product,
@@ -168,3 +169,20 @@ def test_deadline_marks_timeout_then_skips():
     assert rep.overall == "fail"
     assert rep.items[0].status == "timeout"
     assert all(it.status == "skipped" for it in rep.items[1:])
+
+
+def test_default_max_degree():
+    assert default_max_degree(2) == 24
+    assert [default_max_degree(q) for q in (3, 4, 5)] == [16, 16, 16]
+
+
+def test_groebner_memo_recomputes_only_for_a_higher_bound():
+    from modinvar.verify import _cached_gb
+
+    ctx = InvariantContext(ff_from_q(2))
+    gb = _cached_gb(ctx, 10)
+    assert _cached_gb(ctx, 8) is gb
+    assert _cached_gb(ctx, 10) is gb
+    higher = _cached_gb(ctx, 12)
+    assert higher is not gb and higher.bound == 12
+    assert _cached_gb(ctx, 10) is higher
