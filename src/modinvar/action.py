@@ -12,6 +12,7 @@ import itertools
 
 from . import _kernels as K
 from .gf import FieldMismatch
+from .groebner import check_deadline
 from .mpoly import Polynomial, PolyRing, RingMismatch
 
 R4_NAMES = ("x1", "x2", "y1", "y2")
@@ -196,19 +197,83 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
 
     The action maps x-monomials to x-polynomials and y-monomials to
     y-polynomials, so each bidegree block is an independent kernel problem
-    of size (a+1)(b+1).
+    on the monomials x1^e1 x2^(a-e1) y1^e3 y2^(b-e3).
+
+    GL2 is generated by the torus element D = diag(zeta, 1), the swap W and
+    the transvection T = [[1,1],[0,1]] (generating_set_gl2).  Scalars act by
+    lambda^(b-a), so the block is 0 unless a = b mod q-1.  D scales a
+    monomial by zeta^(e3-e1), so its fixed space is spanned by the monomials
+    with e1 = e3 mod q-1; W maps (e1, e3) to (a-e1, b-e3), so the fixed
+    space of both is spanned by W-orbit sums of those.  Only T is imposed by
+    rank: T x1 = x1 - x2, T y2 = y1 + y2 and x2, y1 are fixed, so T has
+    integer entries and its rank over GF(p) is its rank over GF(q).
+
+    use_full_group instead stacks g - I for every g in GL2(F_q) and takes
+    the rank over GF(q): the exhaustive cross-check of the above.
     """
+    # imported on first use: importing numpy before the rest of the package
+    # is compiled adds about 2 MB to the peak memory of every process that
+    # imports modinvar
+    import numpy as np
+
     from . import linalg
 
+    if use_full_group:
+        return _full_group_dimension(field, a, b)
+    q, p = field.q, field.p
+    if (a - b) % (q - 1):
+        return 0
+    # one column per swap orbit {(e1, e3), (a-e1, b-e3)} of torus-fixed
+    # monomials, as (representative, mate) in block order e1*(b+1) + e3
+    reps, mates = [], []
+    for e1 in range(a + 1):
+        for e3 in range(e1 % (q - 1), b + 1, q - 1):
+            mate = (a - e1, b - e3)
+            if (e1, e3) <= mate:
+                reps.append((e1, e3))
+                mates.append(mate)
+    # binom[i, j] = C(i, j) mod p
+    n = max(a, b)
+    binom = np.zeros((n + 1, n + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for i in range(1, n + 1):
+        binom[i, 1:] = (binom[i - 1, 1:] + binom[i - 1, :-1]) % p
+    # tx[i, e1]: coefficient of x1^i x2^(a-i) in (x1 - x2)^e1 x2^(a-e1)
+    tx = binom[:a + 1, :a + 1].T.copy()
+    odd = np.add.outer(np.arange(a + 1), np.arange(a + 1)) % 2 == 1
+    tx[odd] = -tx[odd]
+    # ty[f3, e3]: coefficient of y1^f3 y2^(b-f3) in y1^e3 (y1 + y2)^(b-e3)
+    ty = binom[:b + 1, :b + 1].T[::-1, ::-1]
+
+    def t_columns(monomials):
+        # columns of T = kron(tx, ty) at these monomials, minus identity
+        e1s = [m[0] for m in monomials]
+        e3s = [m[1] for m in monomials]
+        cols = (tx[:, None, e1s] * ty[None, :, e3s]).reshape(-1, len(e1s))
+        cols[[e1 * (b + 1) + e3 for e1, e3 in monomials],
+             np.arange(len(e1s))] -= 1
+        return cols
+
+    mat = t_columns(reps)
+    pair = [k for k, (r, m) in enumerate(zip(reps, mates)) if r != m]
+    if pair:
+        mat[:, pair] += t_columns([mates[k] for k in pair])
+    return len(reps) - linalg.rank_modp(mat % p, p)
+
+
+def _full_group_dimension(field, a, b):
+    """dim of the GL2-invariants of the (a, b) block as the kernel of g - I
+    stacked over every g in GL2(F_q), rank over GF(q)."""
+    from . import linalg
+
+    elements = enumerate_gl2(field)
     ring = PolyRing(field, R4_NAMES)
     mons = [(i, a - i, j, b - j) for i in range(a + 1) for j in range(b + 1)]
     ncols = len(mons)
     index = {ring.pack(e): col for col, e in enumerate(mons)}
-    gens = enumerate_gl2(field) if use_full_group \
-        else generating_set_gl2(field)
     fld = field
-    mat = [[0] * ncols for _ in range(len(gens) * ncols)]
-    for bi, g in enumerate(gens):
+    mat = [[0] * ncols for _ in range(len(elements) * ncols)]
+    for bi, g in enumerate(elements):
         imgs = action_images(g, ring)
         xpow1 = [ring.one, imgs["x1"]]
         xpow2 = [ring.one, imgs["x2"]]
@@ -236,8 +301,13 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     return ncols - linalg.rank_field(mat, fld)
 
 
-def invariant_dimension(field, d, use_full_group=False):
+def invariant_dimension(field, d, use_full_group=False, deadline=None):
     """dim of the degree-d GL2-invariants of F_q[x1,x2,y1,y2], summed over
-    the (x-degree, y-degree) blocks."""
-    return sum(invariant_bidegree_dimension(field, xd, d - xd, use_full_group)
-               for xd in range(d + 1))
+    the (x-degree, y-degree) blocks.  Raises TimeoutExceeded when the
+    deadline (a time.monotonic() reading) passes before a block."""
+    total = 0
+    for xd in range(d + 1):
+        check_deadline(deadline)
+        total += invariant_bidegree_dimension(field, xd, d - xd,
+                                              use_full_group)
+    return total

@@ -192,7 +192,8 @@ def build_parser():
                         help="irreducible modulus for an extension field, "
                              "e.g. 't^2+t+1' or '1,1,1'")
     common.add_argument("--max-degree", type=int, default=None,
-                        help="degree bound (default 24 for q=2, else 16)")
+                        help="degree bound (default 24 for q=2, else "
+                             "2(q^2-1), the degree of T00)")
     common.add_argument("--timeout-secs", type=int, default=600)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--sample", default=None,

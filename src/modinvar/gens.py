@@ -141,18 +141,14 @@ class InvariantContext:
         self.bidegrees = s7_bidegrees(field.q)
         self._memo = {}
 
-    def memo(self, key, build, usable=None):
-        """The value stored under key.  build() makes and stores it when
-        there is none, or when usable(value) rejects the stored one."""
+    def memo(self, key, build):
+        """The value stored under key; build() makes and stores it when there
+        is none.  A build that raises stores nothing."""
         try:
-            value = self._memo[key]
+            return self._memo[key]
         except KeyError:
-            pass
-        else:
-            if usable is None or usable(value):
-                return value
-        value = self._memo[key] = build()
-        return value
+            value = self._memo[key] = build()
+            return value
 
     # ---- scalar helpers -------------------------------------------------
 

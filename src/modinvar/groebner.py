@@ -64,7 +64,7 @@ def _is_coprime(e1, e2):
     return all(a == 0 or b == 0 for a, b in zip(e1, e2))
 
 
-def _check_deadline(deadline):
+def check_deadline(deadline):
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutExceeded("computation exceeded its time budget")
 
@@ -158,7 +158,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
 
     pairs_processed = 0
     while heap:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         w, i, j = heapq.heappop(heap)
         if (i, j) in done:
             continue
@@ -246,7 +246,7 @@ def _inter_reduce(ring, basis, lt_keys, lt_exps, tails, reps, track, nf,
     while changed:
         changed = False
         for i in range(len(basis)):
-            _check_deadline(deadline)
+            check_deadline(deadline)
             # hide element i, then fully reduce it against the rest; its
             # leading term survives (nothing else divides it)
             keep_idx = [j for j in range(len(basis)) if j != i]

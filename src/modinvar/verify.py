@@ -19,8 +19,8 @@ from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
     involution_star, invariant_dimension, is_invariant
 from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, context, s7_weights
-from .groebner import TimeoutExceeded, buchberger, cofactors_on_inputs, \
-    normal_form, standard_monomial_count
+from .groebner import TimeoutExceeded, buchberger, check_deadline, \
+    cofactors_on_inputs, normal_form, standard_monomial_count
 from .mpoly import Polynomial, PolyRing
 
 
@@ -140,22 +140,38 @@ def _zero_item(poly):
 
 def default_max_degree(q):
     """Degree bound of the hilbert, kernel and controls suites when none is
-    given."""
-    return 24 if q == 2 else 16
+    given.  From q=3 on it is deg T00 = 2(q^2-1), the highest degree of
+    the five relations, so every relation lies inside the bound."""
+    return 24 if q == 2 else 2 * (q * q - 1)
 
 
 # ---------------------------------------------------------------------------
 # shared results, kept in the per-field context's memo
 
 
+def _exact_gb(ctx, bound, deadline=None):
+    """The Gröbner basis of the relation ideal truncated at exactly bound.
+    Report items print its size and pair count, so they must not see a
+    basis built earlier in the process for another bound."""
+    bases = ctx.memo("gb", dict)
+    gb = bases.get(bound)
+    if gb is None:
+        gb = bases[bound] = buchberger(ctx.ideal_generators(), bound=bound,
+                                       track=True, deadline=deadline)
+    return gb
+
+
 def _cached_gb(ctx, bound, deadline=None):
-    return ctx.memo("gb", lambda: buchberger(
-        ctx.ideal_generators(), bound=bound, track=True, deadline=deadline),
-        usable=lambda gb: gb.bound >= bound)
+    """A held basis truncated at bound or higher, else one built at bound:
+    remainders of polynomials of degree <= bound do not depend on which."""
+    bases = ctx.memo("gb", dict)
+    top = max(bases, default=-1)
+    return bases[top] if top >= bound else _exact_gb(ctx, bound, deadline)
 
 
-def _cached_dim(ctx, d):
-    return ctx.memo(("dim", d), lambda: invariant_dimension(ctx.field, d))
+def _cached_dim(ctx, d, deadline=None):
+    return ctx.memo(("dim", d), lambda: invariant_dimension(
+        ctx.field, d, deadline=deadline))
 
 
 def _pow_list(ctx, name, base, upto):
@@ -323,7 +339,7 @@ def check_hilbert(field, max_degree, deadline=None):
     state = {}
 
     def make_gb():
-        gb = _cached_gb(ctx, max_degree, deadline)
+        gb = _exact_gb(ctx, max_degree, deadline)
         state["gb"] = gb
         return True, "%d basis elements, %d pairs processed" \
             % (len(gb.basis), gb.pairs_processed)
@@ -333,7 +349,7 @@ def check_hilbert(field, max_degree, deadline=None):
 
     for d in range(max_degree + 1):
         def tri(v=d):
-            a = _cached_dim(ctx, v)
+            a = _cached_dim(ctx, v, deadline)
             b = series[v]
             c = standard_monomial_count(state["gb"], v)
             if a == b == c:
@@ -349,12 +365,14 @@ def check_hilbert(field, max_degree, deadline=None):
 # kernel certification
 
 
-def _standard_image_ranks(ctx, gb, bound):
+def _standard_image_ranks(ctx, gb, bound, deadline=None):
     """For each degree d <= bound, the rank of the evaluation of all standard
     monomials of the quotient ring, split into bidegree blocks.
 
     Returns (counts, ranks): counts[d] is the number of standard monomials of
     weighted degree d and ranks[d] the dimension of their image span.
+    Raises TimeoutExceeded when the deadline passes during the enumeration
+    or before a block's rank.
     """
     S = ctx.S7
     field = ctx.field
@@ -395,6 +413,7 @@ def _standard_image_ranks(ctx, gb, bound):
         buckets.setdefault((wd, a, b), []).append(_block_vector(poly, a, b))
 
     def rec(pos, poly, wd):
+        check_deadline(deadline)
         if pos == n:
             emit(poly, wd)
             return
@@ -415,6 +434,7 @@ def _standard_image_ranks(ctx, gb, bound):
 
     ranks = [0] * (bound + 1)
     for (wd, _a, _b), rows in sorted(buckets.items()):
+        check_deadline(deadline)
         ranks[wd] += linalg.rank_field(rows, field)
     return counts, ranks
 
@@ -440,7 +460,7 @@ def check_kernel(field, max_degree, deadline=None):
     state = {}
 
     def make_gb():
-        gb = _cached_gb(ctx, max_degree, deadline)
+        gb = _exact_gb(ctx, max_degree, deadline)
         state["gb"] = gb
         return True, "%d basis elements, %d pairs processed" \
             % (len(gb.basis), gb.pairs_processed)
@@ -448,7 +468,8 @@ def check_kernel(field, max_degree, deadline=None):
     rec.run("groebner", make_gb)
 
     def image_ranks():
-        counts, ranks = _standard_image_ranks(ctx, state["gb"], max_degree)
+        counts, ranks = _standard_image_ranks(ctx, state["gb"], max_degree,
+                                              deadline)
         state["counts"] = counts
         state["ranks"] = ranks
         mismatch = [d for d in range(max_degree + 1)
@@ -464,7 +485,7 @@ def check_kernel(field, max_degree, deadline=None):
         def certify(v=d):
             quo = state["counts"][v]
             img = state["ranks"][v]
-            dim = _cached_dim(ctx, v)
+            dim = _cached_dim(ctx, v, deadline)
             if quo == img == dim:
                 return True, "dim (S/I)_%d = image rank = dim R_%d = %d" \
                     % (v, v, dim)
@@ -828,7 +849,7 @@ def negative_controls(field, max_degree=None, deadline=None):
                            deadline=deadline)
         for d in range(max_degree + 1):
             count = standard_monomial_count(small, d)
-            if count != _cached_dim(ctx, d):
+            if count != _cached_dim(ctx, d, deadline):
                 return True, "dimension excess detected at degree %d " \
                     "(%d > %d)" % (d, count, _cached_dim(ctx, d))
         return False, "dropping a relation went unnoticed through degree " \
@@ -848,7 +869,7 @@ def negative_controls(field, max_degree=None, deadline=None):
                     for t in range(q - 1)]
         coef = _module_series(q, degrees, max_degree)
         for d in range(max_degree + 1):
-            if coef[d] != _cached_dim(ctx, d):
+            if coef[d] != _cached_dim(ctx, d, deadline):
                 return True, "uncoupled basis ranges detected at degree %d " \
                     "(%d != %d)" % (d, coef[d], _cached_dim(ctx, d))
         return False, "uncoupled basis ranges went unnoticed through " \

@@ -2,6 +2,7 @@
 
 import pytest
 
+from modinvar import groebner
 from modinvar.action import (
     Mat2,
     SingularMatrix,
@@ -10,13 +11,24 @@ from modinvar.action import (
     enumerate_sl2,
     frobenius_star,
     generating_set_gl2,
+    invariant_bidegree_dimension,
     invariant_dimension,
     involution_star,
     is_invariant,
 )
 from modinvar.gf import ff_from_q, ff_make
 from modinvar.gens import context_for_q
+from modinvar.groebner import TimeoutExceeded
 from modinvar.mpoly import PolyRing
+
+# invariant dimensions by degree, frozen from the stacked generating-set
+# oracle (rank of T-I, D-I, W-I over GF(q)) that the transvection-only
+# oracle replaced
+DIMS_Q4 = [1, 0, 1, 0, 1, 2, 1, 2, 1, 2, 4, 2, 6, 2, 6, 8, 6, 12, 6, 12, 13,
+           12, 19, 12, 22, 20, 22, 30, 22, 36, 33, 36, 44, 36, 53, 48, 57,
+           60, 57, 74, 70]
+DIMS_Q5 = [1, 0, 1, 0, 1, 0, 3, 0, 3, 0, 3, 0, 6, 0, 6, 0, 6, 0, 10, 0, 12,
+           0, 12, 0, 19, 0, 23, 0, 23, 0, 31]
 
 
 def r4(q):
@@ -159,3 +171,58 @@ def test_invariant_dimension_group_mode_agrees():
     for d in (4, 6):
         assert invariant_dimension(F, d) == \
             invariant_dimension(F, d, use_full_group=True)
+
+
+@pytest.mark.parametrize("q,dims", ((4, DIMS_Q4), (5, DIMS_Q5)))
+def test_invariant_dimension_frozen(q, dims):
+    F = ff_from_q(q)
+    assert [invariant_dimension(F, d) for d in range(len(dims))] == dims
+
+
+@pytest.mark.parametrize("q,top", ((2, 8), (3, 8), (4, 5)))
+def test_oracle_matches_full_group_on_every_block(q, top):
+    F = ff_from_q(q)
+    unbalanced = killed = 0
+    for d in range(top + 1):
+        for a in range(d + 1):
+            b = d - a
+            dim = invariant_bidegree_dimension(F, a, b)
+            assert dim == invariant_bidegree_dimension(
+                F, a, b, use_full_group=True), (a, b)
+            if (a - b) % (q - 1):
+                # scalars act by lambda^(b-a): no invariants at all
+                assert dim == 0
+                killed += 1
+            elif a != b and dim:
+                unbalanced += 1
+    assert unbalanced
+    assert killed or q == 2
+
+
+class ExpiringClock:
+    """A time.monotonic stand-in: 0.0 for the first `reads` reads, then a
+    time past any deadline used here.  Counts every read."""
+
+    def __init__(self, reads=None):
+        self.reads = 0
+        self.limit = reads
+
+    def __call__(self):
+        self.reads += 1
+        if self.limit is not None and self.reads >= self.limit:
+            return 1e9
+        return 0.0
+
+
+def test_invariant_dimension_checks_deadline_per_block(monkeypatch):
+    F = ff_from_q(4)
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    assert invariant_dimension(F, 10, deadline=1.0) == DIMS_Q4[10]
+    assert clock.reads == 11  # one check before each of the 11 blocks
+    for k in (1, 6, 11):
+        clock = ExpiringClock(k)
+        monkeypatch.setattr(groebner.time, "monotonic", clock)
+        with pytest.raises(TimeoutExceeded):
+            invariant_dimension(F, 10, deadline=1.0)
+        assert clock.reads == k

@@ -54,6 +54,17 @@ def test_kernel_exit_zero(capsys):
     assert json.loads(out)["overall"] == "pass"
 
 
+def test_kernel_default_bound_covers_every_relation_at_q4(capsys):
+    # T1 and T1s have degree 20, T01 and T10 27, T00 30
+    code, out, _ = run_cli(capsys, "kernel", "--q", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["max_degree"] == 30
+    status = {it["name"]: it["status"] for it in doc["items"]}
+    assert all(status["d=%d" % d] == "pass" for d in (20, 27, 30))
+    assert doc["overall"] == "pass"
+
+
 def test_products_sampled(capsys):
     code, out, _ = run_cli(capsys, "products", "--q", "3",
                            "--sample", "3", "--seed", "7")

@@ -195,7 +195,7 @@ def test_trivial_basis_element():
     assert ctx.basis_pullback(one) == ctx.S7.one
 
 
-def test_memo_builds_once_and_rebuilds_when_unusable():
+def test_memo_builds_once_and_stores_no_failed_build():
     ctx = InvariantContext(ff_from_q(2))
     calls = []
 
@@ -203,11 +203,15 @@ def test_memo_builds_once_and_rebuilds_when_unusable():
         calls.append(len(calls))
         return len(calls)
 
+    def fail():
+        raise RuntimeError("build failed")
+
     assert ctx.memo("k", build) == 1
     assert ctx.memo("k", build) == 1
-    assert ctx.memo("k", build, usable=lambda v: v >= 1) == 1
-    assert ctx.memo("k", build, usable=lambda v: v >= 2) == 2
-    assert len(calls) == 2
+    assert len(calls) == 1
+    with pytest.raises(RuntimeError):
+        ctx.memo("j", fail)
+    assert ctx.memo("j", build) == 2
     assert ctx.u(0) is ctx.u(0)
     with pytest.raises(IndexOutOfRange):
         ctx.u(4)

@@ -1,12 +1,22 @@
 """Check suites, report format, and reduction certificates."""
 
+import hashlib
 import json
 import time
 
 import pytest
+from test_action import ExpiringClock
+from test_report_digests import DIGESTS
 
-from modinvar.gens import BasisSpec, InvariantContext, context_for_q
+from modinvar import gens, groebner, linalg, verify
+from modinvar.gens import (
+    RELATION_NAMES,
+    BasisSpec,
+    InvariantContext,
+    context_for_q,
+)
 from modinvar.gf import ff_from_q
+from modinvar.groebner import TimeoutExceeded
 from modinvar.verify import (
     check_hilbert,
     elimination_crosscheck,
@@ -173,7 +183,12 @@ def test_deadline_marks_timeout_then_skips():
 
 def test_default_max_degree():
     assert default_max_degree(2) == 24
-    assert [default_max_degree(q) for q in (3, 4, 5)] == [16, 16, 16]
+    assert [default_max_degree(q) for q in (3, 4, 5)] == [16, 30, 48]
+    for q in (3, 4, 5, 7):
+        # every relation lies inside the default bound
+        ctx = context_for_q(q)
+        assert max(ctx.relation(n).wdeg() for n in RELATION_NAMES) \
+            <= default_max_degree(q)
 
 
 def test_groebner_memo_recomputes_only_for_a_higher_bound():
@@ -186,3 +201,111 @@ def test_groebner_memo_recomputes_only_for_a_higher_bound():
     higher = _cached_gb(ctx, 12)
     assert higher is not gb and higher.bound == 12
     assert _cached_gb(ctx, 10) is higher
+
+
+def _digest(report):
+    text = report.to_json(include_volatile=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_print_the_basis_of_the_bound_asked_for(monkeypatch):
+    # products leaves a basis for a higher bound in the context; hilbert and
+    # kernel must still report the basis of their own bound
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    field = ff_from_q(3)
+    fresh24 = _digest(check_kernel(field, 24))
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    assert check_products(field, sample="3").overall == "pass"
+    assert _digest(check_kernel(field, 16)) == DIGESTS[(3, "kernel")]
+    assert _digest(check_hilbert(field, 16)) == DIGESTS[(3, "hilbert")]
+    assert _digest(check_kernel(field, 24)) == fresh24
+
+
+def test_products_builds_one_basis(monkeypatch):
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs.get("bound"))
+        return groebner.buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    monkeypatch.setattr(verify, "buchberger", counting)
+    field = ff_from_q(3)
+    assert check_products(field, sample="5", seed=2).overall == "pass"
+    assert len(builds) == 1
+    # a held basis of a higher bound serves products without a new build
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    verify._exact_gb(context_for_q(3), builds[0] + 4)
+    assert check_products(field, sample="5", seed=2).overall == "pass"
+    assert len(builds) == 2
+
+
+def test_exact_basis_is_kept_per_bound():
+    ctx = InvariantContext(ff_from_q(2))
+    at10 = verify._exact_gb(ctx, 10)
+    at12 = verify._exact_gb(ctx, 12)
+    assert at10.bound == 10 and at12.bound == 12
+    assert verify._exact_gb(ctx, 10) is at10
+    assert verify._exact_gb(ctx, 8).bound == 8
+    assert verify._cached_gb(ctx, 9) is at12
+
+
+def test_timed_out_dimension_is_not_memoized(monkeypatch):
+    ctx = InvariantContext(ff_from_q(3))
+    monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock(3))
+    with pytest.raises(TimeoutExceeded):
+        verify._cached_dim(ctx, 8, deadline=1.0)
+    monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock())
+    assert verify._cached_dim(ctx, 8, deadline=1.0) == 10
+    monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock(1))
+    assert verify._cached_dim(ctx, 8, deadline=1.0) == 10  # memo hit
+
+
+def test_standard_monomials_check_the_deadline(monkeypatch):
+    ctx = InvariantContext(ff_from_q(3))
+    gb = verify._exact_gb(ctx, 30)
+    ranks = []
+    rank_field = linalg.rank_field
+
+    def counting_rank(rows, field):
+        ranks.append(len(rows))
+        return rank_field(rows, field)
+
+    monkeypatch.setattr(verify.linalg, "rank_field", counting_rank)
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    counts, _ = verify._standard_image_ranks(ctx, gb, 30, deadline=1.0)
+    total, nranks = clock.reads, len(ranks)
+    # at least one check per standard monomial, and one before each rank
+    assert total >= sum(counts) + nranks
+    for k in (1, total // 2, total):
+        del ranks[:]
+        clock = ExpiringClock(k)
+        monkeypatch.setattr(groebner.time, "monotonic", clock)
+        with pytest.raises(TimeoutExceeded):
+            verify._standard_image_ranks(ctx, gb, 30, deadline=1.0)
+        assert clock.reads == k
+    assert len(ranks) == nranks - 1  # the last check precedes the last rank
+
+
+def test_kernel_budget_runs_out_inside_standard_monomials(monkeypatch):
+    # the budget expires 40 clock reads after the Groebner item, which is
+    # well inside the enumeration of the standard monomials
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    exact = verify._exact_gb
+
+    def then_expire(*args, **kwargs):
+        gb = exact(*args, **kwargs)
+        clock.limit = clock.reads + 40
+        return gb
+
+    monkeypatch.setattr(verify, "_exact_gb", then_expire)
+    rep = check_kernel(ff_from_q(3), 30, deadline=1.0)
+    status = {it.name: (it.status, it.detail) for it in rep.items}
+    assert status["groebner"][0] == "pass"
+    assert status["standard-monomials"] == \
+        ("timeout", "computation exceeded its time budget")
+    assert all(it.status == "skipped" for it in rep.items[3:])
+    assert rep.timed_out
