@@ -2,6 +2,9 @@
 
 Polynomial terms are dict[packed_monomial_int, coeff_index_int]; packed keys
 add under monomial multiplication (16-bit chunks, wdeg chunk on top).
+Coefficients are field indices and every kernel does its arithmetic through
+the field's flat add/mul/neg tables, prime fields included; `field` is the
+`gf.FieldParams` of the ring.
 """
 
 import heapq
@@ -12,98 +15,65 @@ CHUNK = 16
 MASK = 0xFFFF
 
 
-def mul_terms(A, B, p, q, mul_flat, add_flat):
-    """Term-merge product of two term dicts over GF(p) or a tabled GF(q)."""
+def mul_terms(A, B, field):
+    """Term-merge product of two term dicts."""
     if not A or not B:
         return {}
     if len(B) < len(A):
         A, B = B, A
+    q, mul_flat, add_flat = field.q, field.mul_flat, field.add_flat
     out = {}
-    if mul_flat is None:
-        for ka, ca in A.items():
-            for kb, cb in B.items():
-                k = ka + kb
-                v = (out.get(k, 0) + ca * cb) % p
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    else:
-        for ka, ca in A.items():
-            cq = ca * q
-            for kb, cb in B.items():
-                k = ka + kb
-                c = mul_flat[cq + cb]
-                prev = out.get(k, 0)
-                v = add_flat[prev * q + c]
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+    for ka, ca in A.items():
+        cq = ca * q
+        for kb, cb in B.items():
+            k = ka + kb
+            c = mul_flat[cq + cb]
+            prev = out.get(k, 0)
+            v = add_flat[prev * q + c]
+            if v:
+                out[k] = v
+            elif k in out:
+                del out[k]
     return out
 
 
-def add_terms(A, B, p, q, add_flat, neg_flat, subtract):
+def add_terms(A, B, field, subtract):
     """A + B (or A - B) as a fresh dict."""
+    q, add_flat, neg_flat = field.q, field.add_flat, field.neg_flat
     out = dict(A)
-    if add_flat is None:
-        for k, cb in B.items():
-            if subtract:
-                cb = p - cb
-            v = (out.get(k, 0) + cb) % p
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    else:
-        for k, cb in B.items():
-            if subtract:
-                cb = neg_flat[cb]
-            v = add_flat[out.get(k, 0) * q + cb]
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+    for k, cb in B.items():
+        if subtract:
+            cb = neg_flat[cb]
+        v = add_flat[out.get(k, 0) * q + cb]
+        if v:
+            out[k] = v
+        elif k in out:
+            del out[k]
     return out
 
 
-def scale_terms(A, c, kshift, p, q, mul_flat):
+def scale_terms(A, c, kshift, field):
     """c * monomial(kshift) * A as a fresh dict; c must be nonzero."""
-    out = {}
-    if mul_flat is None:
-        for k, v in A.items():
-            out[k + kshift] = v * c % p
-    else:
-        cq = c * q
-        for k, v in A.items():
-            out[k + kshift] = mul_flat[cq + v]
-    return out
+    mul_flat = field.mul_flat
+    cq = c * field.q
+    return {k + kshift: mul_flat[cq + v] for k, v in A.items()}
 
 
-def iadd_scaled(acc, A, c, kshift, p, q, mul_flat, add_flat):
+def iadd_scaled(acc, A, c, kshift, field):
     """acc += c * monomial(kshift) * A, in place; c nonzero."""
-    if mul_flat is None:
-        for k, v in A.items():
-            kk = k + kshift
-            w = (acc.get(kk, 0) + c * v) % p
-            if w:
-                acc[kk] = w
-            elif kk in acc:
-                del acc[kk]
-    else:
-        cq = c * q
-        for k, v in A.items():
-            kk = k + kshift
-            w = add_flat[acc.get(kk, 0) * q + mul_flat[cq + v]]
-            if w:
-                acc[kk] = w
-            elif kk in acc:
-                del acc[kk]
+    q, mul_flat, add_flat = field.q, field.mul_flat, field.add_flat
+    cq = c * q
+    for k, v in A.items():
+        kk = k + kshift
+        w = add_flat[acc.get(kk, 0) * q + mul_flat[cq + v]]
+        if w:
+            acc[kk] = w
+        elif kk in acc:
+            del acc[kk]
 
 
-def neg_terms(A, p, neg_flat):
-    if neg_flat is None:
-        return {k: p - v for k, v in A.items()}
+def neg_terms(A, field):
+    neg_flat = field.neg_flat
     return {k: neg_flat[v] for k, v in A.items()}
 
 
@@ -147,14 +117,16 @@ def leading_key(terms, n, order_code):
     return best
 
 
-def normal_form_terms(f, lt_keys, tails, n, order_code, guard,
-                      p, q, mul_flat, add_flat, neg_flat, track):
+def normal_form_terms(f, lt_keys, tails, n, order_code, guard, field,
+                      track):
     """Complete reduction of f by a monic basis given as (lt_keys, tails).
 
     tails[i] holds basis[i] minus its leading term (leading coefficient 1).
     Returns (remainder_dict, cofactors) where cofactors[i] is a term dict with
     f = sum_i cofactors[i] * basis[i] + remainder (None unless track).
     """
+    q, mul_flat, add_flat, neg_flat = field.q, field.mul_flat, \
+        field.add_flat, field.neg_flat
     nb = len(lt_keys)
     pending = dict(f)
     if order_code == 0:
@@ -196,33 +168,17 @@ def normal_form_terms(f, lt_keys, tails, n, order_code, guard,
         tail = tails[hit]
         if not tail:
             continue
-        if mul_flat is None:
-            cneg = p - c
-            for kt, ct in tail.items():
-                kk = kt + kq
-                fresh = kk not in pending
-                v = (pending.get(kk, 0) + cneg * ct) % p
-                pending[kk] = v
-                if fresh:
-                    if order_code == 0:
-                        heapq.heappush(heap, -kk)
-                    elif order_code == 1:
-                        heapq.heappush(heap, (-grevlex_okey(kk, n), kk))
-                    else:
-                        heapq.heappush(heap, (-(kk & lexmask), kk))
-        else:
-            cneg = neg_flat[c]
-            cq = cneg * q
-            for kt, ct in tail.items():
-                kk = kt + kq
-                fresh = kk not in pending
-                v = add_flat[pending.get(kk, 0) * q + mul_flat[cq + ct]]
-                pending[kk] = v
-                if fresh:
-                    if order_code == 0:
-                        heapq.heappush(heap, -kk)
-                    elif order_code == 1:
-                        heapq.heappush(heap, (-grevlex_okey(kk, n), kk))
-                    else:
-                        heapq.heappush(heap, (-(kk & lexmask), kk))
+        cq = neg_flat[c] * q
+        for kt, ct in tail.items():
+            kk = kt + kq
+            fresh = kk not in pending
+            v = add_flat[pending.get(kk, 0) * q + mul_flat[cq + ct]]
+            pending[kk] = v
+            if fresh:
+                if order_code == 0:
+                    heapq.heappush(heap, -kk)
+                elif order_code == 1:
+                    heapq.heappush(heap, (-grevlex_okey(kk, n), kk))
+                else:
+                    heapq.heappush(heap, (-(kk & lexmask), kk))
     return remainder, cof

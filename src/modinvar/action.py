@@ -292,8 +292,7 @@ def _full_group_dimension(field, a, b):
             yk = ycache.get(e3)
             if yk is None:
                 yk = ycache[e3] = (ypow1[e3] * ypow2[e4]).terms
-            prod = K.mul_terms(xk, yk, fld.p, fld.q, fld.mul_flat,
-                               fld.add_flat)
+            prod = K.mul_terms(xk, yk, fld)
             for kk, cc in prod.items():
                 mat[base + index[kk]][col] = cc
             row = mat[base + col]

@@ -3,6 +3,10 @@
 Elements are indices 0..q-1 into precomputed tables; index i encodes the
 coefficient tuple (c0, c1, ..., c_{s-1}) of c0 + c1*t + ... via i = sum c_k p^k,
 so enumeration order is 0, 1, ..., p-1, t, t+1, ...
+
+Every field is table-driven, prime fields included: GF(p) is the case s = 1,
+GF(p)[t]/(t), whose index i is the residue i itself.  Only the text format
+(`literal`, `parse_literal`) and the generator `t` treat prime fields apart.
 """
 
 from __future__ import annotations
@@ -142,14 +146,9 @@ class FieldParams:
         self._build_tables()
 
     def _build_tables(self):
-        p, s, q = self.p, self.s, self.q
-        if s == 1:
-            self.mul_flat = None  # kernels take the fast "% p" path
-            self.add_flat = None
-            self.neg_flat = [(-a) % p for a in range(p)]
-            self.inv_flat = [0] + [pow(a, -1, p) for a in range(1, p)]
-            self.frob_flat = list(range(p))
-            return
+        p, q = self.p, self.q
+        # a prime field is GF(p)[t]/(t): one coefficient, t = 0
+        modulus = self.modulus or (0, 1)
         coeffs = [self._index_to_coeffs(i) for i in range(q)]
         self._coeffs = coeffs
         add = [0] * (q * q)
@@ -161,7 +160,7 @@ class FieldParams:
                 add[a * q + b] = self._coeffs_to_index(
                     tuple((x + y) % p for x, y in zip(ca, cb)))
                 mul[a * q + b] = self._coeffs_to_index(
-                    _polymul_mod(ca, cb, self.modulus, p))
+                    _polymul_mod(ca, cb, modulus, p))
         self.add_flat = add
         self.mul_flat = mul
         self.neg_flat = [self._coeffs_to_index(tuple((-x) % p for x in coeffs[a]))
@@ -201,13 +200,9 @@ class FieldParams:
     # index-level ops (kernels use the flat tables directly)
 
     def add_i(self, a, b):
-        if self.s == 1:
-            return (a + b) % self.p
         return self.add_flat[a * self.q + b]
 
     def mul_i(self, a, b):
-        if self.s == 1:
-            return (a * b) % self.p
         return self.mul_flat[a * self.q + b]
 
     def neg_i(self, a):
@@ -216,7 +211,7 @@ class FieldParams:
     def inv_i(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in %s" % self)
-        return self.inv_flat[a] if self.s > 1 else pow(a, -1, self.p)
+        return self.inv_flat[a]
 
     def frob_i(self, a):
         return self.frob_flat[a]
@@ -374,8 +369,6 @@ class FieldElement:
 
     @property
     def coeffs(self):
-        if self.field.s == 1:
-            return (self.i,)
         return self.field._coeffs[self.i]
 
     def __bool__(self):

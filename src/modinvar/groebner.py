@@ -86,8 +86,6 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             raise InhomogeneousWithTruncation(
                 "degree truncation needs weighted-homogeneous generators")
     fld = ring.field
-    p, q_, mulf, addf, negf = fld.p, fld.q, fld.mul_flat, fld.add_flat, \
-        fld.neg_flat
     n, order_code, guard = ring.n, ring.order_code, ring.guard
 
     basis = []
@@ -99,7 +97,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
 
     def nf(terms):
         return K.normal_form_terms(terms, lt_keys, tails, n, order_code,
-                                   guard, p, q_, mulf, addf, negf, track)
+                                   guard, fld, track)
 
     def add_element(f, rep):
         lc = f.leading_coeff()
@@ -185,9 +183,9 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         klcm = ring.pack(le)
         si = klcm - lt_keys[i]
         sj = klcm - lt_keys[j]
-        spoly = K.add_terms(K.scale_terms(basis[i].terms, 1, si, p, q_, mulf),
-                            K.scale_terms(basis[j].terms, 1, sj, p, q_, mulf),
-                            p, q_, addf, negf, True)
+        spoly = K.add_terms(K.scale_terms(basis[i].terms, 1, si, fld),
+                            K.scale_terms(basis[j].terms, 1, sj, fld),
+                            fld, True)
         if not spoly:
             continue
         r_terms, cof = nf(spoly)
@@ -254,9 +252,7 @@ def _inter_reduce(ring, basis, lt_keys, lt_exps, tails, reps, track, nf,
             keep_tails = [tails[j] for j in keep_idx]
             r, cof = K.normal_form_terms(basis[i].terms, keep_keys,
                                          keep_tails, ring.n, ring.order_code,
-                                         ring.guard, fld.p, fld.q,
-                                         fld.mul_flat, fld.add_flat,
-                                         fld.neg_flat, track)
+                                         ring.guard, fld, track)
             if r == basis[i].terms:
                 continue
             if not r:
@@ -297,12 +293,9 @@ def normal_form(f, gb, track=False):
     if gb.bound is not None and f and f.wdeg() > gb.bound:
         raise DegreeBoundExceeded(
             "degree %d beyond the computed bound %d" % (f.wdeg(), gb.bound))
-    fld = gb.ring.field
     r_terms, cof = K.normal_form_terms(f.terms, gb.lt_keys, gb.tails,
                                        gb.ring.n, gb.ring.order_code,
-                                       gb.ring.guard, fld.p, fld.q,
-                                       fld.mul_flat, fld.add_flat,
-                                       fld.neg_flat, track)
+                                       gb.ring.guard, gb.ring.field, track)
     if not track:
         return Polynomial(gb.ring, r_terms)
     return Polynomial(gb.ring, r_terms), \

@@ -1,13 +1,56 @@
 """Exact Gaussian elimination over GF(q).
 
-Prime fields go through numpy integer arithmetic mod p (vectorized, still
-exact); GF(2) additionally packs rows into uint64 words. Extension fields use
-a plain table-driven elimination. No floating point anywhere.
+Every rank and solve is one elimination over the prime field GF(p), in numpy
+integer arithmetic mod p (vectorized, still exact; no floating point
+anywhere).  A matrix over GF(p^s) is first lifted to GF(p) by the regular
+representation: each entry becomes the s x s matrix of multiplication by it
+on the basis 1, t, ..., t^(s-1), so ranks multiply by s.  For s = 1 the lift
+is the identity.  Ranks over GF(2) pack rows into uint64 words instead.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+def _int_type(bound):
+    """The narrowest signed numpy integer type holding -bound..bound."""
+    for t in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(t).max:
+            return t
+    return np.int64
+
+
+def _rref(aug, p, ncols):
+    """Reduce aug in place to reduced row echelon form over GF(p) in its
+    first ncols columns; returns the pivot columns.
+
+    Entries must lie in 0..p-1 and the dtype must hold (p-1)^2 in absolute
+    value.  Row ops start at the pivot column: a pivot row is 0 left of it.
+    """
+    rows = aug.shape[0]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        hits = np.flatnonzero(aug[rank:, col])
+        if hits.size == 0:
+            continue
+        if hits[0]:
+            piv = rank + hits[0]
+            aug[[rank, piv]] = aug[[piv, rank]]
+        inv = pow(int(aug[rank, col]), -1, p)
+        aug[rank, col:] = aug[rank, col:] * inv % p
+        others = np.flatnonzero(aug[:, col])
+        others = others[others != rank]
+        if others.size:
+            aug[others, col:] = (aug[others, col:] - np.outer(
+                aug[others, col], aug[rank, col:])) % p
+        pivots.append(col)
+    return pivots
 
 
 def rank_gf2(A):
@@ -22,19 +65,16 @@ def rank_gf2(A):
     W = words.view(np.uint64)
     rank = 0
     for col in range(cols):
-        word, bit = divmod(col, 8)
-        byte_col = word  # packbits is big-endian within bytes
-        colbits = (words[rank:, byte_col] >> (7 - bit)) & 1
-        hits = np.nonzero(colbits)[0]
+        # packbits is big-endian within bytes
+        hits = np.flatnonzero(words[rank:, col >> 3] & (0x80 >> (col & 7)))
         if hits.size == 0:
             continue
-        piv = rank + hits[0]
-        if piv != rank:
+        if hits[0]:
+            piv = rank + hits[0]
             W[[rank, piv]] = W[[piv, rank]]
-        colbits = (words[rank + 1:, byte_col] >> (7 - bit)) & 1
-        sel = np.nonzero(colbits)[0]
-        if sel.size:
-            W[rank + 1 + sel] ^= W[rank]
+        # the old row `rank` (0 in this column) now sits at the pivot's place
+        if hits.size > 1:
+            W[rank + hits[1:]] ^= W[rank]
         rank += 1
         if rank == rows:
             break
@@ -45,28 +85,9 @@ def rank_modp(A, p):
     """Rank over GF(p), p prime, of an integer numpy matrix."""
     if p == 2:
         return rank_gf2(np.asarray(A) % 2)
-    # entries and pivot products stay below p^2 <= 81, so int16 is exact and
-    # keeps the stacked action matrices (up to ~9000 x 3000) small
-    dtype = np.int16 if p * p < 2 ** 14 else np.int64
-    A = np.array(A, dtype=dtype) % p
-    rows, cols = A.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        hits = np.nonzero(A[rank:, col])[0]
-        if hits.size == 0:
-            continue
-        piv = rank + hits[0]
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), -1, p)
-        A[rank] = (A[rank] * inv) % p
-        sel = rank + 1 + np.nonzero(A[rank + 1:, col])[0]
-        if sel.size:
-            A[sel] = (A[sel] - np.outer(A[sel, col], A[rank])) % p
-        rank += 1
-    return rank
+    A = np.asarray(A)
+    aug = (A % p).astype(_int_type((p - 1) ** 2), copy=False)
+    return len(_rref(aug, p, A.shape[1]))
 
 
 def solve_modp(A, b, p):
@@ -75,109 +96,64 @@ def solve_modp(A, b, p):
     Free variables are set to 0, so the solution is canonical for a fixed
     column order.
     """
-    A = np.array(A, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
+    A = np.asarray(A)
     rows, cols = A.shape
-    aug = np.concatenate([A, b.reshape(rows, 1)], axis=1)
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        hits = np.nonzero(aug[rank:, col])[0]
-        if hits.size == 0:
-            continue
-        piv = rank + hits[0]
-        if piv != rank:
-            aug[[rank, piv]] = aug[[piv, rank]]
-        inv = pow(int(aug[rank, col]), -1, p)
-        aug[rank] = (aug[rank] * inv) % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            aug[others] = (aug[others]
-                           - np.outer(aug[others, col], aug[rank])) % p
-        pivots.append(col)
-        rank += 1
-    x = np.zeros(cols, dtype=np.int64)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, cols]
+    aug = np.empty((rows, cols + 1), dtype=_int_type((p - 1) ** 2))
+    aug[:, :cols] = A % p
+    aug[:, cols] = np.asarray(b) % p
+    # the original system, wide enough for A @ x, for the re-check below
+    check = aug.astype(_int_type(cols * (p - 1) ** 2 + p))
+    pivots = _rref(aug, p, cols)
+    x = np.zeros(cols, dtype=check.dtype)
+    x[pivots] = aug[:len(pivots), cols]
     # free variables are 0; verification doubles as the consistency check
-    if np.any((A @ x - b) % p):
+    if np.any((check[:, :cols] @ x - check[:, cols]) % p):
         return None
-    return x % p
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _regular(field):
+    """reg[i, r, k]: coefficient of t^r in (element i) * t^k."""
+    p, s = field.p, field.s
+    reg = [[field._coeffs[field.mul_i(i, p ** k)] for k in range(s)]
+           for i in range(field.q)]
+    return np.array(reg, dtype=_int_type((p - 1) ** 2)).transpose(0, 2, 1)
+
+
+def _lift(M, field):
+    """The matrix of GF(q) indices M over GF(p): entry (i, j) becomes the
+    block rows i*s.., columns j*s.. of multiplication by M[i, j]."""
+    M = np.asarray(M)
+    rows, cols = M.shape
+    s = field.s
+    return _regular(field)[M].transpose(0, 2, 1, 3).reshape(rows * s,
+                                                            cols * s)
 
 
 def rank_field(rows, field):
-    """Rank over any FieldParams; extension fields go through the regular
-    representation over the prime field, so numpy still does the work."""
+    """Rank over any FieldParams of a matrix of field indices."""
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0
-    if field.s == 1:
-        return rank_modp(rows, field.p)
-    p, s = field.p, field.s
-    # multiplication-by-element matrices on the basis 1, t, ..., t^(s-1);
-    # indices encode coefficient vectors in base p, so t^k has index p^k
-    def digits(e):
-        out = []
-        for _ in range(s):
-            out.append(e % p)
-            e //= p
-        return out
-
-    reg = []
-    for idx in range(field.q):
-        cols = []
-        for k in range(s):
-            e = field.mul_i(idx, p ** k)
-            cols.append(digits(e))
-        reg.append(cols)  # reg[idx][k][r] = coeff of t^r in idx * t^k
-    nrows, ncols = len(rows), len(rows[0])
-    big = np.zeros((nrows * s, ncols * s), dtype=np.int16)
-    for i, row in enumerate(rows):
-        for j, idx in enumerate(row):
-            if not idx:
-                continue
-            cols = reg[idx]
-            for k in range(s):
-                col = cols[k]
-                for r in range(s):
-                    if col[r]:
-                        big[i * s + r, j * s + k] = col[r]
-    return rank_modp(big, p) // s
+    return rank_modp(_lift(rows, field), field.p) // field.s
 
 
 def solve_generic(rows, rhs, field):
-    """Exact solve over an arbitrary FieldParams; returns list or None."""
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = field.inv_i(m[rank][col])
-        m[rank] = [field.mul_i(inv, v) for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                c = field.neg_i(m[r][col])
-                prow = m[rank]
-                m[r] = [field.add_i(v, field.mul_i(c, w))
-                        for v, w in zip(m[r], prow)]
-        pivots.append(col)
-        rank += 1
-    for r in range(nrows):
-        if m[r][ncols] and not any(m[r][:ncols]):
-            return None
-    x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return x
+    """Exact solve over any FieldParams; returns a list of field indices
+    with free variables 0, or None.
+
+    The lifted system is solved over GF(p).  A GF(q) pivot column lifts to
+    a whole block of s GF(p) pivot columns, so the lifted solution with free
+    variables 0 is the GF(q) one, written in coefficients of 1, t, ...
+    """
+    cols = len(rows[0])
+    s = field.s
+    M = np.empty((len(rows), cols + 1), dtype=np.uint8)  # indices < q <= 256
+    M[:, :cols] = rows
+    M[:, cols] = rhs
+    big = _lift(M, field)
+    x = solve_modp(big[:, :cols * s], big[:, cols * s], field.p)
+    if x is None:
+        return None
+    return (x.reshape(cols, s) @ field.p ** np.arange(s)).tolist()

@@ -343,9 +343,8 @@ class Polynomial:
         if isinstance(other, (FieldElement, int)):
             other = self.ring.const(other)
         self._check(other)
-        f = self.ring.field
         return Polynomial(self.ring, K.add_terms(
-            self.terms, other.terms, f.p, f.q, f.add_flat, f.neg_flat, False))
+            self.terms, other.terms, self.ring.field, False))
 
     __radd__ = __add__
 
@@ -353,16 +352,14 @@ class Polynomial:
         if isinstance(other, (FieldElement, int)):
             other = self.ring.const(other)
         self._check(other)
-        f = self.ring.field
         return Polynomial(self.ring, K.add_terms(
-            self.terms, other.terms, f.p, f.q, f.add_flat, f.neg_flat, True))
+            self.terms, other.terms, self.ring.field, True))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        f = self.ring.field
-        return Polynomial(self.ring, K.neg_terms(self.terms, f.p, f.neg_flat))
+        return Polynomial(self.ring, K.neg_terms(self.terms, self.ring.field))
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -370,15 +367,13 @@ class Polynomial:
             if not c.i:
                 return self.ring.zero
             return Polynomial(self.ring, K.scale_terms(
-                self.terms, c.i, 0, self.ring.field.p, self.ring.field.q,
-                self.ring.field.mul_flat))
+                self.terms, c.i, 0, self.ring.field))
         self._check(other)
         if self.terms and other.terms:
             if self.wdeg() + other.wdeg() > EXP_CAP:
                 raise ExponentOverflow("product degree out of range")
-        f = self.ring.field
         return Polynomial(self.ring, K.mul_terms(
-            self.terms, other.terms, f.p, f.q, f.mul_flat, f.add_flat))
+            self.terms, other.terms, self.ring.field))
 
     __rmul__ = __mul__
 
@@ -414,8 +409,7 @@ class Polynomial:
         tail = dict(g.terms)
         del tail[ltk]
         rem, cof = K.normal_form_terms(
-            self.terms, [ltk], [tail], r.n, r.order_code, r.guard,
-            f.p, f.q, f.mul_flat, f.add_flat, f.neg_flat, True)
+            self.terms, [ltk], [tail], r.n, r.order_code, r.guard, f, True)
         if rem:
             raise NotDivisible("remainder has %d terms" % len(rem))
         q = cof[0] or {}
@@ -477,8 +471,7 @@ class Polynomial:
                 prod = piece if prod is None else prod * piece
             if prod is None:
                 prod = target.one
-            K.iadd_scaled(out, prod.terms, c, 0, fld.p, fld.q,
-                          fld.mul_flat, fld.add_flat)
+            K.iadd_scaled(out, prod.terms, c, 0, fld)
         return Polynomial(target, out)
 
     def remap(self, ring, var_map=None):

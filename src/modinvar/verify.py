@@ -4,7 +4,8 @@ dimension count, degreewise kernel certification, and product-reduction
 certificates with independent re-verification.
 
 Every suite returns a SuiteReport whose JSON form is byte-stable for a fixed
-configuration: timings and version data live in a separate volatile block.
+configuration: timings, version data and the traceback of any item that
+raised unexpectedly live in a separate volatile block.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import time
+import traceback
 from dataclasses import dataclass, field as dataclass_field
 
 from . import linalg
@@ -43,6 +45,7 @@ class CheckItem:
     status: str          # pass | fail | skipped | timeout
     detail: str = ""
     elapsed_ms: float = 0.0
+    traceback: str = ""  # of an unexpected exception; volatile only
 
 
 @dataclass
@@ -76,6 +79,10 @@ class SuiteReport:
                             for it in self.items},
                 "version": __version__,
             }
+            tracebacks = {it.name: it.traceback for it in self.items
+                          if it.traceback}
+            if tracebacks:
+                doc["volatile"]["tracebacks"] = tracebacks
         return doc
 
     def to_json(self, include_volatile=True):
@@ -115,6 +122,7 @@ class _Recorder:
                                         "time budget exhausted"))
             return
         t0 = time.monotonic()
+        trace = ""
         try:
             ok, detail = fn()
             status = "pass" if ok else "fail"
@@ -123,8 +131,9 @@ class _Recorder:
             status, detail = "timeout", str(exc)
         except Exception as exc:  # noqa: BLE001 - verdicts must not crash
             status, detail = "fail", "%s: %s" % (type(exc).__name__, exc)
+            trace = traceback.format_exc()
         self.items.append(CheckItem(name, status, detail,
-                                    (time.monotonic() - t0) * 1000.0))
+                                    (time.monotonic() - t0) * 1000.0, trace))
 
 
 def _clip(poly, limit=160):
@@ -581,10 +590,7 @@ def _fit_in_module(ctx, target, degree):
     rhs = _block_vector(target, dx, dy)
     nrows = (dx + 1) * (dy + 1)
     rows = [[col[r] for col in matrix_cols] for r in range(nrows)]
-    if field.s == 1:
-        sol = linalg.solve_modp(rows, rhs, field.p)
-    else:
-        sol = linalg.solve_generic(rows, rhs, field)
+    sol = linalg.solve_generic(rows, rhs, field)
     if sol is None:
         raise NotExpressible("target of degree %d is outside the module "
                              "span" % degree)

@@ -1,0 +1,157 @@
+"""Hypothesis properties of the table-driven arithmetic.
+
+The term kernels run on the field's flat tables for every field.  Here they
+are compared with independent references: plain integers mod p over GF(2),
+GF(3), GF(5), and coefficient tuples multiplied by gf._polymul_mod over
+GF(4), GF(9).  Also: text round trips, pack/unpack, and the division
+identity of tracked normal forms.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modinvar import _kernels as K
+from modinvar.gf import _polymul_mod, ff_from_q
+from modinvar.groebner import buchberger, normal_form
+from modinvar.mpoly import PolyRing
+
+PRIME = (2, 3, 5)
+EXTENSION = (4, 9)
+FIELDS = PRIME + EXTENSION
+NAMES = ("x", "y", "z")
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@functools.lru_cache(maxsize=None)
+def ring(q):
+    return PolyRing(ff_from_q(q), NAMES)
+
+
+def reference_ops(field):
+    """(add, mul) on field indices, computed without the field's tables."""
+    p = field.p
+    if field.s == 1:
+        return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+    s, modulus = field.s, field.modulus
+
+    def digits(i):
+        return tuple(i // p ** k % p for k in range(s))
+
+    def index(coeffs):
+        return sum(c * p ** k for k, c in enumerate(coeffs))
+
+    def add(a, b):
+        return index([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        return index(_polymul_mod(digits(a), digits(b), modulus, p))
+
+    return add, mul
+
+
+def reference_combine(field, out, A, c=1, kshift=0):
+    """out += c * monomial(kshift) * A in reference arithmetic; drops 0s."""
+    add, mul = reference_ops(field)
+    out = dict(out)
+    for k, v in A.items():
+        out[k + kshift] = add(out.get(k + kshift, 0), mul(c, v))
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_mul(field, A, B):
+    out = {}
+    for kb, cb in B.items():
+        out = reference_combine(field, out, A, cb, kb)
+    return out
+
+
+exponents = st.tuples(*[st.integers(0, 4)] * len(NAMES))
+
+
+@st.composite
+def terms(draw, q):
+    raw = draw(st.dictionaries(exponents, st.integers(1, q - 1), max_size=8))
+    return {ring(q).pack(e): c for e, c in raw.items()}
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_kernels_match_reference_arithmetic(q, data):
+    field = ring(q).field
+    A = data.draw(terms(q))
+    B = data.draw(terms(q))
+    c = data.draw(st.integers(1, q - 1))
+    shift = ring(q).pack(data.draw(exponents))
+    minus_one = field.p - 1  # the index of -1 in every field
+
+    assert K.mul_terms(A, B, field) == reference_mul(field, A, B)
+    assert K.add_terms(A, B, field, False) == reference_combine(field, A, B)
+    assert K.add_terms(A, B, field, True) == \
+        reference_combine(field, A, B, minus_one)
+    assert K.neg_terms(A, field) == reference_combine(field, {}, A,
+                                                      minus_one)
+    assert K.scale_terms(A, c, shift, field) == \
+        reference_combine(field, {}, A, c, shift)
+    acc = dict(B)
+    K.iadd_scaled(acc, A, c, shift, field)
+    assert acc == reference_combine(field, B, A, c, shift)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_parse_str_round_trip(q, data):
+    R = ring(q)
+    f = R.from_dict(data.draw(terms(q)))
+    assert R.parse(str(f)) == f
+    e = R.field.from_index(data.draw(st.integers(0, q - 1)))
+    assert R.field.parse_literal(R.field.literal(e)) == e
+    assert R.field.from_coeffs(e.coeffs) == e
+
+
+@SETTINGS
+@given(exps=st.tuples(*[st.integers(0, 300)] * 4),
+       weights=st.tuples(*[st.integers(1, 6)] * 4))
+def test_pack_unpack_round_trip(exps, weights):
+    R = PolyRing(ff_from_q(3), ("a", "b", "c", "d"), weights=weights)
+    k = R.pack(exps)
+    assert R.unpack(k) == exps
+    assert R.key_wdeg(k) == sum(e * w for e, w in zip(exps, weights))
+
+
+@st.composite
+def homogeneous(draw, q, degree):
+    R = ring(q)
+    raw = draw(st.dictionaries(
+        st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(
+            lambda e: sum(e) <= degree),
+        st.integers(1, q - 1), min_size=1, max_size=4))
+    return R.from_dict({R.pack((a, b, degree - a - b)): c
+                        for (a, b), c in raw.items()})
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_tracked_normal_form_is_a_division(q, data):
+    R = ring(q)
+    bound = 6
+    gens = [data.draw(homogeneous(q, d)) for d in
+            data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))]
+    gb = buchberger(gens, bound=bound)
+    f = R.from_dict(data.draw(terms(q)))
+    if f and f.wdeg() > bound:
+        f = R.from_dict({k: c for k, c in f.terms.items()
+                         if R.key_wdeg(k) <= bound})
+    r, cof = normal_form(f, gb, track=True)
+    total = r
+    for c, g in zip(cof, gb.basis):
+        total = total + c * g
+    assert total == f
+    for k in r.terms:
+        assert not any(R.key_divides(m, k) for m in gb.lt_keys)

@@ -157,6 +157,28 @@ def test_negative_controls_detect(q):
             "nonmember-nonzero"} <= names
 
 
+def test_recorder_keeps_traceback_in_volatile_only():
+    def broken_step():
+        raise ValueError("boom")
+
+    def report(step):
+        rec = verify._Recorder()
+        rec.run("fine", lambda: (True, "ok"))
+        rec.run("item", step)
+        return verify.SuiteReport("demo", 2, {}, rec.items)
+
+    crashed = report(broken_step)
+    doc = json.loads(crashed.to_json())
+    assert set(doc["volatile"]["tracebacks"]) == {"item"}
+    trace = doc["volatile"]["tracebacks"]["item"]
+    assert "in broken_step" in trace and "ValueError: boom" in trace
+    # the byte-stable part is that of the same failure without a traceback
+    plain = report(lambda: (False, "ValueError: boom"))
+    assert "tracebacks" not in json.loads(plain.to_json())["volatile"]
+    assert crashed.to_json(include_volatile=False) == \
+        plain.to_json(include_volatile=False)
+
+
 def test_report_json_stable_and_schema():
     rep1 = check_relations(ff_from_q(2))
     rep2 = check_relations(ff_from_q(2))
