@@ -3,7 +3,10 @@ ring that surjects onto the invariant ring, and the free-module basis.
 
 Everything lives in one cached per-field context so repeated CLI calls and
 test cases share the (sometimes expensive) constructions: each context keeps
-one memo, read through InvariantContext.memo.
+one memo, read through InvariantContext.memo.  It holds the generator
+families, the relations, and the value and pullback of every basis element
+asked for, each built once; verify adds its Groebner bases, invariant
+dimensions and module-fit blocks to the same memo.
 """
 
 from __future__ import annotations
@@ -422,7 +425,11 @@ class InvariantContext:
     # ---- free-module basis ----------------------------------------------
 
     def basis_value(self, spec):
-        """The basis element as an explicit invariant polynomial."""
+        """The basis element as an explicit invariant polynomial, built once
+        per spec and kept in the memo."""
+        return self.memo(("value", spec), lambda: self._build_value(spec))
+
+    def _build_value(self, spec):
         spec.validate(self.q)
         q = self.q
         dd = self.ds(2) * self.d(2)
@@ -463,7 +470,12 @@ class InvariantContext:
         return F
 
     def basis_pullback(self, spec):
-        """A 7-variable polynomial mapping onto the basis element."""
+        """A 7-variable polynomial mapping onto the basis element, built once
+        per spec and kept in the memo."""
+        return self.memo(("pullback", spec),
+                         lambda: self._build_pullback(spec))
+
+    def _build_pullback(self, spec):
         spec.validate(self.q)
         if spec.kind == "A":
             return self.x_pullback(spec.i, spec.j, spec.t)

@@ -298,8 +298,8 @@ class Polynomial:
         """Weighted degree, or MINUS_INF for the zero polynomial."""
         if not self.terms:
             return MINUS_INF
-        sh = self.ring._wshift
-        return max(k >> sh for k in self.terms)
+        # the weighted degree fills the top bits of every key
+        return max(self.terms) >> self.ring._wshift
 
     def is_homogeneous(self):
         if not self.terms:
@@ -334,7 +334,7 @@ class Polynomial:
     def _check(self, other):
         if not isinstance(other, Polynomial):
             raise RingMismatch("expected a Polynomial, got %r" % (other,))
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch("mixing %r and %r" % (self.ring, other.ring))
 
     # --- arithmetic ---

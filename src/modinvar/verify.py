@@ -16,6 +16,8 @@ import time
 import traceback
 from dataclasses import dataclass, field as dataclass_field
 
+import numpy as np
+
 from . import linalg
 from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
@@ -23,7 +25,7 @@ from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
 from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, context, s7_weights
 from .groebner import TimeoutExceeded, buchberger, check_deadline, \
     cofactors_on_inputs, normal_form, standard_monomial_count
-from .mpoly import Polynomial, PolyRing
+from .mpoly import CHUNK, MASK, Polynomial, PolyRing
 
 
 class VerifyError(Exception):
@@ -214,12 +216,17 @@ def hilbert_series_from_basis(ctx, bound):
 def _block_vector(poly, a, b):
     """Coefficient indices of a bihomogeneous base-ring polynomial of
     bidegree (a, b), one slot per monomial x1^e1 x2^(a-e1) y1^e3 y2^(b-e3)
-    at e1*(b+1) + e3."""
-    unpack = poly.ring.unpack
-    vec = [0] * ((a + 1) * (b + 1))
+    at e1*(b+1) + e3.
+
+    Reads e1 and e3 straight off the packed keys and never looks at e2 or
+    e4: the caller vouches for the bidegree."""
+    n = poly.ring.n
+    sh1 = CHUNK * (n - 1)   # x1, the first variable
+    sh3 = CHUNK * (n - 3)   # y1, the third
+    width = b + 1
+    vec = [0] * ((a + 1) * width)
     for key, cidx in poly.terms.items():
-        e1, _e2, e3, _e4 = unpack(key)
-        vec[e1 * (b + 1) + e3] = cidx
+        vec[((key >> sh1) & MASK) * width + ((key >> sh3) & MASK)] = cidx
     return vec
 
 
@@ -550,15 +557,14 @@ def _n_monomials(q, degree):
     return out
 
 
-def _fit_in_module(ctx, target, degree):
-    """Write a bihomogeneous invariant as an N-combination of the basis, by
-    exact linear algebra in its bidegree block.  Returns BasisSpec -> N-poly
-    (a polynomial supported on C0, C1, C0s, C1s), or raises NotExpressible.
-    """
+def _build_fit_block(ctx, degree, dx, dy, deadline):
+    """The module-fit block of the key (degree, dx, dy): a tuple of
+    candidate labels (spec, (a, b, c, e)) and the read-only uint8 matrix of
+    GF(q) indices whose column j is the block vector of C0^a C1^b C0s^c
+    C1s^e times the value of spec, for label j.  The bidegree of each basis
+    value is kept in the memo too.  The deadline is checked before each
+    basis element."""
     q = ctx.q
-    field = ctx.field
-    S = ctx.S7
-    dx, dy = ctx.r4_bidegree(target)
     w1 = q * q - 1
     w2 = q * q - q
 
@@ -570,27 +576,45 @@ def _fit_in_module(ctx, target, degree):
     cols = []
     labels = []
     for spec in ctx.enumerate_basis():
+        check_deadline(deadline)
         dv = spec.degree(q)
         if dv > degree:
             continue
         value = ctx.basis_value(spec)
-        vx, vy = ctx.r4_bidegree(value)
+        vx, vy = ctx.memo(("bidegree", spec),
+                          lambda: ctx.r4_bidegree(value))
         for (a, b, c, e) in _n_monomials(q, degree - dv):
             nx = a * w1 + b * w2
             ny = c * w1 + e * w2
             if (vx + nx, vy + ny) != (dx, dy):
                 continue
-            cols.append((spec, (a, b, c, e),
-                         c0p[a] * c1p[b] * c0sp[c] * c1sp[e] * value))
             labels.append((spec, (a, b, c, e)))
+            cols.append(_block_vector(
+                c0p[a] * c1p[b] * c0sp[c] * c1sp[e] * value, dx, dy))
     if not cols:
         raise NotExpressible("no module candidates in degree %d" % degree)
+    matrix = np.array(cols, dtype=np.uint8).T  # field indices are < 256
+    matrix.flags.writeable = False
+    return tuple(labels), matrix
 
-    matrix_cols = [_block_vector(poly, dx, dy) for _spec, _m, poly in cols]
-    rhs = _block_vector(target, dx, dy)
-    nrows = (dx + 1) * (dy + 1)
-    rows = [[col[r] for col in matrix_cols] for r in range(nrows)]
-    sol = linalg.solve_generic(rows, rhs, field)
+
+def _fit_in_module(ctx, target, degree, deadline=None):
+    """Write a bihomogeneous invariant as an N-combination of the basis, by
+    exact linear algebra in its bidegree block.  Returns BasisSpec -> N-poly
+    (a polynomial supported on C0, C1, C0s, C1s), or raises NotExpressible.
+
+    The block matrix depends only on (degree, bidegree), so each context
+    builds it once and keeps it in its memo under ("fit", degree, dx, dy);
+    a build that raises, a timeout included, stores nothing.  Only the
+    right-hand side is built per target, and every target is still solved,
+    and its solution re-checked, by linalg.solve_generic.
+    """
+    field = ctx.field
+    S = ctx.S7
+    dx, dy = ctx.r4_bidegree(target)
+    labels, block = ctx.memo(("fit", degree, dx, dy), lambda: _build_fit_block(
+        ctx, degree, dx, dy, deadline))
+    sol = linalg.solve_generic(block, _block_vector(target, dx, dy), field)
     if sol is None:
         raise NotExpressible("target of degree %d is outside the module "
                              "span" % degree)
@@ -626,7 +650,7 @@ def reduce_product(field, spec_f, spec_g, gb=None, deadline=None):
     cof1 = cofactors_on_inputs(gb, cof)
 
     target = ctx.basis_value(spec_f) * ctx.basis_value(spec_g)
-    ell = _fit_in_module(ctx, target, degree)
+    ell = _fit_in_module(ctx, target, degree, deadline=deadline)
 
     ell_s7 = ctx.S7.zero
     for spec, npoly in ell.items():
@@ -705,7 +729,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
 
     for f, g in pairs:
         def one(a=f, b=g):
-            cert = reduce_product(field, a, b, gb=gb)
+            cert = reduce_product(field, a, b, gb=gb, deadline=deadline)
             return verify_certificate(field, cert)
         rec.run("reduce(%s,%s)" % (f.label(), g.label()), one)
 

@@ -215,3 +215,27 @@ def test_memo_builds_once_and_stores_no_failed_build():
     assert ctx.u(0) is ctx.u(0)
     with pytest.raises(IndexOutOfRange):
         ctx.u(4)
+
+
+def test_basis_values_and_pullbacks_are_built_once():
+    ctx = InvariantContext(ff_from_q(3))
+    spec = BasisSpec("B", i=1, j=0, k=2, t=1)
+    value = ctx.basis_value(spec)
+    pullback = ctx.basis_pullback(spec)
+    # an equal spec reads the same memo entries
+    twin = BasisSpec.parse(spec.label())
+    assert ctx.basis_value(twin) is value
+    assert ctx.basis_pullback(twin) is pullback
+    assert ctx.memo(("value", spec), None) is value
+    assert ctx.memo(("pullback", spec), None) is pullback
+    assert value == ctx.u(-1) * ctx.u(0) ** 2 * ctx.ds(2) * ctx.d(2)
+    assert ctx.pi(pullback) == value
+    # an invalid spec raises on every call and leaves nothing behind
+    bad = BasisSpec("A", i=3)
+    for _ in range(2):
+        with pytest.raises(IndexOutOfRange):
+            ctx.basis_value(bad)
+        with pytest.raises(IndexOutOfRange):
+            ctx.basis_pullback(bad)
+    assert ("value", bad) not in ctx._memo
+    assert ("pullback", bad) not in ctx._memo

@@ -4,6 +4,9 @@ import pytest
 
 from modinvar.gf import FieldMismatch, ff_from_q, ff_make
 from modinvar.mpoly import (
+    CHUNK,
+    EXP_CAP,
+    MINUS_INF,
     ExponentOverflow,
     MissingImage,
     NotDivisible,
@@ -251,3 +254,45 @@ def test_remap_rejects_bad_maps():
         f.remap(R4, {"x1": "x2"})
     with pytest.raises(FieldMismatch):
         f.remap(PolyRing(ff_make(5), R4_VARS))
+
+
+# --- weighted degree and the product guard ---
+
+
+@pytest.mark.parametrize("order", ("grlex", "grevlex", "lex"))
+def test_wdeg_is_the_top_bits_of_the_largest_key(order):
+    import random
+
+    rng = random.Random(31)
+    fld = ff_from_q(4)
+    R = PolyRing(fld, S7_VARS, weights=(15, 12, 15, 12, 5, 2, 5),
+                 order=order)
+    sh = CHUNK * R.n
+    for _ in range(200):
+        f = random_poly(R, rng, terms=rng.randrange(1, 12),
+                        top=rng.randrange(1, 40))
+        # the generator form the method used before
+        assert f.wdeg() == max(k >> sh for k in f.terms)
+    assert R.zero.wdeg() == MINUS_INF
+
+
+def test_product_guard_fires_at_the_same_bound():
+    R = PolyRing(ff_make(5), ("a", "b"), weights=(1, 3))
+    f = R.var("b", EXP_CAP // 6) + R.var("a")       # wdeg 3 * (EXP_CAP // 6)
+    top = EXP_CAP - f.wdeg()
+    assert (f * (R.var("a", top) + 1)).wdeg() == EXP_CAP
+    with pytest.raises(ExponentOverflow):
+        f * (R.var("a", top + 1) + R.one)
+
+
+def test_equal_rings_mix_and_different_rings_do_not():
+    R = ring5()
+    twin = ring5()
+    assert twin is not R
+    assert R.var("x1") + twin.var("x2") == R.parse("x1 + x2")
+    assert R.var("x1") * twin.var("x1") == R.var("x1", 2)
+    other = PolyRing(ff_make(5), ("x1", "x2", "y1", "y2"), order="lex")
+    with pytest.raises(RingMismatch):
+        R.var("x1") * other.var("x1")
+    with pytest.raises(RingMismatch):
+        R.var("x1") + PolyRing(ff_make(7), R4_VARS).var("x1")

@@ -1,4 +1,6 @@
-"""Golden digests of the byte-stable report of every suite at q=2 and q=3.
+"""Golden digests of the byte-stable report of every suite at q=2 and q=3,
+and of the q=4 products sample, the one report that runs the module fit over
+an extension field.
 
 The non-volatile report JSON is the regression oracle for refactors: any
 change in a verdict, a detail string or a parameter changes its SHA-256.
@@ -54,6 +56,8 @@ DIGESTS = {
         "286735859c12216d038f383c28095e58d98c64b900747ba6ce282309ac093672",
     (3, "controls"):
         "832440681666be3beb0be4dbea48bdd3f6ef4ce900ae4493f46b506c61e56f30",
+    (4, "products"):
+        "f12650677da54c5e22c52b1f1e6931ce53c19cfc7b954ebc76c57fb942be34d8",
 }
 
 

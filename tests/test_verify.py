@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 from test_action import ExpiringClock
 from test_report_digests import DIGESTS
@@ -331,3 +332,119 @@ def test_kernel_budget_runs_out_inside_standard_monomials(monkeypatch):
         ("timeout", "computation exceeded its time budget")
     assert all(it.status == "skipped" for it in rep.items[3:])
     assert rep.timed_out
+
+
+# ---------------------------------------------------------------------------
+# the module-fit block cache
+
+
+def _memo_keys(ctx, kind):
+    return [k for k in ctx._memo if isinstance(k, tuple) and k[0] == kind]
+
+
+def _fit_case(ctx, f="A:2,1,1", g="B:1,1,3,1"):
+    """A product target, its degree, and the same target plus the
+    non-invariant monomial x1^dx y1^dy of its bidegree."""
+    f, g = BasisSpec.parse(f), BasisSpec.parse(g)
+    target = ctx.basis_value(f) * ctx.basis_value(g)
+    dx, dy = ctx.r4_bidegree(target)
+    off = target + ctx.R4.monomial((dx, 0, dy, 0))
+    return target, f.degree(ctx.q) + g.degree(ctx.q), off
+
+
+def _fits(ctx, target, ell):
+    total = ctx.R4.zero
+    for spec, npoly in ell.items():
+        assert all(not any(ctx.S7.unpack(k)[4:]) for k in npoly.terms)
+        total = total + ctx.pi(npoly) * ctx.basis_value(spec)
+    return total == target
+
+
+def test_products_build_each_fit_block_once(monkeypatch):
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    built = {}
+    build = verify._build_fit_block
+
+    def counting(ctx, degree, dx, dy, deadline):
+        labels, block = build(ctx, degree, dx, dy, deadline)
+        assert (degree, dx, dy) not in built
+        built[degree, dx, dy] = block.tobytes()
+        return labels, block
+
+    monkeypatch.setattr(verify, "_build_fit_block", counting)
+    field = ff_from_q(3)
+    ctx = context_for_q(3)
+    report = check_products(field, sample="all")
+    assert report.overall == "pass"
+    assert len(built) == len(_memo_keys(ctx, "fit")) == 145
+    assert len(_memo_keys(ctx, "value")) == 48
+    assert len(_memo_keys(ctx, "bidegree")) == 48
+    blocks = {k: ctx._memo[k] for k in _memo_keys(ctx, "fit")}
+    # a second run solves on the same blocks and builds none
+    again = check_products(field, sample="all")
+    assert again.to_json(False) == report.to_json(False)
+    assert len(built) == 145
+    for key, (labels, block) in blocks.items():
+        assert ctx._memo[key][1] is block
+        assert not block.flags.writeable
+        assert block.dtype == np.uint8
+        assert block.shape == ((key[2] + 1) * (key[3] + 1), len(labels))
+        assert block.tobytes() == built[key[1:]]
+
+
+def test_target_outside_the_span_fails_on_cold_and_warm_blocks():
+    ctx = InvariantContext(ff_from_q(3))
+    target, degree, off = _fit_case(ctx)
+    dx, dy = ctx.r4_bidegree(target)
+    with pytest.raises(verify.NotExpressible, match="outside the module"):
+        verify._fit_in_module(ctx, off, degree)    # builds the block
+    assert _memo_keys(ctx, "fit") == [("fit", degree, dx, dy)]
+    block = ctx._memo["fit", degree, dx, dy][1].copy()
+    assert _fits(ctx, target, verify._fit_in_module(ctx, target, degree))
+    with pytest.raises(verify.NotExpressible, match="outside the module"):
+        verify._fit_in_module(ctx, off, degree)    # on the warm block
+    assert np.array_equal(ctx._memo["fit", degree, dx, dy][1], block)
+    # and over GF(4), through the lifted solve
+    ctx4 = InvariantContext(ff_from_q(4))
+    target, degree, off = _fit_case(ctx4, "B:1,2,3,1", "Cs:1,2,1")
+    with pytest.raises(verify.NotExpressible):
+        verify._fit_in_module(ctx4, off, degree)
+    assert _fits(ctx4, target, verify._fit_in_module(ctx4, target, degree))
+    with pytest.raises(verify.NotExpressible):
+        verify._fit_in_module(ctx4, off, degree)
+
+
+def test_fit_block_build_checks_the_deadline(monkeypatch):
+    ctx = InvariantContext(ff_from_q(3))
+    target, degree, _ = _fit_case(ctx)
+    nspecs = len(ctx.enumerate_basis())
+    for k in (1, nspecs // 2, nspecs):
+        clock = ExpiringClock(k)
+        monkeypatch.setattr(groebner.time, "monotonic", clock)
+        with pytest.raises(TimeoutExceeded):
+            verify._fit_in_module(ctx, target, degree, deadline=1.0)
+        assert clock.reads == k
+        assert not _memo_keys(ctx, "fit")    # a timed-out build is not kept
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    ell = verify._fit_in_module(ctx, target, degree, deadline=1.0)
+    assert clock.reads == nspecs     # one check before each basis element
+    assert len(_memo_keys(ctx, "fit")) == 1
+    assert verify._fit_in_module(ctx, target, degree, deadline=1.0) == ell
+    assert clock.reads == nspecs     # a warm block builds nothing
+
+
+def test_products_pass_their_budget_to_the_fit(monkeypatch):
+    seen = []
+    fit = verify._fit_in_module
+
+    def spy(ctx, target, degree, deadline=None):
+        seen.append(deadline)
+        return fit(ctx, target, degree, deadline=deadline)
+
+    monkeypatch.setattr(verify, "_fit_in_module", spy)
+    deadline = time.monotonic() + 600
+    report = check_products(ff_from_q(2), sample="3", seed=1,
+                            deadline=deadline)
+    assert report.overall == "pass"
+    assert seen == [deadline] * 3
