@@ -117,25 +117,89 @@ def leading_key(terms, n, order_code):
     return best
 
 
-def normal_form_terms(f, lt_keys, tails, n, order_code, guard, field,
-                      track):
-    """Complete reduction of f by a monic basis given as (lt_keys, tails).
+class DivisorIndex:
+    """Leading keys of a basis that only grows, indexed by exponent support.
 
-    tails[i] holds basis[i] minus its leading term (leading coefficient 1).
+    A key's support, one add-and-mask, has the guard bit of every nonzero
+    exponent chunk set.  A leading key can divide k only when its support
+    lies inside k's, so for each support met so far the index keeps the
+    ascending basis indices with such a leading support (Bachmann and
+    Schoenemann, ISSAC 1998), and extends the list when the basis has grown.
+    The first divisor it finds is the first one in basis order.
+    """
+
+    __slots__ = ("n", "keys", "supports", "by_support", "guard", "lexmask",
+                 "fill", "lexguard")
+
+    def __init__(self, n, keys=()):
+        self.n = n
+        self.keys = []
+        self.supports = []
+        self.by_support = {}
+        self.lexmask = (1 << (CHUNK * n)) - 1
+        self.fill = self.lexguard = 0
+        for i in range(n):
+            self.fill |= 0x7FFF << (CHUNK * i)
+            self.lexguard |= 0x8000 << (CHUNK * i)
+        self.guard = self.lexguard | (0x8000 << (CHUNK * n))
+        for k in keys:
+            self.add(k)
+
+    def support(self, k):
+        return ((k & self.lexmask) + self.fill) & self.lexguard
+
+    def add(self, k):
+        """Append the leading key of the next basis element."""
+        self.keys.append(k)
+        self.supports.append(self.support(k))
+
+    def candidates(self, s):
+        """Ascending indices of the leading keys whose support lies in s."""
+        nb = len(self.keys)
+        entry = self.by_support.get(s)
+        if entry is None:
+            start, got = 0, []
+        else:
+            start, got = entry
+            if start == nb:
+                return got
+        sups = self.supports
+        got.extend(i for i in range(start, nb) if sups[i] | s == s)
+        self.by_support[s] = (nb, got)
+        return got
+
+    def first_divisor(self, k):
+        """Index of the first leading key dividing k, or -1."""
+        guard, keys = self.guard, self.keys
+        kg = k | guard
+        # self.support(k), inlined: this runs for every reduced term
+        for i in self.candidates(((k & self.lexmask) + self.fill)
+                                 & self.lexguard):
+            if (kg - keys[i]) & guard == guard:
+                return i
+        return -1
+
+
+def normal_form_terms(f, index, tails, order_code, field, track):
+    """Complete reduction of f by a monic basis given as (index, tails).
+
+    index is the basis's DivisorIndex; tails[i] holds basis[i] minus its
+    leading term index.keys[i] (leading coefficient 1).  Each term is
+    reduced by the first basis element whose leading term divides it.
     Returns (remainder_dict, cofactors) where cofactors[i] is a term dict with
     f = sum_i cofactors[i] * basis[i] + remainder (None unless track).
     """
     q, mul_flat, add_flat, neg_flat = field.q, field.mul_flat, \
         field.add_flat, field.neg_flat
+    n, lt_keys, first_divisor = index.n, index.keys, index.first_divisor
     nb = len(lt_keys)
     pending = dict(f)
     if order_code == 0:
         heap = [-k for k in pending]
-        decode = None
     elif order_code == 1:
         heap = [(-grevlex_okey(k, n), k) for k in pending]
     else:
-        lexmask = (1 << (CHUNK * n)) - 1
+        lexmask = index.lexmask
         heap = [(-(k & lexmask), k) for k in pending]
     heapq.heapify(heap)
     remainder = {}
@@ -150,12 +214,7 @@ def normal_form_terms(f, lt_keys, tails, n, order_code, guard, field,
         c = pending.pop(k)
         if not c:
             continue
-        hit = -1
-        for i in range(nb):
-            m = lt_keys[i]
-            if ((k | guard) - m) & guard == guard:
-                hit = i
-                break
+        hit = first_divisor(k)
         if hit < 0:
             remainder[k] = c
             continue

@@ -12,7 +12,7 @@ import heapq
 import time
 
 from . import _kernels as K
-from .mpoly import Polynomial, RingMismatch
+from .mpoly import EXP_CAP, Polynomial, RingMismatch
 
 
 class GroebnerError(Exception):
@@ -32,20 +32,23 @@ class TimeoutExceeded(GroebnerError):
 
 
 class GroebnerBasis:
-    """Monic, inter-reduced truncated basis.
+    """Monic, inter-reduced truncated basis, in increasing leading-term order.
 
     reps[k], present when tracked, is a list of cofactor polynomials with
-    basis[k] == sum_t reps[k][t] * inputs[t].
+    basis[k] == sum_t reps[k][t] * inputs[t].  index is the divisor index of
+    the leading keys (lt_keys is its key list); every normal form modulo the
+    basis reuses it.
     """
 
     __slots__ = ("ring", "basis", "lt_keys", "tails", "reps", "bound",
-                 "inputs", "pairs_processed")
+                 "inputs", "pairs_processed", "index")
 
-    def __init__(self, ring, basis, lt_keys, tails, reps, bound, inputs,
+    def __init__(self, ring, basis, index, tails, reps, bound, inputs,
                  pairs_processed):
         self.ring = ring
         self.basis = basis
-        self.lt_keys = lt_keys
+        self.index = index
+        self.lt_keys = index.keys
         self.tails = tails
         self.reps = reps
         self.bound = bound
@@ -56,17 +59,108 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def _lcm_exps(e1, e2):
-    return tuple(a if a > b else b for a, b in zip(e1, e2))
-
-
-def _is_coprime(e1, e2):
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
-
-
 def check_deadline(deadline):
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutExceeded("computation exceeded its time budget")
+
+
+class _CriticalPairs:
+    """Pending S-pairs, updated by the Gebauer-Moeller criteria whenever an
+    element is added (Gebauer and Moeller, JSC 6, 1988).
+
+    Leading exponents are re-packed into chunks wide enough that one product
+    with the packed weights leaves the weighted degree in a middle chunk.  A
+    pair's lcm is then a chunkwise max, its weight one multiplication, "m
+    divides L" the guard test ((L | guard) - m) & guard == guard, and two
+    leading terms are coprime when their support masks share no bit.
+    Pending pairs map (i, j), i < j, to their packed lcm; they are popped in
+    (weight, i, j) order from a heap, and a pair a criterion has dropped
+    since it was pushed is skipped.
+    """
+
+    def __init__(self, ring, bound, deadline):
+        n = ring.n
+        # room below each guard bit for any weighted partial sum
+        width = (n * EXP_CAP * max(ring.weights)).bit_length() + 1
+        self.width = width
+        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
+        self.fill = self.guard - sum(1 << (width * v) for v in range(n))
+        self.weigher = sum(w << (width * v)
+                           for v, w in enumerate(ring.weights))
+        self.wshift = width * (n - 1)
+        self.wmask = (1 << width) - 1
+        self.ring = ring
+        self.bound = bound
+        self.deadline = deadline
+        self.lts = []
+        self.supports = []
+        self.pending = {}
+        self.heap = []
+        # every pair (i < j) within the bound, over all elements ever added,
+        # counted when created, so also when a criterion drops it
+        self.created = 0
+
+    def add(self, key):
+        """Update the pairs for a new element with leading key `key`."""
+        check_deadline(self.deadline)
+        width, guard, weigher = self.width, self.guard, self.weigher
+        wshift, wmask, bound = self.wshift, self.wmask, self.bound
+        sups = self.supports
+        t = len(self.lts)
+        b = 0
+        for e in self.ring.unpack(key):
+            b = (b << width) | e
+        st = (b + self.fill) & guard
+        top = width - 1
+        lcms = []
+        cands = []
+        for i, a in enumerate(self.lts):
+            m = (((a | guard) - b) & guard) >> top
+            L = b ^ ((a ^ b) & ((m << width) - m))
+            lcms.append(L)
+            w = (L * weigher >> wshift) & wmask
+            if bound is None or w <= bound:
+                # coprime pairs (False) sort first within a weight
+                cands.append((w, sups[i] & st != 0, i, L))
+        self.lts.append(b)
+        sups.append(st)
+        self.created += len(cands)
+        check_deadline(self.deadline)
+        # criterion B: drop an old pair whose lcm the new leading term
+        # divides unless the lcm is that of the new term with either side
+        pending = self.pending
+        dropped = [ij for ij, L in pending.items()
+                   if ((L | guard) - b) & guard == guard
+                   and L != lcms[ij[0]] and L != lcms[ij[1]]]
+        for ij in dropped:
+            del pending[ij]
+        # criteria M and F: keep a new pair only when no kept pair's lcm
+        # divides its lcm; candidates come in weight order, so each is
+        # tested against what was kept.  A kept coprime pair (product
+        # criterion) is not pushed, but still takes out pairs above it.
+        check_deadline(self.deadline)
+        cands.sort()
+        kept = []
+        heap = self.heap
+        for w, shares, i, L in cands:
+            Lg = L | guard
+            for other in kept:
+                if (Lg - other) & guard == guard:
+                    break
+            else:
+                kept.append(L)
+                if shares:
+                    pending[i, t] = L
+                    heapq.heappush(heap, (w, i, t))
+
+    def pop(self):
+        """The next pending pair (i, j), or None when none is left."""
+        heap, pending = self.heap, self.pending
+        while heap:
+            _, i, j = heapq.heappop(heap)
+            if pending.pop((i, j), None) is not None:
+                return i, j
+        return None
 
 
 def buchberger(gens, bound=None, track=False, deadline=None):
@@ -86,18 +180,19 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             raise InhomogeneousWithTruncation(
                 "degree truncation needs weighted-homogeneous generators")
     fld = ring.field
-    n, order_code, guard = ring.n, ring.order_code, ring.guard
+    order_code = ring.order_code
 
     basis = []
-    lt_keys = []
-    lt_exps = []
+    index = K.DivisorIndex(ring.n)
+    lt_keys = index.keys
     tails = []
     reps = [] if track else None
     zero = ring.zero
+    pairs = _CriticalPairs(ring, bound, deadline)
 
     def nf(terms):
-        return K.normal_form_terms(terms, lt_keys, tails, n, order_code,
-                                   guard, fld, track)
+        return K.normal_form_terms(terms, index, tails, order_code, fld,
+                                   track)
 
     def add_element(f, rep):
         lc = f.leading_coeff()
@@ -106,17 +201,15 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             f = f * inv
             if track:
                 rep = [r * inv for r in rep]
-        idx = len(basis)
         basis.append(f)
         k = f.leading_key()
-        lt_keys.append(k)
-        lt_exps.append(ring.unpack(k))
+        index.add(k)
         t = dict(f.terms)
         del t[k]
         tails.append(t)
         if track:
             reps.append(rep)
-        return idx
+        pairs.add(k)
 
     def unit_rep(t):
         return [ring.one if i == t else zero for i in range(len(inputs))]
@@ -138,49 +231,14 @@ def buchberger(gens, bound=None, track=False, deadline=None):
                            for i in range(len(inputs))]
         add_element(Polynomial(ring, r_terms), rep)
 
-    heap = []
-    done = set()
-
-    def push_pairs(j):
-        ej = lt_exps[j]
-        for i in range(j):
-            le = _lcm_exps(lt_exps[i], ej)
-            w = sum(e * wt for e, wt in zip(le, ring.weights))
-            if bound is not None and w > bound:
-                done.add((i, j))
-                continue
-            heapq.heappush(heap, (w, i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    pairs_processed = 0
-    while heap:
+    while True:
         check_deadline(deadline)
-        w, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        pairs_processed += 1
-        ei, ej = lt_exps[i], lt_exps[j]
-        if _is_coprime(ei, ej):
-            continue
-        le = _lcm_exps(ei, ej)
-        # chain criterion: k strictly inside the lcm with both side pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            ek = lt_exps[k]
-            if all(a <= b for a, b in zip(ek, le)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done and ek != ei and ek != ej:
-                    skip = True
-                    break
-        if skip:
-            continue
-        klcm = ring.pack(le)
+        ij = pairs.pop()
+        if ij is None:
+            break
+        i, j = ij
+        klcm = ring.pack(tuple(map(max, ring.unpack(lt_keys[i]),
+                                   ring.unpack(lt_keys[j]))))
         si = klcm - lt_keys[i]
         sj = klcm - lt_keys[j]
         spoly = K.add_terms(K.scale_terms(basis[i].terms, 1, si, fld),
@@ -202,88 +260,55 @@ def buchberger(gens, bound=None, track=False, deadline=None):
                     cpoly = Polynomial(ring, cterms)
                     rep = [rep[t] - cpoly * reps[kk][t]
                            for t in range(len(inputs))]
-        idx = add_element(Polynomial(ring, r_terms), rep)
-        push_pairs(idx)
+        add_element(Polynomial(ring, r_terms), rep)
 
-    _inter_reduce(ring, basis, lt_keys, lt_exps, tails, reps, track, nf,
-                  deadline)
+    basis, index, tails, reps = _inter_reduce(ring, basis, lt_keys, tails,
+                                              reps, deadline)
+    return GroebnerBasis(ring, basis, index, tails, reps, bound, inputs,
+                         pairs.created)
 
-    # deterministic order: increasing leading term
+
+def _inter_reduce(ring, basis, lt_keys, tails, reps, deadline):
+    """The reduced basis in increasing leading-term order, with its index.
+
+    Minimalisation first: a proper divisor has a strictly smaller order key,
+    so a scan in increasing key order only looks back at what was kept, and
+    the index of the kept keys is the final one.  Then one pass reduces each
+    tail against the whole basis: no tail term is divisible by its own
+    leading term, so element i is reduced by elements below it only, whose
+    tails are final by then.
+    """
+    track = reps is not None
     order = sorted(range(len(basis)), key=lambda k: ring.okey(lt_keys[k]))
-    basis = [basis[k] for k in order]
-    lt_keys = [lt_keys[k] for k in order]
-    tails = [tails[k] for k in order]
-    if track:
-        reps = [reps[k] for k in order]
-    return GroebnerBasis(ring, basis, lt_keys, tails, reps, bound, inputs,
-                         pairs_processed)
-
-
-def _inter_reduce(ring, basis, lt_keys, lt_exps, tails, reps, track, nf,
-                  deadline):
-    """Drop redundant elements, then reduce each tail against the others."""
-    fld = ring.field
-    # minimalize: a proper divisor has strictly smaller order key, so a scan
-    # in increasing key order only needs to look back at what was kept
-    order = sorted(range(len(basis)), key=lambda k: ring.okey(lt_keys[k]))
+    index = K.DivisorIndex(ring.n)
     kept = []
-    for idx in order:
-        e = lt_exps[idx]
-        if any(all(a <= b for a, b in zip(lt_exps[kidx], e))
-               for kidx in kept):
+    for k in order:
+        check_deadline(deadline)
+        if index.first_divisor(lt_keys[k]) < 0:
+            index.add(lt_keys[k])
+            kept.append(k)
+    basis = [basis[k] for k in kept]
+    tails = [tails[k] for k in kept]
+    reps = [reps[k] for k in kept] if track else None
+    for i, tail in enumerate(tails):
+        check_deadline(deadline)
+        r, cof = K.normal_form_terms(tail, index, tails, ring.order_code,
+                                     ring.field, track)
+        if r == tail:
             continue
-        kept.append(idx)
-    basis[:] = [basis[k] for k in kept]
-    lt_keys[:] = [lt_keys[k] for k in kept]
-    lt_exps[:] = [lt_exps[k] for k in kept]
-    tails[:] = [tails[k] for k in kept]
-    if track:
-        reps[:] = [reps[k] for k in kept]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            check_deadline(deadline)
-            # hide element i, then fully reduce it against the rest; its
-            # leading term survives (nothing else divides it)
-            keep_idx = [j for j in range(len(basis)) if j != i]
-            keep_keys = [lt_keys[j] for j in keep_idx]
-            keep_tails = [tails[j] for j in keep_idx]
-            r, cof = K.normal_form_terms(basis[i].terms, keep_keys,
-                                         keep_tails, ring.n, ring.order_code,
-                                         ring.guard, fld, track)
-            if r == basis[i].terms:
-                continue
-            if not r:
-                raise GroebnerError("minimal basis element vanished during "
-                                    "inter-reduction")
-            f = Polynomial(ring, r)
-            lc = f.leading_coeff()
-            rep = None
-            if track:
-                rep = reps[i]
-                for kk, cterms in enumerate(cof):
-                    if cterms:
-                        cpoly = Polynomial(ring, cterms)
-                        src = reps[keep_idx[kk]]
-                        rep = [rep[t] - cpoly * src[t]
-                               for t in range(len(rep))]
-            if lc.i != 1:
-                inv = lc.inverse()
-                f = f * inv
-                if track:
-                    rep = [x * inv for x in rep]
-            basis[i] = f
-            k = f.leading_key()
-            lt_keys[i] = k
-            lt_exps[i] = ring.unpack(k)
-            t = dict(f.terms)
-            del t[k]
-            tails[i] = t
-            if track:
-                reps[i] = rep
-            changed = True
+        terms = dict(r)
+        terms[index.keys[i]] = 1
+        basis[i] = Polynomial(ring, terms)
+        tails[i] = r
+        if track:
+            rep = reps[i]
+            for kk, cterms in enumerate(cof):
+                if cterms:
+                    cpoly = Polynomial(ring, cterms)
+                    rep = [rep[t] - cpoly * reps[kk][t]
+                           for t in range(len(rep))]
+            reps[i] = rep
+    return basis, index, tails, reps
 
 
 def normal_form(f, gb, track=False):
@@ -293,9 +318,9 @@ def normal_form(f, gb, track=False):
     if gb.bound is not None and f and f.wdeg() > gb.bound:
         raise DegreeBoundExceeded(
             "degree %d beyond the computed bound %d" % (f.wdeg(), gb.bound))
-    r_terms, cof = K.normal_form_terms(f.terms, gb.lt_keys, gb.tails,
-                                       gb.ring.n, gb.ring.order_code,
-                                       gb.ring.guard, gb.ring.field, track)
+    r_terms, cof = K.normal_form_terms(f.terms, gb.index, gb.tails,
+                                       gb.ring.order_code, gb.ring.field,
+                                       track)
     if not track:
         return Polynomial(gb.ring, r_terms)
     return Polynomial(gb.ring, r_terms), \
@@ -328,8 +353,7 @@ def standard_monomial_count(gb, d):
     ring = gb.ring
     weights = ring.weights
     nv = ring.n
-    lts = sorted(gb.lt_keys)
-    guard = ring.guard
+    first_divisor = gb.index.first_divisor
     count = 0
     exps = [0] * nv
 
@@ -340,14 +364,8 @@ def standard_monomial_count(gb, d):
             if rem % w:
                 return
             exps[pos] = rem // w
-            k = ring.pack(tuple(exps))
-            kg = k | guard
-            for m in lts:
-                if m > k:
-                    break
-                if (kg - m) & guard == guard:
-                    return
-            count += 1
+            if first_divisor(ring.pack(tuple(exps))) < 0:
+                count += 1
             return
         w = weights[pos]
         for e in range(rem // w + 1):

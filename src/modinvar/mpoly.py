@@ -409,7 +409,8 @@ class Polynomial:
         tail = dict(g.terms)
         del tail[ltk]
         rem, cof = K.normal_form_terms(
-            self.terms, [ltk], [tail], r.n, r.order_code, r.guard, f, True)
+            self.terms, K.DivisorIndex(r.n, [ltk]), [tail], r.order_code, f,
+            True)
         if rem:
             raise NotDivisible("remainder has %d terms" % len(rem))
         q = cof[0] or {}

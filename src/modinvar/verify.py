@@ -799,6 +799,17 @@ def check_products(field, sample="all", seed=0, deadline=None):
 # whole-kernel crosscheck by variable elimination
 
 
+def _elimination_generators(ctx):
+    """V - image(V) for the seven abstract variables V, in the 11-variable
+    ring of the four base variables and the seven abstract ones, under lex
+    with the base variables highest."""
+    names = R4_NAMES + S7_NAMES
+    weights = (1, 1, 1, 1) + tuple(s7_weights(ctx.q))
+    R11 = PolyRing(ctx.field, names, weights=weights, order="lex")
+    images = ctx.pi_images()
+    return [R11.var(nm) - images[nm].remap(R11) for nm in S7_NAMES]
+
+
 def elimination_crosscheck(field, deadline=None):
     """Independent, all-degrees computation of the evaluation kernel.
 
@@ -814,12 +825,8 @@ def elimination_crosscheck(field, deadline=None):
     state = {}
 
     def lex_elimination():
-        names = R4_NAMES + S7_NAMES
-        weights = (1, 1, 1, 1) + tuple(s7_weights(q))
-        R11 = PolyRing(field, names, weights=weights, order="lex")
-        images = ctx.pi_images()
-        gens = [R11.var(nm) - images[nm].remap(R11) for nm in S7_NAMES]
-        gb = buchberger(gens, deadline=deadline)
+        gb = buchberger(_elimination_generators(ctx), deadline=deadline)
+        R11 = gb.ring
         pure = [f for f in gb.basis
                 if not any(any(R11.unpack(k)[:4]) for k in f.terms)]
         if not pure:

@@ -3,8 +3,9 @@
 The term kernels run on the field's flat tables for every field.  Here they
 are compared with independent references: plain integers mod p over GF(2),
 GF(3), GF(5), and coefficient tuples multiplied by gf._polymul_mod over
-GF(4), GF(9).  Also: text round trips, pack/unpack, and the division
-identity of tracked normal forms.
+GF(4), GF(9).  Also: text round trips, pack/unpack, the division
+identity of tracked normal forms, and the support-indexed divisor search
+against a plain scan for the first divisor.
 """
 
 import functools
@@ -155,3 +156,81 @@ def test_tracked_normal_form_is_a_division(q, data):
     assert total == f
     for k in r.terms:
         assert not any(R.key_divides(m, k) for m in gb.lt_keys)
+
+
+def plain_normal_form(f, lt_keys, tails, R, field):
+    """Reference reduction: highest term first, each reduced by the first
+    leading key in basis order that divides it, found by scanning them all."""
+    minus_one = field.p - 1
+    pending = dict(f)
+    remainder = {}
+    cof = [{} for _ in lt_keys]
+    while pending:
+        k = max(pending, key=R.okey)
+        c = pending.pop(k)
+        hit = next((i for i, m in enumerate(lt_keys)
+                    if R.key_divides(m, k)), None)
+        if hit is None:
+            remainder[k] = c
+            continue
+        kq = k - lt_keys[hit]
+        cof[hit][kq] = c
+        K.iadd_scaled(pending, tails[hit], field.mul_i(minus_one, c), kq,
+                      field)
+    return remainder, cof
+
+
+@st.composite
+def monic_basis(draw, R, size):
+    """Monic polynomials given as (leading key, tail); not a Groebner basis,
+    which the division does not need."""
+    out = []
+    for _ in range(size):
+        terms = draw(terms_in(R, min_size=1))
+        lt = K.leading_key(terms, R.n, R.order_code)
+        inv = R.field.inv_i(terms[lt])
+        tail = {k: R.field.mul_i(inv, c) for k, c in terms.items()
+                if k != lt}
+        out.append((lt, tail))
+    return out
+
+
+@st.composite
+def terms_in(draw, R, min_size=0):
+    q = R.field.q
+    raw = draw(st.dictionaries(exponents, st.integers(1, q - 1),
+                               min_size=min_size, max_size=6))
+    return {R.pack(e): c for e, c in raw.items()}
+
+
+@pytest.mark.parametrize("order", ("grlex", "grevlex", "lex"))
+@pytest.mark.parametrize("q", (2, 3, 4))
+@SETTINGS
+@given(data=st.data())
+def test_indexed_divisor_search_is_the_first_divisor(q, order, data):
+    # one index shared by calls while the basis grows: cached support lists
+    # must pick up the appended elements
+    R = PolyRing(ff_from_q(q), NAMES, order=order)
+    field = R.field
+    index = K.DivisorIndex(R.n)
+    tails = []
+    fs = []
+    for grow in (data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))):
+        for lt, tail in data.draw(monic_basis(R, grow)):
+            index.add(lt)
+            tails.append(tail)
+        fs.append(data.draw(terms_in(R)))
+        for f in fs:
+            want_r, want_cof = plain_normal_form(f, index.keys, tails, R,
+                                                 field)
+            r, cof = K.normal_form_terms(f, index, tails, R.order_code,
+                                         field, True)
+            assert r == want_r
+            assert [c or {} for c in cof] == want_cof
+            r, none = K.normal_form_terms(f, index, tails, R.order_code,
+                                          field, False)
+            assert r == want_r and none is None
+    for k in index.keys:
+        first = next(i for i, m in enumerate(index.keys)
+                     if R.key_divides(m, k))
+        assert index.first_divisor(k) == first

@@ -149,6 +149,23 @@ def test_elimination_crosscheck_full_kernel(q):
     assert "identical" in rep.items[-1].detail
 
 
+def test_elimination_budget_is_a_real_bound():
+    # at q=5 the pair update and the inter-reduction run long enough that
+    # the budget must be checked inside them, not only between S-pairs
+    start = time.monotonic()
+    rep = elimination_crosscheck(ff_from_q(5), deadline=start + 0.5)
+    assert time.monotonic() - start < 1.5
+    assert [(it.name, it.status) for it in rep.items] == \
+        [("lex-elimination", "timeout"), ("ideal-equality", "skipped")]
+
+
+@pytest.mark.slow
+def test_elimination_crosscheck_q5():
+    rep = elimination_crosscheck(ff_from_q(5))
+    assert rep.overall == "pass", [it.detail for it in rep.items]
+    assert rep.items[0].detail == "basis size 1413, eliminated 6"
+
+
 @pytest.mark.parametrize("q", (2, 3))
 def test_negative_controls_detect(q):
     rep = negative_controls(ff_from_q(q))
