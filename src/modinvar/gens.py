@@ -4,9 +4,10 @@ ring that surjects onto the invariant ring, and the free-module basis.
 Everything lives in one cached per-field context so repeated CLI calls and
 test cases share the (sometimes expensive) constructions: each context keeps
 one memo, read through InvariantContext.memo.  It holds the generator
-families, the relations, and the value and pullback of every basis element
-asked for, each built once; verify adds its Groebner bases, invariant
-dimensions and module-fit blocks to the same memo.
+families, the relations, the basis list, and the value and pullback of every
+basis element asked for, each built once; verify adds its Groebner bases,
+invariant dimensions, and module-fit blocks with their factorizations to the
+same memo.
 """
 
 from __future__ import annotations
@@ -451,9 +452,11 @@ class InvariantContext:
         return F.remap(self.S7, _S7_SWAP)
 
     def x_pullback(self, i, j, t):
-        """Abstract preimage of um1^i u1^j (d2s d2)^t."""
-        return self.S7var("Um1") ** i * self.S7var("U1") ** j \
-            * self.w_poly() ** t
+        """Abstract preimage of um1^i u1^j (d2s d2)^t, built once per
+        (i, j, t) and kept in the memo."""
+        return self.memo(("x_pullback", i, j, t), lambda: (
+            self.S7var("Um1") ** i * self.S7var("U1") ** j
+            * self.w_poly() ** t))
 
     def z_pullback(self, s, k, t):
         """Abstract preimage of (h_s d2s^s) u0^k (d2s d2)^t, read off the
@@ -486,7 +489,11 @@ class InvariantContext:
         return self.s7_star(F) if spec.star else F
 
     def enumerate_basis(self):
-        """All basis members, family A then B then C, lexicographic."""
+        """All basis members, family A then B then C, lexicographic: a
+        tuple, built once and kept in the memo."""
+        return self.memo("basis", self._build_basis)
+
+    def _build_basis(self):
         q = self.q
         out = []
         for i in range(q):
@@ -503,7 +510,7 @@ class InvariantContext:
                 for t in range(q - 1 - s):
                     out.append(BasisSpec("C", s=s, k=k, t=t))
                     out.append(BasisSpec("C", s=s, k=k, t=t, star=True))
-        return out
+        return tuple(out)
 
     def census(self):
         """Family sizes; the total must equal the group order."""

@@ -6,11 +6,18 @@ anywhere).  A matrix over GF(p^s) is first lifted to GF(p) by the regular
 representation: each entry becomes the s x s matrix of multiplication by it
 on the basis 1, t, ..., t^(s-1), so ranks multiply by s.  For s = 1 the lift
 is the identity.  Ranks over GF(2) pack rows into uint64 words instead.
+
+A solve factors first and then applies the factorization, so one matrix
+factored once serves any number of right-hand sides: the pivot rows P and
+pivot columns of A give an invertible square A[P, pivots], whose inverse maps
+b[P] to the pivot entries of the solution.  Every solution is re-checked
+against the whole system, and that check alone decides consistency.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +30,14 @@ def _int_type(bound):
     return np.int64
 
 
-def _rref(aug, p, ncols):
+def _rref(aug, p, ncols, order=None):
     """Reduce aug in place to reduced row echelon form over GF(p) in its
     first ncols columns; returns the pivot columns.
 
     Entries must lie in 0..p-1 and the dtype must hold (p-1)^2 in absolute
     value.  Row ops start at the pivot column: a pivot row is 0 left of it.
+    An order array, if given, is swapped along with the rows, so order[i]
+    is the original row that pivot row i was reduced from.
     """
     rows = aug.shape[0]
     pivots = []
@@ -42,6 +51,8 @@ def _rref(aug, p, ncols):
         if hits[0]:
             piv = rank + hits[0]
             aug[[rank, piv]] = aug[[piv, rank]]
+            if order is not None:
+                order[[rank, piv]] = order[[piv, rank]]
         inv = pow(int(aug[rank, col]), -1, p)
         aug[rank, col:] = aug[rank, col:] * inv % p
         others = np.flatnonzero(aug[:, col])
@@ -90,26 +101,57 @@ def rank_modp(A, p):
     return len(_rref(aug, p, A.shape[1]))
 
 
+class Factorization(NamedTuple):
+    """A matrix A over GF(p) factored for solving: A[rows, pivots] is
+    invertible with inverse inv, and pivots are the pivot columns of A."""
+
+    rows: np.ndarray
+    pivots: np.ndarray
+    inv: np.ndarray
+
+
+def factor_modp(A, p):
+    """Factor A, entries in 0..p-1, over GF(p): one elimination of A, which
+    also records the original row of each pivot, and one of the small
+    [A[rows, pivots] | I] for the inverse."""
+    A = np.asarray(A)
+    aug = A.astype(_int_type((p - 1) ** 2))
+    order = np.arange(A.shape[0])
+    pivots = np.array(_rref(aug, p, A.shape[1], order), dtype=np.intp)
+    r = pivots.size
+    rows = order[:r].copy()
+    square = np.zeros((r, 2 * r), dtype=aug.dtype)
+    square[:, :r] = A[np.ix_(rows, pivots)]
+    square[:, r:] = np.eye(r, dtype=aug.dtype)
+    _rref(square, p, r)
+    return Factorization(rows, pivots, square[:, r:].copy())
+
+
+def solve_factored_modp(fact, A, b, p):
+    """The solution of A x = b over GF(p) with free variables 0, or None if
+    there is none, given the factorization of A; entries in 0..p-1.
+
+    The pivot entries are inv @ b[rows]; re-checking A x = b on every row
+    decides consistency, since a consistent b has exactly this solution.
+    """
+    cols = A.shape[1]
+    wide = _int_type(cols * (p - 1) ** 2 + p)
+    b = np.asarray(b).astype(wide)
+    x = np.zeros(cols, dtype=wide)
+    x[fact.pivots] = fact.inv.astype(wide) @ b[fact.rows] % p
+    if np.any((A @ x - b) % p):
+        return None
+    return x
+
+
 def solve_modp(A, b, p):
     """One exact solution of A x = b over GF(p), or None if inconsistent.
 
     Free variables are set to 0, so the solution is canonical for a fixed
     column order.
     """
-    A = np.asarray(A)
-    rows, cols = A.shape
-    aug = np.empty((rows, cols + 1), dtype=_int_type((p - 1) ** 2))
-    aug[:, :cols] = A % p
-    aug[:, cols] = np.asarray(b) % p
-    # the original system, wide enough for A @ x, for the re-check below
-    check = aug.astype(_int_type(cols * (p - 1) ** 2 + p))
-    pivots = _rref(aug, p, cols)
-    x = np.zeros(cols, dtype=check.dtype)
-    x[pivots] = aug[:len(pivots), cols]
-    # free variables are 0; verification doubles as the consistency check
-    if np.any((check[:, :cols] @ x - check[:, cols]) % p):
-        return None
-    return x
+    A = np.asarray(A) % p
+    return solve_factored_modp(factor_modp(A, p), A, np.asarray(b) % p, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,21 +181,49 @@ def rank_field(rows, field):
     return rank_modp(_lift(rows, field), field.p) // field.s
 
 
-def solve_generic(rows, rhs, field):
-    """Exact solve over any FieldParams; returns a list of field indices
-    with free variables 0, or None.
+class FieldFactorization(NamedTuple):
+    """A matrix of GF(q) indices factored for solving: its rows that are not
+    all zero, and the factorization of their lift over GF(p)."""
+
+    nonzero: np.ndarray
+    lifted: Factorization
+
+
+def factor_field(rows, field):
+    """Factor a matrix of field indices over any FieldParams.  Only the
+    rows that are not all zero are lifted and factored."""
+    rows = np.asarray(rows)
+    nonzero = np.flatnonzero(rows.any(axis=1))
+    return FieldFactorization(
+        nonzero, factor_modp(_lift(rows[nonzero], field), field.p))
+
+
+def solve_factored(fact, rows, rhs, field):
+    """Exact solve of rows x = rhs over any FieldParams given the
+    factorization of rows; returns a list of field indices with free
+    variables 0, or None.
 
     The lifted system is solved over GF(p).  A GF(q) pivot column lifts to
     a whole block of s GF(p) pivot columns, so the lifted solution with free
     variables 0 is the GF(q) one, written in coefficients of 1, t, ...
+    A zero row of rows needs a zero rhs; the other rows are lifted again
+    for the re-check, so no lifted copy outlives the solve.
     """
-    cols = len(rows[0])
+    rows = np.asarray(rows)
+    rhs = np.asarray(rhs, dtype=np.uint8)   # indices < q <= 256
+    on_nonzero = rhs[fact.nonzero]
+    if np.count_nonzero(on_nonzero) < np.count_nonzero(rhs):
+        return None
     s = field.s
-    M = np.empty((len(rows), cols + 1), dtype=np.uint8)  # indices < q <= 256
-    M[:, :cols] = rows
-    M[:, cols] = rhs
-    big = _lift(M, field)
-    x = solve_modp(big[:, :cols * s], big[:, cols * s], field.p)
+    b = _lift(on_nonzero[:, None], field)[:, 0]
+    x = solve_factored_modp(fact.lifted, _lift(rows[fact.nonzero], field),
+                            b, field.p)
     if x is None:
         return None
-    return (x.reshape(cols, s) @ field.p ** np.arange(s)).tolist()
+    return (x.reshape(rows.shape[1], s) @ field.p ** np.arange(s)).tolist()
+
+
+def solve_generic(rows, rhs, field):
+    """Exact solve over any FieldParams; returns a list of field indices
+    with free variables 0, or None."""
+    return solve_factored(factor_field(rows, field), rows, rhs, field)

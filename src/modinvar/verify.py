@@ -185,13 +185,6 @@ def _cached_dim(ctx, d, deadline=None):
         ctx.field, d, deadline=deadline))
 
 
-def _pow_list(ctx, name, base, upto):
-    lst = ctx.memo(("pow", name), lambda: [base.ring.one])
-    while len(lst) <= upto:
-        lst.append(lst[-1] * base)
-    return lst
-
-
 def _module_series(q, degrees, bound):
     """Coefficients through T^bound of (sum of T^d over degrees) divided by
     (1-T^(q^2-1))^2 (1-T^(q^2-q))^2."""
@@ -562,16 +555,12 @@ def _build_fit_block(ctx, degree, dx, dy, deadline):
     candidate labels (spec, (a, b, c, e)) and the read-only uint8 matrix of
     GF(q) indices whose column j is the block vector of C0^a C1^b C0s^c
     C1s^e times the value of spec, for label j.  The bidegree of each basis
-    value is kept in the memo too.  The deadline is checked before each
-    basis element."""
+    value, the N-monomials of each degree and the image of each N-monomial
+    are kept in the memo too.  The deadline is checked before each basis
+    element."""
     q = ctx.q
     w1 = q * q - 1
     w2 = q * q - q
-
-    c0p = _pow_list(ctx, "c0", ctx.c(0), degree // w1 + 1)
-    c1p = _pow_list(ctx, "c1", ctx.c(1), degree // w2 + 1)
-    c0sp = _pow_list(ctx, "c0s", ctx.cs(0), degree // w1 + 1)
-    c1sp = _pow_list(ctx, "c1s", ctx.cs(1), degree // w2 + 1)
 
     cols = []
     labels = []
@@ -583,14 +572,17 @@ def _build_fit_block(ctx, degree, dx, dy, deadline):
         value = ctx.basis_value(spec)
         vx, vy = ctx.memo(("bidegree", spec),
                           lambda: ctx.r4_bidegree(value))
-        for (a, b, c, e) in _n_monomials(q, degree - dv):
-            nx = a * w1 + b * w2
-            ny = c * w1 + e * w2
-            if (vx + nx, vy + ny) != (dx, dy):
+        monos = ctx.memo(("nmonomials", degree - dv),
+                         lambda: _n_monomials(q, degree - dv))
+        for mono in monos:
+            a, b, c, e = mono
+            if (vx + a * w1 + b * w2, vy + c * w1 + e * w2) != (dx, dy):
                 continue
-            labels.append((spec, (a, b, c, e)))
-            cols.append(_block_vector(
-                c0p[a] * c1p[b] * c0sp[c] * c1sp[e] * value, dx, dy))
+            labels.append((spec, mono))
+            image = ctx.memo(("nimage",) + mono, lambda: (
+                ctx.c(0) ** a * ctx.c(1) ** b * ctx.cs(0) ** c
+                * ctx.cs(1) ** e))
+            cols.append(_block_vector(image * value, dx, dy))
     if not cols:
         raise NotExpressible("no module candidates in degree %d" % degree)
     matrix = np.array(cols, dtype=np.uint8).T  # field indices are < 256
@@ -604,24 +596,27 @@ def _fit_in_module(ctx, target, degree, deadline=None):
     (a polynomial supported on C0, C1, C0s, C1s), or raises NotExpressible.
 
     The block matrix depends only on (degree, bidegree), so each context
-    builds it once and keeps it in its memo under ("fit", degree, dx, dy);
-    a build that raises, a timeout included, stores nothing.  Only the
-    right-hand side is built per target, and every target is still solved,
-    and its solution re-checked, by linalg.solve_generic.
+    builds it once and keeps it in its memo under ("fit", degree, dx, dy),
+    and factors it once, under ("factor", degree, dx, dy); a build that
+    raises, a timeout included, stores neither.  Only the right-hand side
+    is built per target, and every target's solution is re-checked against
+    the whole block by linalg.solve_factored.
     """
     field = ctx.field
     S = ctx.S7
     dx, dy = ctx.r4_bidegree(target)
     labels, block = ctx.memo(("fit", degree, dx, dy), lambda: _build_fit_block(
         ctx, degree, dx, dy, deadline))
-    sol = linalg.solve_generic(block, _block_vector(target, dx, dy), field)
+    fact = ctx.memo(("factor", degree, dx, dy),
+                    lambda: linalg.factor_field(block, field))
+    sol = linalg.solve_factored(fact, block, _block_vector(target, dx, dy),
+                                field)
     if sol is None:
         raise NotExpressible("target of degree %d is outside the module "
                              "span" % degree)
 
     ell = {}
     for x, (spec, (a, b, c, e)) in zip(sol, labels):
-        x = int(x)
         if not x:
             continue
         key = S.pack((a, b, c, e, 0, 0, 0))
@@ -708,7 +703,23 @@ def _carry_decomposition(q):
     return bad
 
 
+def _sample_count(sample):
+    """sample as the report records it: "all", or a positive pair count as
+    a decimal string.  Anything else raises VerifyError."""
+    if sample == "all":
+        return sample
+    try:
+        n = int(sample) if isinstance(sample, (int, str)) else 0
+    except ValueError:
+        n = 0
+    if n < 1 or isinstance(sample, bool):
+        raise VerifyError("sample takes 'all' or a positive pair count, "
+                          "got %r" % (sample,))
+    return str(n)
+
+
 def check_products(field, sample="all", seed=0, deadline=None):
+    sample = _sample_count(sample)
     ctx = context(field)
     q = ctx.q
     params = {"sample": sample}
@@ -723,9 +734,8 @@ def check_products(field, sample="all", seed=0, deadline=None):
     pairs = [(specs[i], specs[j]) for i in range(len(specs))
              for j in range(i, len(specs))]
     if sample != "all":
-        want = int(sample)
         rng = random.Random(seed)
-        pairs = rng.sample(pairs, min(want, len(pairs)))
+        pairs = rng.sample(pairs, min(int(sample), len(pairs)))
 
     for f, g in pairs:
         def one(a=f, b=g):

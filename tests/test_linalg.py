@@ -185,3 +185,121 @@ def test_prime_field_lift_is_the_identity():
     # t^0 and t^1 columns of multiplication by t (index 2) and t + 1 (3),
     # t^2 = t + 1 in GF(4)
     assert big.tolist() == [[0, 1, 1, 1], [1, 1, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# one factorization, many right-hand sides
+
+
+def rref_solve(A, b, p):
+    """The solution with free variables 0 read off the reduced echelon form
+    of [A | b], or None when b is a pivot column: a from-scratch solve."""
+    A = np.asarray(A, dtype=np.int64) % p
+    cols = A.shape[1]
+    aug = np.column_stack([A, np.asarray(b, dtype=np.int64) % p])
+    pivots = linalg._rref(aug, p, cols + 1)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for r, col in enumerate(pivots):
+        x[col] = int(aug[r, cols])
+    return x
+
+
+def field_system(field, rng, rows, cols, kind):
+    """A matrix of field indices with some all-zero rows, and for kind
+    "deficient" a last nonzero row that repeats a multiple of another."""
+    A = [[rng.randrange(field.q) if rng.random() < 0.6 else 0
+          for _ in range(cols)] for _ in range(rows)]
+    for i in range(0, rows, 3):
+        A[i] = [0] * cols
+    if kind == "deficient" and rows > 2:
+        c = rng.randrange(1, field.q)
+        A[-1] = [field.mul_i(c, v) for v in A[1]]
+    return A
+
+
+def right_hand_sides(field, rng, A, count):
+    """Consistent ones (A times a random vector), random ones, and one that
+    is nonzero only on an all-zero row of A."""
+    cols = len(A[0])
+    out = []
+    for _ in range(count):
+        y = [rng.randrange(field.q) for _ in range(cols)]
+        out.append([elements_apply(field, row, y) for row in A])
+        out.append([rng.randrange(field.q) for _ in A])
+    zero_rows = [i for i, row in enumerate(A) if not any(row)]
+    if zero_rows:
+        y = [rng.randrange(field.q) for _ in range(cols)]
+        b = [elements_apply(field, row, y) for row in A]
+        b[zero_rows[-1]] = rng.randrange(1, field.q)
+        out.append(b)
+    return out
+
+
+def scratch_solve(A, b, field):
+    """The GF(q) solution of a from-scratch solve of the lifted [A | b]."""
+    s = field.s
+    big = linalg._lift(np.column_stack([A, b]), field)
+    cols = len(A[0]) * s
+    x = rref_solve(big[:, :cols], big[:, cols], field.p)
+    if x is None:
+        return None
+    return (np.array(x).reshape(-1, s) @ field.p ** np.arange(s)).tolist()
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7, 4, 8, 9))
+def test_one_factorization_solves_every_right_hand_side(q):
+    field = ff_from_q(q)
+    rng = random.Random(7000 + q)
+    seen = {"none": 0, "zero-row": 0}
+    for rows, cols in ((1, 1), (4, 3), (3, 5), (6, 6), (9, 4), (13, 7)):
+        for kind in ("random", "deficient"):
+            A = field_system(field, rng, rows, cols, kind)
+            fact = linalg.factor_field(A, field)
+            assert list(fact.nonzero) == [i for i, row in enumerate(A)
+                                          if any(row)]
+            for b in right_hand_sides(field, rng, A, 4):
+                x = linalg.solve_factored(fact, A, b, field)
+                assert x == scratch_solve(A, b, field)
+                assert x == linalg.solve_generic(A, b, field)
+                if x is None:
+                    seen["none"] += 1
+                    if any(b[i] for i, row in enumerate(A) if not any(row)):
+                        seen["zero-row"] += 1
+                else:
+                    assert [elements_apply(field, row, x) for row in A] == b
+    assert seen["none"] and seen["zero-row"]
+
+
+@pytest.mark.parametrize("p,A", CASES)
+def test_factor_modp_inverts_the_pivot_square(p, A):
+    A = np.array(A) % p
+    fact = linalg.factor_modp(A, p)
+    _R, pivots = sympy_rref(A.tolist(), p)
+    assert list(fact.pivots) == pivots
+    r = len(pivots)
+    assert len(set(fact.rows.tolist())) == r
+    square = A[np.ix_(fact.rows, fact.pivots)]
+    assert ((square @ fact.inv) % p == np.eye(r, dtype=int)).all()
+    rng = random.Random(p * 1000 + A.size)
+    for _ in range(4):
+        b = [rng.randrange(p) for _ in range(A.shape[0])]
+        x = linalg.solve_factored_modp(fact, A, np.array(b), p)
+        expect = rref_solve(A, b, p)
+        assert (x is None and expect is None) or x.tolist() == expect
+
+
+def test_inconsistent_only_on_a_zero_row():
+    """b agrees with a consistent system except on an all-zero row of A:
+    the factorization drops that row, and the zero-row check must catch it."""
+    for q in (2, 3, 4, 9):
+        field = ff_from_q(q)
+        A = [[1, 0], [0, 0], [0, 1], [0, 0]]
+        fact = linalg.factor_field(A, field)
+        assert list(fact.nonzero) == [0, 2]
+        assert linalg.solve_factored(fact, A, [1, 0, 1, 0], field) == [1, 1]
+        for bad in ([1, 1, 1, 0], [1, 0, 1, q - 1]):
+            assert linalg.solve_factored(fact, A, bad, field) is None
+            assert linalg.solve_generic(A, bad, field) is None
+        assert linalg.solve_modp([[0, 0], [1, 0]], [1, 0], 3) is None

@@ -389,18 +389,28 @@ def test_products_build_each_fit_block_once(monkeypatch):
         return labels, block
 
     monkeypatch.setattr(verify, "_build_fit_block", counting)
+    factored = []
+    factor = linalg.factor_field
+
+    def counting_factor(block, field):
+        factored.append(block)
+        return factor(block, field)
+
+    monkeypatch.setattr(linalg, "factor_field", counting_factor)
     field = ff_from_q(3)
     ctx = context_for_q(3)
     report = check_products(field, sample="all")
     assert report.overall == "pass"
     assert len(built) == len(_memo_keys(ctx, "fit")) == 145
+    assert len(factored) == len(_memo_keys(ctx, "factor")) == 145
     assert len(_memo_keys(ctx, "value")) == 48
     assert len(_memo_keys(ctx, "bidegree")) == 48
     blocks = {k: ctx._memo[k] for k in _memo_keys(ctx, "fit")}
-    # a second run solves on the same blocks and builds none
+    # a second run solves on the same blocks and factors and builds none
     again = check_products(field, sample="all")
     assert again.to_json(False) == report.to_json(False)
     assert len(built) == 145
+    assert len(factored) == 145
     for key, (labels, block) in blocks.items():
         assert ctx._memo[key][1] is block
         assert not block.flags.writeable
@@ -449,6 +459,41 @@ def test_fit_block_build_checks_the_deadline(monkeypatch):
     assert len(_memo_keys(ctx, "fit")) == 1
     assert verify._fit_in_module(ctx, target, degree, deadline=1.0) == ell
     assert clock.reads == nspecs     # a warm block builds nothing
+
+
+def test_timed_out_fit_block_stores_no_factorization(monkeypatch):
+    ctx = InvariantContext(ff_from_q(3))
+    target, degree, _ = _fit_case(ctx)
+    monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock(2))
+    with pytest.raises(TimeoutExceeded):
+        verify._fit_in_module(ctx, target, degree, deadline=1.0)
+    assert not _memo_keys(ctx, "fit")
+    assert not _memo_keys(ctx, "factor")
+    monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock())
+    ell = verify._fit_in_module(ctx, target, degree, deadline=1.0)
+    assert _fits(ctx, target, ell)
+    assert len(_memo_keys(ctx, "fit")) == len(_memo_keys(ctx, "factor")) == 1
+
+
+@pytest.mark.parametrize("sample", ("0", "-1", "x", 0, 2.5, None, True))
+def test_products_reject_a_bad_sample(sample):
+    with pytest.raises(verify.VerifyError, match="sample"):
+        check_products(ff_from_q(2), sample=sample)
+
+
+def test_products_normalise_the_sample_count():
+    report = check_products(ff_from_q(2), sample=3, seed=1)
+    assert report.params == {"sample": "3", "seed": 1}
+    assert report.to_json(False) == \
+        check_products(ff_from_q(2), sample="03", seed=1).to_json(False)
+
+
+@pytest.mark.slow
+def test_products_q4_census():
+    report = check_products(ff_from_q(4), sample="all")
+    assert report.overall == "pass"
+    reduced = [it for it in report.items if it.name.startswith("reduce(")]
+    assert len(reduced) == 180 * 181 // 2 == 16290
 
 
 def test_products_pass_their_budget_to_the_fit(monkeypatch):
