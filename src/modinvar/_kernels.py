@@ -4,7 +4,8 @@ Polynomial terms are dict[packed_monomial_int, coeff_index_int]; packed keys
 add under monomial multiplication (16-bit chunks, wdeg chunk on top).
 Coefficients are field indices and every kernel does its arithmetic through
 the field's flat add/mul/neg tables, prime fields included; `field` is the
-`gf.FieldParams` of the ring.
+`gf.FieldParams` of the ring.  A kernel that needs the term order takes the
+ring's order key `okey` (see `mpoly.PolyRing`), never the name of the order.
 """
 
 import heapq
@@ -77,46 +78,6 @@ def neg_terms(A, field):
     return {k: neg_flat[v] for k, v in A.items()}
 
 
-def grevlex_okey(k, n):
-    """Order key whose integer comparison realizes weighted grevlex.
-
-    Ties on wdeg break by the complemented exponents of the LAST variable
-    first, so that chunk sits highest below the degree chunk.
-    """
-    o = 0
-    shift = CHUNK * (n - 1)
-    rest = k >> (CHUNK * n)  # wdeg chunk
-    for _ in range(n):
-        o |= (MASK - (k & MASK)) << shift  # e_{n-1} lands highest
-        k >>= CHUNK
-        shift -= CHUNK
-    return (rest << (CHUNK * n)) | o
-
-
-def leading_key(terms, n, order_code):
-    """Packed key of the leading monomial; order_code 0=grlex 1=grevlex 2=lex."""
-    if order_code == 0:
-        return max(terms)
-    if order_code == 2:
-        lexmask = (1 << (CHUNK * n)) - 1
-        best = None
-        bestk = -1
-        for k in terms:
-            kk = k & lexmask
-            if kk > bestk:
-                bestk = kk
-                best = k
-        return best
-    best = None
-    besto = -1
-    for k in terms:
-        o = grevlex_okey(k, n)
-        if o > besto:
-            besto = o
-            best = k
-    return best
-
-
 class DivisorIndex:
     """Leading keys of a basis that only grows, indexed by exponent support.
 
@@ -180,35 +141,27 @@ class DivisorIndex:
         return -1
 
 
-def normal_form_terms(f, index, tails, order_code, field, track):
+def normal_form_terms(f, index, tails, okey, field, track):
     """Complete reduction of f by a monic basis given as (index, tails).
 
     index is the basis's DivisorIndex; tails[i] holds basis[i] minus its
-    leading term index.keys[i] (leading coefficient 1).  Each term is
-    reduced by the first basis element whose leading term divides it.
+    leading term index.keys[i] (leading coefficient 1).  okey is the ring's
+    order key; terms are taken in decreasing okey order, each reduced by the
+    first basis element whose leading term divides it.
     Returns (remainder_dict, cofactors) where cofactors[i] is a term dict with
     f = sum_i cofactors[i] * basis[i] + remainder (None unless track).
     """
     q, mul_flat, add_flat, neg_flat = field.q, field.mul_flat, \
         field.add_flat, field.neg_flat
-    n, lt_keys, first_divisor = index.n, index.keys, index.first_divisor
+    lt_keys, first_divisor = index.keys, index.first_divisor
     nb = len(lt_keys)
     pending = dict(f)
-    if order_code == 0:
-        heap = [-k for k in pending]
-    elif order_code == 1:
-        heap = [(-grevlex_okey(k, n), k) for k in pending]
-    else:
-        lexmask = index.lexmask
-        heap = [(-(k & lexmask), k) for k in pending]
+    heap = [(-okey(k), k) for k in pending]
     heapq.heapify(heap)
     remainder = {}
     cof = [None] * nb if track else None
     while heap:
-        if order_code == 0:
-            k = -heapq.heappop(heap)
-        else:
-            k = heapq.heappop(heap)[1]
+        k = heapq.heappop(heap)[1]
         if k not in pending:
             continue
         c = pending.pop(k)
@@ -234,10 +187,5 @@ def normal_form_terms(f, index, tails, order_code, field, track):
             v = add_flat[pending.get(kk, 0) * q + mul_flat[cq + ct]]
             pending[kk] = v
             if fresh:
-                if order_code == 0:
-                    heapq.heappush(heap, -kk)
-                elif order_code == 1:
-                    heapq.heappush(heap, (-grevlex_okey(kk, n), kk))
-                else:
-                    heapq.heappush(heap, (-(kk & lexmask), kk))
+                heapq.heappush(heap, (-okey(kk), kk))
     return remainder, cof

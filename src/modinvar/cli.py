@@ -183,7 +183,7 @@ def build_parser():
                         help="field size, one of %s" % (SUPPORTED_Q,))
     common.add_argument("--modulus", default=None,
                         help="irreducible modulus for an extension field, "
-                             "e.g. 't^2+t+1' or '1,1,1'")
+                             "e.g. 't^2+t+1'")
     common.add_argument("--max-degree", type=int, default=None,
                         help="degree bound (default 24 for q=2, else "
                              "2(q^2-1), the degree of T00)")

@@ -12,6 +12,7 @@ GF(p)[t]/(t), whose index i is the residue i itself.  Only the text format
 from __future__ import annotations
 
 import functools
+import re
 
 
 class FieldError(Exception):
@@ -112,8 +113,16 @@ def _check_irreducible(modulus, p):
                     "modulus has a degree-%d factor over GF(%d)" % (k, p))
 
 
+_MODULUS_TERM = re.compile(
+    r"([0-9]+)|(?:([0-9]+)\s*\*?\s*)?t(?:\s*\^\s*([0-9]+))?")
+
+
 def parse_modulus(text, p):
-    """Parse a modulus literal like 't^3+2*t+1' into an ascending tuple."""
+    """Parse a modulus literal like 't^3+2*t+1' into an ascending tuple.
+
+    Terms are c, t, c*t, t^e or c*t^e joined by '+' and '-'; any other
+    text raises FieldError.
+    """
     coeffs = {}
     for piece in text.replace("-", "+-").split("+"):
         piece = piece.strip()
@@ -122,15 +131,14 @@ def parse_modulus(text, p):
         neg = piece.startswith("-")
         if neg:
             piece = piece[1:].strip()
-        if "t" in piece:
-            head, _, tail = piece.partition("t")
-            c = int(head.rstrip("* ").strip() or "1")
-            e = int(tail.lstrip("^ ").strip() or "1")
-        else:
-            c, e = int(piece), 0
-        if neg:
-            c = -c
-        coeffs[e] = (coeffs.get(e, 0) + c) % p
+        m = _MODULUS_TERM.fullmatch(piece)
+        if m is None:
+            raise FieldError("malformed polynomial in t: %r" % text)
+        const, c, e = m.groups()
+        c, e = (int(const), 0) if const else (int(c or 1), int(e or 1))
+        coeffs[e] = (coeffs.get(e, 0) + (-c if neg else c)) % p
+    if not coeffs:
+        raise FieldError("malformed polynomial in t: %r" % text)
     deg = max(coeffs)
     return tuple(coeffs.get(k, 0) for k in range(deg + 1))
 

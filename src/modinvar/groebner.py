@@ -180,7 +180,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             raise InhomogeneousWithTruncation(
                 "degree truncation needs weighted-homogeneous generators")
     fld = ring.field
-    order_code = ring.order_code
+    okey = ring.okey
 
     basis = []
     index = K.DivisorIndex(ring.n)
@@ -191,8 +191,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
     pairs = _CriticalPairs(ring, bound, deadline)
 
     def nf(terms):
-        return K.normal_form_terms(terms, index, tails, order_code, fld,
-                                   track)
+        return K.normal_form_terms(terms, index, tails, okey, fld, track)
 
     def add_element(f, rep):
         lc = f.leading_coeff()
@@ -221,14 +220,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         r_terms, cof = nf(g.terms)
         if not r_terms:
             continue
-        rep = None
-        if track:
-            rep = unit_rep(t)
-            for kk, cterms in enumerate(cof):
-                if cterms:
-                    cpoly = Polynomial(ring, cterms)
-                    rep = [rep[i] - cpoly * reps[kk][i]
-                           for i in range(len(inputs))]
+        rep = _fold(unit_rep(t), cof, reps) if track else None
         add_element(Polynomial(ring, r_terms), rep)
 
     while True:
@@ -253,13 +245,8 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         if track:
             mi = Polynomial(ring, {si: 1})
             mj = Polynomial(ring, {sj: 1})
-            rep = [mi * reps[i][t] - mj * reps[j][t]
-                   for t in range(len(inputs))]
-            for kk, cterms in enumerate(cof):
-                if cterms:
-                    cpoly = Polynomial(ring, cterms)
-                    rep = [rep[t] - cpoly * reps[kk][t]
-                           for t in range(len(inputs))]
+            rep = _fold([mi * a - mj * b for a, b in zip(reps[i], reps[j])],
+                        cof, reps)
         add_element(Polynomial(ring, r_terms), rep)
 
     basis, index, tails, reps = _inter_reduce(ring, basis, lt_keys, tails,
@@ -292,7 +279,7 @@ def _inter_reduce(ring, basis, lt_keys, tails, reps, deadline):
     reps = [reps[k] for k in kept] if track else None
     for i, tail in enumerate(tails):
         check_deadline(deadline)
-        r, cof = K.normal_form_terms(tail, index, tails, ring.order_code,
+        r, cof = K.normal_form_terms(tail, index, tails, ring.okey,
                                      ring.field, track)
         if r == tail:
             continue
@@ -301,14 +288,19 @@ def _inter_reduce(ring, basis, lt_keys, tails, reps, deadline):
         basis[i] = Polynomial(ring, terms)
         tails[i] = r
         if track:
-            rep = reps[i]
-            for kk, cterms in enumerate(cof):
-                if cterms:
-                    cpoly = Polynomial(ring, cterms)
-                    rep = [rep[t] - cpoly * reps[kk][t]
-                           for t in range(len(rep))]
-            reps[i] = rep
+            reps[i] = _fold(reps[i], cof, reps)
     return basis, index, tails, reps
+
+
+def _fold(rep, cof, reps):
+    """rep - sum_k cof[k] * reps[k], where cof[k] is a term dict (empty or
+    None where basis element k does not occur)."""
+    ring = rep[0].ring
+    for k, terms in enumerate(cof):
+        if terms:
+            c = Polynomial(ring, terms)
+            rep = [a - c * b if b else a for a, b in zip(rep, reps[k])]
+    return rep
 
 
 def normal_form(f, gb, track=False):
@@ -319,8 +311,7 @@ def normal_form(f, gb, track=False):
         raise DegreeBoundExceeded(
             "degree %d beyond the computed bound %d" % (f.wdeg(), gb.bound))
     r_terms, cof = K.normal_form_terms(f.terms, gb.index, gb.tails,
-                                       gb.ring.order_code, gb.ring.field,
-                                       track)
+                                       gb.ring.okey, gb.ring.field, track)
     if not track:
         return Polynomial(gb.ring, r_terms)
     return Polynomial(gb.ring, r_terms), \
@@ -331,15 +322,8 @@ def cofactors_on_inputs(gb, cof):
     """Rewrite cofactors over gb.basis as cofactors over gb.inputs."""
     if gb.reps is None:
         raise GroebnerError("basis was computed without tracking")
-    out = [gb.ring.zero] * len(gb.inputs)
-    for k, c in enumerate(cof):
-        if not c:
-            continue
-        rep = gb.reps[k]
-        for t in range(len(out)):
-            if rep[t]:
-                out[t] = out[t] + c * rep[t]
-    return out
+    return _fold([gb.ring.zero] * len(gb.inputs), [(-c).terms for c in cof],
+                 gb.reps)
 
 
 def in_ideal(f, gb):
@@ -350,6 +334,9 @@ def in_ideal(f, gb):
 def standard_monomial_count(gb, d):
     """Number of monomials of weighted degree d outside the leading-term
     ideal; equals dim of degree-d part of ring/ideal for homogeneous ideals."""
+    if gb.bound is not None and d > gb.bound:
+        raise DegreeBoundExceeded(
+            "degree %d beyond the computed bound %d" % (d, gb.bound))
     ring = gb.ring
     weights = ring.weights
     nv = ring.n

@@ -3,22 +3,21 @@
 Monomials are packed into ints, 16-bit chunks laid out
 [wdeg | e_0 | ... | e_{n-1}], so packed keys add under monomial
 multiplication and integer comparison of keys realizes weighted graded lex.
-Grevlex and lex comparisons go through derived keys. Each chunk keeps its
-top bit clear as a guard for the packed divisibility test.
+Each ring fixes its order key once, a function on packed keys whose integer
+values compare as the monomials do in the ring's order; for grlex it is the
+key itself. Each chunk keeps its top bit clear as a guard for the packed
+divisibility test.
 """
 
 from __future__ import annotations
 
 from . import _kernels as K
-from .gf import FieldElement, FieldMismatch
+from ._kernels import CHUNK, MASK
+from .gf import FieldElement, FieldError, FieldMismatch
 
-CHUNK = 16
-MASK = 0xFFFF
 EXP_CAP = 0x7FFF  # guard bit must stay clear
 
 MINUS_INF = float("-inf")
-
-_ORDER_CODES = {"grlex": 0, "grevlex": 1, "lex": 2}
 
 
 class PolyError(Exception):
@@ -52,11 +51,13 @@ class UnknownVariable(ParseError):
 
 
 class PolyRing:
-    """Descriptor for F_q[names] with per-variable weights and a term order."""
+    """Descriptor for F_q[names] with per-variable weights and a term order.
+
+    okey(k) is the order key of packed key k: an int that compares as the
+    monomial does in the ring's order.
+    """
 
     def __init__(self, field, names, weights=None, order="grevlex"):
-        if order not in _ORDER_CODES:
-            raise PolyError("unknown order %r" % order)
         names = tuple(names)
         if len(set(names)) != len(names):
             raise PolyError("duplicate variable names")
@@ -67,10 +68,29 @@ class PolyRing:
         if len(self.weights) != self.n or any(w < 1 for w in self.weights):
             raise PolyError("weights must be positive, one per variable")
         self.order = order
-        self.order_code = _ORDER_CODES[order]
         self._index = {nm: i for i, nm in enumerate(names)}
         self._wshift = CHUNK * self.n
         self.lexmask = (1 << self._wshift) - 1
+        if order == "grlex":
+            self.okey = int
+        elif order == "lex":
+            self.okey = self.lexmask.__and__
+        elif order == "grevlex":
+            n, wshift, lexmask = self.n, self._wshift, self.lexmask
+
+            def okey(k):
+                # wdeg, then the complemented exponents with the LAST
+                # variable's chunk highest: ties go to the smaller last one
+                o = k >> wshift
+                k ^= lexmask
+                for _ in range(n):
+                    o = (o << CHUNK) | (k & MASK)
+                    k >>= CHUNK
+                return o
+
+            self.okey = okey
+        else:
+            raise PolyError("unknown order %r" % order)
         g = 0
         for i in range(self.n + 1):
             g |= 0x8000 << (CHUNK * i)
@@ -100,14 +120,6 @@ class PolyRing:
 
     def key_wdeg(self, key):
         return key >> self._wshift
-
-    def okey(self, key):
-        code = self.order_code
-        if code == 0:
-            return key
-        if code == 2:
-            return key & self.lexmask
-        return K.grevlex_okey(key, self.n)
 
     def key_divides(self, m, k):
         """True when monomial m divides monomial k (packed keys)."""
@@ -179,7 +191,7 @@ class PolyRing:
                     raise ParseError("unterminated '['", i)
                 try:
                     c = fld.parse_literal(text[i:j + 1])
-                except FieldMismatch as exc:
+                except FieldError as exc:
                     raise ParseError(str(exc), i) from None
                 return c.i, j + 1
             j = i
@@ -320,7 +332,7 @@ class Polynomial:
     def leading_key(self):
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        return K.leading_key(self.terms, self.ring.n, self.ring.order_code)
+        return max(self.terms, key=self.ring.okey)
 
     def leading_monomial(self):
         return self.ring.unpack(self.leading_key())
@@ -409,8 +421,7 @@ class Polynomial:
         tail = dict(g.terms)
         del tail[ltk]
         rem, cof = K.normal_form_terms(
-            self.terms, K.DivisorIndex(r.n, [ltk]), [tail], r.order_code, f,
-            True)
+            self.terms, K.DivisorIndex(r.n, [ltk]), [tail], r.okey, f, True)
         if rem:
             raise NotDivisible("remainder has %d terms" % len(rem))
         q = cof[0] or {}

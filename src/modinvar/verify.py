@@ -530,9 +530,6 @@ class ReductionCertificate:
         }
 
 
-_N_VARS = frozenset((0, 1, 2, 3))
-
-
 def _n_monomials(q, degree):
     """All (a, b, c, e) with a,c weighing q^2-1 and b,e weighing q^2-q
     summing to the requested degree, in lexicographic order."""

@@ -168,3 +168,11 @@ def test_extension_field_with_modulus(capsys):
                            "--modulus", "t^2+t+1")
     assert code == 0
     assert json.loads(out)["overall"] == "pass"
+
+
+@pytest.mark.parametrize("modulus", ("1,1,1", "x+1", "t^x"))
+def test_malformed_modulus_exits_two(capsys, modulus):
+    code, _, err = run_cli(capsys, "relations", "--q", "4",
+                           "--modulus", modulus)
+    assert code == 2
+    assert "FieldError" in err

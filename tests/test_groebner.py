@@ -161,6 +161,17 @@ def test_bound_respected():
         normal_form(ctx.S7var("U0", 9), gb)
 
 
+def test_standard_monomial_count_refuses_degrees_above_the_bound():
+    # the truncated basis lacks y^3, so a count at d=3 would read 1, not 0
+    R = PolyRing(ff_make(3), ("x", "y"))
+    gens = [R.parse("x^2 + y^2"), R.parse("x*y")]
+    assert standard_monomial_count(buchberger(gens), 3) == 0
+    gb = buchberger(gens, bound=2)
+    assert [standard_monomial_count(gb, d) for d in range(3)] == [1, 2, 1]
+    with pytest.raises(DegreeBoundExceeded):
+        standard_monomial_count(gb, 3)
+
+
 def test_deadline_raises():
     ctx = context_for_q(3)
     with pytest.raises(TimeoutExceeded):

@@ -1,7 +1,10 @@
 """Sparse weighted-graded polynomial arithmetic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modinvar.gens import s7_weights
 from modinvar.gf import FieldMismatch, ff_from_q, ff_make
 from modinvar.mpoly import (
     CHUNK,
@@ -78,6 +81,38 @@ def test_leading_data_depends_on_order():
     assert grlex.ring.unpack(grlex.leading_key()) == (1, 2, 1)
     assert grevlex.ring.unpack(grevlex.leading_key()) == (0, 4, 0)
     assert lex.ring.unpack(lex.leading_key()) == (3, 0, 0)
+
+
+def reference_order_key(order, weights, exps):
+    """The term order written on exponent tuples: weighted degree first
+    (not for lex); then grlex compares the first exponents, grevlex takes
+    the smaller last exponent as larger, and lex compares exponents alone."""
+    if order == "lex":
+        return exps
+    wdeg = sum(w * e for w, e in zip(weights, exps))
+    if order == "grlex":
+        return (wdeg,) + exps
+    return (wdeg,) + tuple(-e for e in reversed(exps))
+
+
+def compare(a, b):
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("weights", ((1,) * 7, s7_weights(4)))
+@pytest.mark.parametrize("order", ("grlex", "grevlex", "lex"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_order_key_matches_the_reference_order(order, weights, data):
+    R = PolyRing(ff_make(2), S7_VARS, weights=weights, order=order)
+    # small exponents, so that weighted degrees often tie, or large ones
+    exps = st.tuples(*[st.integers(0, 2)] * R.n) \
+        | st.tuples(*[st.integers(0, 300)] * R.n)
+    a = data.draw(exps)
+    b = data.draw(exps | st.permutations(a).map(tuple))
+    assert compare(R.okey(R.pack(a)), R.okey(R.pack(b))) == compare(
+        reference_order_key(order, weights, a),
+        reference_order_key(order, weights, b))
 
 
 def test_divide_exact():
@@ -159,6 +194,14 @@ def test_extension_field_coefficients():
     f = R.var("x") * t + R.var("y") * (t * t)
     assert R.parse(str(f)) == f
     assert f + f == R.zero
+
+
+@pytest.mark.parametrize("text", ("[t^x]*x", "[1,1]*y", "[*t]", "[t^-1]"))
+def test_malformed_bracket_literal_is_a_parse_error(text):
+    R = PolyRing(ff_from_q(4), ("x", "y"))
+    with pytest.raises(ParseError) as info:
+        R.parse(text)
+    assert info.value.position == 0
 
 
 # --- moving polynomials between rings ---

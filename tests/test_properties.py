@@ -187,7 +187,7 @@ def monic_basis(draw, R, size):
     out = []
     for _ in range(size):
         terms = draw(terms_in(R, min_size=1))
-        lt = K.leading_key(terms, R.n, R.order_code)
+        lt = max(terms, key=R.okey)
         inv = R.field.inv_i(terms[lt])
         tail = {k: R.field.mul_i(inv, c) for k, c in terms.items()
                 if k != lt}
@@ -223,11 +223,11 @@ def test_indexed_divisor_search_is_the_first_divisor(q, order, data):
         for f in fs:
             want_r, want_cof = plain_normal_form(f, index.keys, tails, R,
                                                  field)
-            r, cof = K.normal_form_terms(f, index, tails, R.order_code,
+            r, cof = K.normal_form_terms(f, index, tails, R.okey,
                                          field, True)
             assert r == want_r
             assert [c or {} for c in cof] == want_cof
-            r, none = K.normal_form_terms(f, index, tails, R.order_code,
+            r, none = K.normal_form_terms(f, index, tails, R.okey,
                                           field, False)
             assert r == want_r and none is None
     for k in index.keys:
