@@ -184,9 +184,11 @@ def involution_star(f):
     return f.remap(f.ring, _SWAP)
 
 
-def is_invariant(f, elements):
-    """(True, None) if every listed element fixes f, else (False, witness)."""
+def is_invariant(f, elements, deadline=None):
+    """(True, None) if every listed element fixes f, else (False, witness).
+    The deadline is checked before each element."""
     for g in elements:
+        check_deadline(deadline)
         if act(g, f) != f:
             return False, g
     return True, None

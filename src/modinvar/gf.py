@@ -113,12 +113,13 @@ def _check_irreducible(modulus, p):
                     "modulus has a degree-%d factor over GF(%d)" % (k, p))
 
 
+# numbers of at most 99 digits, so int() never refuses one
 _MODULUS_TERM = re.compile(
-    r"([0-9]+)|(?:([0-9]+)\s*\*?\s*)?t(?:\s*\^\s*([0-9]+))?")
+    r"([0-9]{1,99})|(?:([0-9]{1,99})\s*\*?\s*)?t(?:\s*\^\s*([0-9]{1,99}))?")
 
 
-def parse_modulus(text, p):
-    """Parse a modulus literal like 't^3+2*t+1' into an ascending tuple.
+def _parse_terms(text, p):
+    """{exponent: coefficient mod p} of a polynomial literal in t.
 
     Terms are c, t, c*t, t^e or c*t^e joined by '+' and '-'; any other
     text raises FieldError.
@@ -139,7 +140,17 @@ def parse_modulus(text, p):
         coeffs[e] = (coeffs.get(e, 0) + (-c if neg else c)) % p
     if not coeffs:
         raise FieldError("malformed polynomial in t: %r" % text)
+    return coeffs
+
+
+def parse_modulus(text, p):
+    """Parse a modulus literal like 't^3+2*t+1' into an ascending tuple.
+    The degree is checked against MAX_Q before the tuple is built."""
+    coeffs = _parse_terms(text, p)
     deg = max(coeffs)
+    if deg >= MAX_Q.bit_length() or p ** deg > MAX_Q:
+        raise UnsupportedSize("modulus degree %d: GF(%d^%d) > %d" % (
+            deg, p, deg, MAX_Q))
     return tuple(coeffs.get(k, 0) for k in range(deg + 1))
 
 
@@ -267,13 +278,10 @@ class FieldParams:
         if text.startswith("["):
             if not text.endswith("]") or self.s == 1:
                 raise FieldMismatch("bracketed literal %r in %s" % (text, self))
-            coeffs = parse_modulus(text[1:-1] or "0", self.p)
-            # reduce degrees >= s through the modulus
+            # t^e by repeated squaring, so e never sizes the work
             acc = self.zero
-            tpow = self.one
-            for c in coeffs:
-                acc = acc + tpow * c
-                tpow = tpow * self.t
+            for e, c in _parse_terms(text[1:-1] or "0", self.p).items():
+                acc = acc + self.t ** e * c
             return acc
         return self.elem(int(text))
 

@@ -9,9 +9,10 @@ is the identity.  Ranks over GF(2) pack rows into uint64 words instead.
 
 A solve factors first and then applies the factorization, so one matrix
 factored once serves any number of right-hand sides: the pivot rows P and
-pivot columns of A give an invertible square A[P, pivots], whose inverse maps
-b[P] to the pivot entries of the solution.  Every solution is re-checked
-against the whole system, and that check alone decides consistency.
+pivot columns of the lift L of its nonzero rows give an invertible square
+L[P, pivots], whose inverse maps b[P] to the pivot entries of the solution.
+Every solution is re-checked against the whole system, and that check alone
+decides consistency.  One Factorization serves every GF(p^s), s = 1 too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+
+from .gf import ff_make
 
 
 def _int_type(bound):
@@ -101,57 +104,13 @@ def rank_modp(A, p):
     return len(_rref(aug, p, A.shape[1]))
 
 
-class Factorization(NamedTuple):
-    """A matrix A over GF(p) factored for solving: A[rows, pivots] is
-    invertible with inverse inv, and pivots are the pivot columns of A."""
-
-    rows: np.ndarray
-    pivots: np.ndarray
-    inv: np.ndarray
-
-
-def factor_modp(A, p):
-    """Factor A, entries in 0..p-1, over GF(p): one elimination of A, which
-    also records the original row of each pivot, and one of the small
-    [A[rows, pivots] | I] for the inverse."""
-    A = np.asarray(A)
-    aug = A.astype(_int_type((p - 1) ** 2))
-    order = np.arange(A.shape[0])
-    pivots = np.array(_rref(aug, p, A.shape[1], order), dtype=np.intp)
-    r = pivots.size
-    rows = order[:r].copy()
-    square = np.zeros((r, 2 * r), dtype=aug.dtype)
-    square[:, :r] = A[np.ix_(rows, pivots)]
-    square[:, r:] = np.eye(r, dtype=aug.dtype)
-    _rref(square, p, r)
-    return Factorization(rows, pivots, square[:, r:].copy())
-
-
-def solve_factored_modp(fact, A, b, p):
-    """The solution of A x = b over GF(p) with free variables 0, or None if
-    there is none, given the factorization of A; entries in 0..p-1.
-
-    The pivot entries are inv @ b[rows]; re-checking A x = b on every row
-    decides consistency, since a consistent b has exactly this solution.
-    """
-    cols = A.shape[1]
-    wide = _int_type(cols * (p - 1) ** 2 + p)
-    b = np.asarray(b).astype(wide)
-    x = np.zeros(cols, dtype=wide)
-    x[fact.pivots] = fact.inv.astype(wide) @ b[fact.rows] % p
-    if np.any((A @ x - b) % p):
-        return None
-    return x
-
-
 def solve_modp(A, b, p):
     """One exact solution of A x = b over GF(p), or None if inconsistent.
 
     Free variables are set to 0, so the solution is canonical for a fixed
     column order.
     """
-    A = np.asarray(A) % p
-    return solve_factored_modp(factor_modp(A, p), A, np.asarray(b) % p, p)
+    return solve_generic(np.asarray(A) % p, np.asarray(b) % p, ff_make(p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,21 +140,33 @@ def rank_field(rows, field):
     return rank_modp(_lift(rows, field), field.p) // field.s
 
 
-class FieldFactorization(NamedTuple):
-    """A matrix of GF(q) indices factored for solving: its rows that are not
-    all zero, and the factorization of their lift over GF(p)."""
+class Factorization(NamedTuple):
+    """A matrix of field indices factored for solving: the lift L of its
+    nonzero rows has pivot columns pivots, and L[rows, pivots] has inverse
+    inv."""
 
     nonzero: np.ndarray
-    lifted: Factorization
+    rows: np.ndarray
+    pivots: np.ndarray
+    inv: np.ndarray
 
 
 def factor_field(rows, field):
-    """Factor a matrix of field indices over any FieldParams.  Only the
-    rows that are not all zero are lifted and factored."""
+    """Factor a matrix of field indices over any FieldParams: one elimination
+    of the lift of its nonzero rows, which also records the original row of
+    each pivot, and one of the small [L[rows, pivots] | I] for the inverse."""
     rows = np.asarray(rows)
     nonzero = np.flatnonzero(rows.any(axis=1))
-    return FieldFactorization(
-        nonzero, factor_modp(_lift(rows[nonzero], field), field.p))
+    L = _lift(rows[nonzero], field)
+    aug = L.copy()
+    order = np.arange(L.shape[0])
+    pivots = np.array(_rref(aug, field.p, L.shape[1], order), dtype=np.intp)
+    r = pivots.size
+    square = np.hstack([L[np.ix_(order[:r], pivots)],
+                        np.eye(r, dtype=L.dtype)])
+    _rref(square, field.p, r)
+    return Factorization(nonzero, order[:r].copy(), pivots,
+                         square[:, r:].copy())
 
 
 def solve_factored(fact, rows, rhs, field):
@@ -203,24 +174,26 @@ def solve_factored(fact, rows, rhs, field):
     factorization of rows; returns a list of field indices with free
     variables 0, or None.
 
-    The lifted system is solved over GF(p).  A GF(q) pivot column lifts to
-    a whole block of s GF(p) pivot columns, so the lifted solution with free
-    variables 0 is the GF(q) one, written in coefficients of 1, t, ...
-    A zero row of rows needs a zero rhs; the other rows are lifted again
-    for the re-check, so no lifted copy outlives the solve.
+    A zero row of rows needs a zero rhs.  The lifted pivot entries are
+    inv @ b[fact.rows], and the re-check of every lifted row decides
+    consistency.  A GF(q) pivot column lifts to s GF(p) pivot columns, so
+    this is the GF(q) solution in coefficients of 1, t, ...  The rows are
+    lifted again for the re-check, so no lifted copy outlives the solve.
     """
     rows = np.asarray(rows)
     rhs = np.asarray(rhs, dtype=np.uint8)   # indices < q <= 256
     on_nonzero = rhs[fact.nonzero]
     if np.count_nonzero(on_nonzero) < np.count_nonzero(rhs):
         return None
-    s = field.s
-    b = _lift(on_nonzero[:, None], field)[:, 0]
-    x = solve_factored_modp(fact.lifted, _lift(rows[fact.nonzero], field),
-                            b, field.p)
-    if x is None:
+    p, s = field.p, field.s
+    L = _lift(rows[fact.nonzero], field)
+    wide = _int_type(L.shape[1] * (p - 1) ** 2 + p)
+    b = _lift(on_nonzero[:, None], field)[:, 0].astype(wide)
+    x = np.zeros(L.shape[1], dtype=wide)
+    x[fact.pivots] = fact.inv.astype(wide) @ b[fact.rows] % p
+    if np.any((L @ x - b) % p):
         return None
-    return (x.reshape(rows.shape[1], s) @ field.p ** np.arange(s)).tolist()
+    return (x.reshape(rows.shape[1], s) @ p ** np.arange(s)).tolist()
 
 
 def solve_generic(rows, rhs, field):

@@ -295,7 +295,7 @@ def check_invariance(field, deadline=None):
     sl2 = enumerate_sl2(field)
 
     def fixed(poly, elements, group):
-        ok, witness = is_invariant(poly, elements)
+        ok, witness = is_invariant(poly, elements, deadline)
         if ok:
             return True, "fixed by all %d elements of %s" % (len(elements),
                                                              group)
@@ -311,12 +311,11 @@ def check_invariance(field, deadline=None):
                 lambda v=s: fixed(ctx.h(v), sl2, "SL2"))
 
     def d2_control():
+        ok, witness = is_invariant(ctx.d(2), gl2, deadline)
         if q == 2:
-            ok, witness = is_invariant(ctx.d(2), gl2)
             if ok:
                 return True, "d2 fixed by all of GL2 (every determinant is 1)"
             return False, "moved by %r" % (witness,)
-        ok, witness = is_invariant(ctx.d(2), gl2)
         if not ok:
             return True, "d2 moved by %r as it must be" % (witness,)
         return False, "d2 unexpectedly fixed by all of GL2"
@@ -530,56 +529,41 @@ class ReductionCertificate:
         }
 
 
-def _n_monomials(q, degree):
-    """All (a, b, c, e) with a,c weighing q^2-1 and b,e weighing q^2-q
-    summing to the requested degree, in lexicographic order."""
-    w1 = q * q - 1
-    w2 = q * q - q
-    out = []
-    for a in range(degree // w1 + 1):
-        r1 = degree - a * w1
-        for b in range(r1 // w2 + 1):
-            r2 = r1 - b * w2
-            for c in range(r2 // w1 + 1):
-                r3 = r2 - c * w1
-                if r3 % w2 == 0:
-                    out.append((a, b, c, r3 // w2))
-    return out
-
-
 def _build_fit_block(ctx, degree, dx, dy, deadline):
     """The module-fit block of the key (degree, dx, dy): a tuple of
     candidate labels (spec, (a, b, c, e)) and the read-only uint8 matrix of
     GF(q) indices whose column j is the block vector of C0^a C1^b C0s^c
-    C1s^e times the value of spec, for label j.  The bidegree of each basis
-    value, the N-monomials of each degree and the image of each N-monomial
-    are kept in the memo too.  The deadline is checked before each basis
-    element."""
+    C1s^e times the value of spec, for label j.  C0, C1 (weights q^2-1,
+    q^2-q) are x-only and C0s, C1s y-only, so a spec of value bidegree
+    (vx, vy) takes the (a, b) of x-degree dx - vx, each with the (c, e) of
+    y-degree dy - vy.  The bidegree of each basis value and the image of
+    each N-monomial are kept in the memo too.  The deadline is checked
+    before each basis element."""
     q = ctx.q
     w1 = q * q - 1
     w2 = q * q - q
+
+    def splits(r):   # (a, b) with a*w1 + b*w2 = r, a ascending
+        return [(a, (r - a * w1) // w2) for a in range(r // w1 + 1)
+                if (r - a * w1) % w2 == 0]
 
     cols = []
     labels = []
     for spec in ctx.enumerate_basis():
         check_deadline(deadline)
-        dv = spec.degree(q)
-        if dv > degree:
+        if spec.degree(q) > degree:
             continue
         value = ctx.basis_value(spec)
         vx, vy = ctx.memo(("bidegree", spec),
                           lambda: ctx.r4_bidegree(value))
-        monos = ctx.memo(("nmonomials", degree - dv),
-                         lambda: _n_monomials(q, degree - dv))
-        for mono in monos:
-            a, b, c, e = mono
-            if (vx + a * w1 + b * w2, vy + c * w1 + e * w2) != (dx, dy):
-                continue
-            labels.append((spec, mono))
-            image = ctx.memo(("nimage",) + mono, lambda: (
-                ctx.c(0) ** a * ctx.c(1) ** b * ctx.cs(0) ** c
-                * ctx.cs(1) ** e))
-            cols.append(_block_vector(image * value, dx, dy))
+        for a, b in splits(dx - vx):
+            for c, e in splits(dy - vy):
+                mono = (a, b, c, e)
+                labels.append((spec, mono))
+                image = ctx.memo(("nimage",) + mono, lambda: (
+                    ctx.c(0) ** a * ctx.c(1) ** b * ctx.cs(0) ** c
+                    * ctx.cs(1) ** e))
+                cols.append(_block_vector(image * value, dx, dy))
     if not cols:
         raise NotExpressible("no module candidates in degree %d" % degree)
     matrix = np.array(cols, dtype=np.uint8).T  # field indices are < 256
@@ -591,6 +575,8 @@ def _fit_in_module(ctx, target, degree, deadline=None):
     """Write a bihomogeneous invariant as an N-combination of the basis, by
     exact linear algebra in its bidegree block.  Returns BasisSpec -> N-poly
     (a polynomial supported on C0, C1, C0s, C1s), or raises NotExpressible.
+    It needs only the basis values, no Groebner basis.  Labels are unique
+    within a block, so each nonzero entry of the solution is one term.
 
     The block matrix depends only on (degree, bidegree), so each context
     builds it once and keeps it in its memo under ("fit", degree, dx, dy),
@@ -599,60 +585,46 @@ def _fit_in_module(ctx, target, degree, deadline=None):
     is built per target, and every target's solution is re-checked against
     the whole block by linalg.solve_factored.
     """
-    field = ctx.field
-    S = ctx.S7
     dx, dy = ctx.r4_bidegree(target)
     labels, block = ctx.memo(("fit", degree, dx, dy), lambda: _build_fit_block(
         ctx, degree, dx, dy, deadline))
     fact = ctx.memo(("factor", degree, dx, dy),
-                    lambda: linalg.factor_field(block, field))
+                    lambda: linalg.factor_field(block, ctx.field))
     sol = linalg.solve_factored(fact, block, _block_vector(target, dx, dy),
-                                field)
+                                ctx.field)
     if sol is None:
         raise NotExpressible("target of degree %d is outside the module "
                              "span" % degree)
 
     ell = {}
-    for x, (spec, (a, b, c, e)) in zip(sol, labels):
-        if not x:
-            continue
-        key = S.pack((a, b, c, e, 0, 0, 0))
-        cur = ell.get(spec)
-        if cur is None:
-            cur = ell[spec] = Polynomial(S, {})
-        cur.terms[key] = field.add_i(cur.terms.get(key, 0), x)
-    return {spec: poly for spec, poly in ell.items() if poly}
+    for x, (spec, mono) in zip(sol, labels):
+        if x:
+            ell.setdefault(spec, {})[ctx.S7.pack(mono + (0, 0, 0))] = x
+    return {spec: Polynomial(ctx.S7, terms) for spec, terms in ell.items()}
 
 
-def reduce_product(field, spec_f, spec_g, gb=None, deadline=None):
+def reduce_product(field, spec_f, spec_g, deadline=None):
     """Certificate that the product of two basis elements lies in the free
     module modulo the relation ideal: an N-combination ell plus cofactors
-    witnessing f*g - ell as an exact combination of the five relations."""
+    witnessing f*g - ell as an exact combination of the five relations.
+    ell is fitted first; one tracked reduction of pf*pg - ell then gives 0."""
     ctx = context(field)
     q = ctx.q
     spec_f.validate(q)
     spec_g.validate(q)
-    pf = ctx.basis_pullback(spec_f)
-    pg = ctx.basis_pullback(spec_g)
-    prod = pf * pg
     degree = spec_f.degree(q) + spec_g.degree(q)
-    if gb is None or gb.bound < degree:
-        gb = _cached_gb(ctx, degree, deadline)
-    rem, cof = normal_form(prod, gb, track=True)
-    cof1 = cofactors_on_inputs(gb, cof)
-
     target = ctx.basis_value(spec_f) * ctx.basis_value(spec_g)
     ell = _fit_in_module(ctx, target, degree, deadline=deadline)
 
-    ell_s7 = ctx.S7.zero
+    diff = ctx.basis_pullback(spec_f) * ctx.basis_pullback(spec_g)
     for spec, npoly in ell.items():
-        ell_s7 = ell_s7 + npoly * ctx.basis_pullback(spec)
-    rem2, cof_extra = normal_form(rem - ell_s7, gb, track=True)
-    if rem2:
+        diff = diff - npoly * ctx.basis_pullback(spec)
+    gb = _cached_gb(ctx, degree, deadline)
+    rem, cof = normal_form(diff, gb, track=True)
+    if rem:
         raise NotExpressible("normal form of the fitted remainder is not 0")
-    cof2 = cofactors_on_inputs(gb, cof_extra)
-    cofactors = [a + b for a, b in zip(cof1, cof2)]
-    return ReductionCertificate(q, spec_f, spec_g, ell, cofactors)
+    return ReductionCertificate(q, spec_f, spec_g, ell,
+                                cofactors_on_inputs(gb, cof))
 
 
 def verify_certificate(field, cert):
@@ -736,7 +708,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
 
     for f, g in pairs:
         def one(a=f, b=g):
-            cert = reduce_product(field, a, b, gb=gb, deadline=deadline)
+            cert = reduce_product(field, a, b, deadline=deadline)
             return verify_certificate(field, cert)
         rec.run("reduce(%s,%s)" % (f.label(), g.label()), one)
 
@@ -922,7 +894,8 @@ def negative_controls(field, max_degree=None, deadline=None):
     rec.run("misplaced-family-C", misplaced_family)
 
     def noninvariant():
-        ok, witness = is_invariant(ctx.R4.var("x1"), enumerate_gl2(field))
+        ok, witness = is_invariant(ctx.R4.var("x1"), enumerate_gl2(field),
+                                   deadline)
         if not ok:
             return True, "x1 moved by %r" % (witness,)
         return False, "x1 reported invariant"

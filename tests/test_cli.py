@@ -1,11 +1,14 @@
 """Exit codes, output documents, and the printable polynomial catalog."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import modinvar
 from modinvar.cli import main
 
 
@@ -156,9 +159,13 @@ def test_timeout_exit_three(capsys):
 
 
 def test_console_script_installed():
+    # the child imports the same modinvar as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modinvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "modinvar.cli",
                           "show", "d2", "--q", "2"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout.strip() == "x1^2*x2 + x1*x2^2"
 
@@ -170,9 +177,23 @@ def test_extension_field_with_modulus(capsys):
     assert json.loads(out)["overall"] == "pass"
 
 
-@pytest.mark.parametrize("modulus", ("1,1,1", "x+1", "t^x"))
+@pytest.mark.parametrize("modulus", (
+    "1,1,1", "x+1", "t^x",
+    pytest.param("t^%s+1" % ("9" * 5000), id="5000-digit-exponent")))
 def test_malformed_modulus_exits_two(capsys, modulus):
     code, _, err = run_cli(capsys, "relations", "--q", "4",
                            "--modulus", modulus)
     assert code == 2
     assert "FieldError" in err
+
+
+@pytest.mark.parametrize("modulus", ("t^3000000000+1", "t^9+t+1"))
+def test_modulus_exponent_does_not_size_memory(capsys, modulus):
+    # the degree is checked before any coefficient tuple is built: t^3e9
+    # would otherwise ask for about 24 GB
+    t0 = time.monotonic()
+    code, _, err = run_cli(capsys, "relations", "--q", "4",
+                           "--modulus", modulus)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert "UnsupportedSize" in err

@@ -1,8 +1,11 @@
 """Field arithmetic: exhaustive axioms at every supported size."""
 
+import time
+
 import pytest
 
 from modinvar.gf import (
+    FieldError,
     FieldMismatch,
     NotPrime,
     Reducible,
@@ -11,6 +14,7 @@ from modinvar.gf import (
     ff_make,
     parse_modulus,
 )
+from modinvar.mpoly import PolyRing
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -120,3 +124,28 @@ def test_cross_field_mixing_rejected():
     b = ff_from_q(8).one
     with pytest.raises(FieldMismatch):
         a + b
+
+
+def test_literal_exponent_is_reduced_by_squaring():
+    # t has order 3 in GF(4), so t^(3*10^9) = 1; the exponent must not set
+    # the number of steps
+    F = ff_from_q(4)
+    R = PolyRing(F, ("x", "y"))
+    t0 = time.monotonic()
+    assert R.parse("[t^3000000000]*x") == R.var("x")
+    assert F.parse_literal("[t^3000000001+t^2]") == F.parse_literal("[1]")
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_modulus_degree_is_checked_before_the_tuple():
+    t0 = time.monotonic()
+    with pytest.raises(UnsupportedSize):
+        parse_modulus("t^3000000000+1", 2)
+    with pytest.raises(UnsupportedSize):
+        ff_from_q(4, modulus="t^3000000+1")
+    with pytest.raises(FieldError):
+        parse_modulus("t^%s" % ("9" * 5000), 3)
+    assert time.monotonic() - t0 < 1.0
+    assert parse_modulus("t^8+t^4+t^3+t+1", 2) == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    with pytest.raises(UnsupportedSize):
+        parse_modulus("t^4+1", 5)    # GF(625)

@@ -1,6 +1,7 @@
 """Check suites, report format, and reduction certificates."""
 
 import hashlib
+import itertools
 import json
 import time
 
@@ -157,6 +158,32 @@ def test_elimination_budget_is_a_real_bound():
     assert time.monotonic() - start < 1.5
     assert [(it.name, it.status) for it in rep.items] == \
         [("lex-elimination", "timeout"), ("ideal-equality", "skipped")]
+
+
+def test_invariance_budget_is_a_real_bound():
+    # at q=7 one generator's check over all of GL2 runs for seconds, so the
+    # budget must be checked per group element, not only between items
+    start = time.monotonic()
+    rep = check_invariance(ff_from_q(7), deadline=start + 0.3)
+    assert time.monotonic() - start < 1.5
+    assert rep.items[0].status == "timeout"
+    assert all(it.status == "skipped" for it in rep.items[1:])
+    assert rep.items[-1].name == "d2-control"
+
+
+def test_invariance_passes_its_budget_to_every_item(monkeypatch):
+    seen = []
+    fixed = verify.is_invariant
+
+    def spy(f, elements, deadline=None):
+        seen.append(deadline)
+        return fixed(f, elements, deadline)
+
+    monkeypatch.setattr(verify, "is_invariant", spy)
+    deadline = time.monotonic() + 600
+    rep = check_invariance(ff_from_q(3), deadline=deadline)
+    assert rep.overall == "pass"
+    assert seen == [deadline] * len(rep.items)    # d2-control included
 
 
 @pytest.mark.slow
@@ -417,6 +444,59 @@ def test_products_build_each_fit_block_once(monkeypatch):
         assert block.dtype == np.uint8
         assert block.shape == ((key[2] + 1) * (key[3] + 1), len(labels))
         assert block.tobytes() == built[key[1:]]
+
+
+def test_fit_block_labels_match_a_brute_force_enumeration(monkeypatch):
+    """Every block of the q=3 census lists every basis spec times every
+    N-monomial C0^a C1^b C0s^c C1s^e of the block's bidegree, in
+    lexicographic order."""
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    field = ff_from_q(3)
+    assert check_products(field, sample="all").overall == "pass"
+    ctx = context_for_q(3)
+    w1, w2 = 8, 6
+    bidegrees = {spec: ctx.r4_bidegree(ctx.basis_value(spec))
+                 for spec in ctx.enumerate_basis()}
+    keys = _memo_keys(ctx, "fit")
+    assert len(keys) == 145
+    for key in keys:
+        _fit, degree, dx, dy = key
+        expect = []
+        for spec, (vx, vy) in bidegrees.items():
+            for mono in itertools.product(
+                    range(dx // w1 + 1), range(dx // w2 + 1),
+                    range(dy // w1 + 1), range(dy // w2 + 1)):
+                a, b, c, e = mono
+                if (vx + a * w1 + b * w2, vy + c * w1 + e * w2) == (dx, dy):
+                    expect.append((spec, mono))
+        labels = ctx._memo[key][0]
+        assert list(labels) == expect
+        assert verify._build_fit_block(ctx, degree, dx, dy, None)[0] \
+            == labels
+
+
+@pytest.mark.parametrize("q,pairs", (
+    (2, (("A:1,1,0", "A:1,1,0"), ("A:0,0,0", "B:0,0,1,0"))),
+    (3, (("A:2,1,1", "B:1,1,3,1"), ("Cs:1,0,0", "A:0,1,0"))),
+), ids=("q=2", "q=3"))
+def test_reduce_product_makes_one_reduction(monkeypatch, q, pairs):
+    calls = {"normal_form": 0, "cofactors_on_inputs": 0}
+
+    def spy(name):
+        orig = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, spy(name))
+    field = ff_from_q(q)
+    for n, (f, g) in enumerate(pairs, 1):
+        cert = reduce_product(field, BasisSpec.parse(f), BasisSpec.parse(g))
+        assert calls == {"normal_form": n, "cofactors_on_inputs": n}
+        assert verify_certificate(field, cert)[0]
 
 
 def test_target_outside_the_span_fails_on_cold_and_warm_blocks():
