@@ -15,7 +15,8 @@ import time
 
 from . import verify
 from ._version import __version__
-from .gens import RELATION_NAMES, BasisSpec, GensError, context, s7_weights
+from .gens import RELATION_NAMES, BasisSpec, GensError, context, \
+    identity_indices, s7_weights
 from .gf import FieldError, NotPrime, ff_from_q
 from .groebner import DegreeBoundExceeded, TimeoutExceeded
 from .mpoly import PolyError
@@ -45,9 +46,14 @@ SHOW_NAMES = sorted(_R4_SHOW) + ["h"] + sorted(_S7_SHOW) \
 
 
 def _field_from_args(args):
+    """The field of --q and --modulus.  Then, before any work, --out must
+    open for writing: an OSError here exits 2."""
     if args.q not in SUPPORTED_Q:
         raise NotPrime("q must be one of %s" % (SUPPORTED_Q,))
-    return ff_from_q(args.q, modulus=args.modulus)
+    field = ff_from_q(args.q, modulus=args.modulus)
+    if args.out not in (None, "-"):
+        open(args.out, "a").close()
+    return field
 
 
 def _emit(text, out):
@@ -70,68 +76,50 @@ def _deadline(args):
     return time.monotonic() + args.timeout_secs
 
 
-def cmd_relations(args):
-    field = _field_from_args(args)
-    return _finish(verify.check_relations(field, deadline=_deadline(args)),
-                   args)
+def _max_degree(args):
+    bound = args.max_degree
+    return {"max_degree": verify.default_max_degree(args.q)
+            if bound is None else bound}
 
 
-def cmd_invariance(args):
-    field = _field_from_args(args)
-    return _finish(verify.check_invariance(field, deadline=_deadline(args)),
-                   args)
-
-
-def cmd_hilbert(args):
-    field = _field_from_args(args)
-    degree = args.max_degree
-    if degree is None:
-        degree = verify.default_max_degree(args.q)
-    return _finish(verify.check_hilbert(field, degree,
-                                        deadline=_deadline(args)), args)
-
-
-def cmd_kernel(args):
-    field = _field_from_args(args)
-    degree = args.max_degree
-    if degree is None:
-        degree = verify.default_max_degree(args.q)
-    return _finish(verify.check_kernel(field, degree,
-                                       deadline=_deadline(args)), args)
-
-
-def cmd_products(args):
-    field = _field_from_args(args)
+def _sample(args):
     sample = args.sample
     if sample is None:
         sample = "all" if args.q == 2 else "100"
     # check_products rejects a bad count with VerifyError, which exits 2
-    return _finish(verify.check_products(field, sample=sample,
-                                         seed=args.seed,
-                                         deadline=_deadline(args)), args)
+    return {"sample": sample, "seed": args.seed}
+
+
+def cmd_suite(args):
+    """Run verify.check_<command> with the keyword arguments of the suite's
+    rule."""
+    field = _field_from_args(args)
+    check = getattr(verify, "check_" + args.command)
+    return _finish(check(field, deadline=_deadline(args),
+                         **args.suite_args(args)), args)
 
 
 def cmd_show(args):
-    field = _field_from_args(args)
-    ctx = context(field)
     name = args.name
+    if name not in SHOW_NAMES:
+        raise GensError("unknown name %r; choose one of %s"
+                        % (name, ", ".join(SHOW_NAMES)))
+    ctx = context(_field_from_args(args))
+    indices = range(ctx.q) if name == "h" else identity_indices(name, ctx.q)
+    s = args.s
+    if indices is None:
+        if s is not None:
+            raise GensError("%s takes no index --s" % name)
+    elif s is None:
+        s = indices[0]
     if name == "h":
-        s = args.s if args.s is not None else 0
         poly = ctx.h(s)
     elif name in _R4_SHOW:
         poly = _R4_SHOW[name](ctx)
     elif name in _S7_SHOW:
         poly = ctx.w_poly() if name == "W" else ctx.relation(name)
-    elif name in _IDENTITY_SHOW:
-        if name in ("Rs", "Ks", "Kss", "HsId"):
-            s = args.s if args.s is not None else (0 if name in
-                                                   ("Rs", "HsId") else 1)
-            poly = ctx.identity_poly(name, s=s)
-        else:
-            poly = ctx.identity_poly(name)
     else:
-        raise GensError("unknown name %r; choose one of %s"
-                        % (name, ", ".join(SHOW_NAMES)))
+        poly = ctx.identity_poly(name, s=s)
     _emit(str(poly), args.out)
     return 0
 
@@ -178,47 +166,54 @@ def build_parser():
                     "invariant ring built from seven explicit generators.")
     parser.add_argument("--version", action="version",
                         version="modinvar %s" % __version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, default=2,
-                        help="field size, one of %s" % (SUPPORTED_Q,))
-    common.add_argument("--modulus", default=None,
-                        help="irreducible modulus for an extension field, "
-                             "e.g. 't^2+t+1'")
-    common.add_argument("--max-degree", type=int, default=None,
+    # parent parsers: each subcommand takes only the flags it reads
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--q", type=int, default=2,
+                       help="field size, one of %s" % (SUPPORTED_Q,))
+    field.add_argument("--modulus", default=None,
+                       help="irreducible modulus for an extension field, "
+                            "e.g. 't^2+t+1'")
+    field.add_argument("--out", default=None,
+                       help="output path (default: standard output)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--timeout-secs", type=int, default=600)
+    run.add_argument("--format", choices=("json", "text"), default="json")
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--max-degree", type=int, default=None,
                         help="degree bound (default 24 for q=2, else "
                              "2(q^2-1), the degree of T00)")
-    common.add_argument("--timeout-secs", type=int, default=600)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--sample", default=None,
-                        help="products: 'all' or a pair count "
+    sample = argparse.ArgumentParser(add_help=False)
+    sample.add_argument("--sample", default=None,
+                        help="'all' or a pair count "
                              "(default: all for q=2, 100 otherwise)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--out", default=None,
-                        help="output path (default: standard output)")
-    common.add_argument("--s", type=int, default=None,
-                        help="family index for h and the R/K identities")
+    sample.add_argument("--seed", type=int, default=0)
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, blurb in (
-            ("relations", cmd_relations,
+    # each suite with its extra flags and its rule for the keyword arguments
+    # that cmd_suite passes to verify.check_<suite>
+    for name, extra, rule, blurb in (
+            ("relations", [], lambda args: {},
              "expand every defining identity and check it is 0"),
-            ("invariance", cmd_invariance,
+            ("invariance", [], lambda args: {},
              "act with the full matrix groups on the generators"),
-            ("hilbert", cmd_hilbert,
+            ("hilbert", [degree], _max_degree,
              "compare the three degreewise dimension counts"),
-            ("kernel", cmd_kernel,
+            ("kernel", [degree], _max_degree,
              "certify the relation ideal equals the evaluation kernel"),
-            ("products", cmd_products,
+            ("products", [sample], _sample,
              "reduce products of basis elements to module certificates")):
-        p = sub.add_parser(name, parents=[common], help=blurb)
-        p.set_defaults(func=fn)
+        p = sub.add_parser(name, parents=[field, run] + extra, help=blurb)
+        p.set_defaults(func=cmd_suite, suite_args=rule)
 
-    p = sub.add_parser("show", parents=[common],
+    p = sub.add_parser("show", parents=[field],
                        help="print a named polynomial")
     p.add_argument("name", help="one of: %s" % ", ".join(SHOW_NAMES))
+    p.add_argument("--s", type=int, default=None,
+                   help="family index for h and the R/K/H identities "
+                        "(default: the first)")
     p.set_defaults(func=cmd_show)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[field, run],
                        help="certificate for one product of basis elements")
     p.add_argument("f", help="basis spec, e.g. A:1,1,0 or B:0,0,1,0")
     p.add_argument("g", help="basis spec, e.g. C:1,0,0 or Cs:1,0,0")
@@ -237,6 +232,9 @@ def main(argv=None):
     except (FieldError, GensError, PolyError, DegreeBoundExceeded,
             verify.VerifyError) as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
+        return 2
+    except OSError as exc:  # --out cannot be written
+        sys.stderr.write("OSError: %s\n" % exc)
         return 2
 
 

@@ -39,15 +39,30 @@ class UnknownName(GensError):
     pass
 
 
-def s7_weights(q):
-    """Weighted degrees matching the images: deg c0 = q^2-1 and so on."""
-    return (q * q - 1, q * q - q, q * q - 1, q * q - q, q + 1, 2, q + 1)
-
-
 def s7_bidegrees(q):
     """(x-degree, y-degree) of each abstract variable's image."""
     return ((q * q - 1, 0), (q * q - q, 0), (0, q * q - 1), (0, q * q - q),
             (1, q), (1, 1), (q, 1))
+
+
+def s7_weights(q):
+    """Weighted degrees matching the images: deg c0 = q^2-1 and so on, each
+    the x-degree plus the y-degree."""
+    return tuple(a + b for a, b in s7_bidegrees(q))
+
+
+def identity_indices(name, q):
+    """The range of s for an indexed identity of the catalogue, None for an
+    identity without an index: Rs takes 0..q-2, Ks and Kss 1..q-1, HsId
+    0..q-1.  identity_poly checks s against it, the relations suite checks
+    every s in it, and `show` defaults to its first."""
+    if name == "Rs":
+        return range(q - 1)
+    if name in ("Ks", "Kss"):
+        return range(1, q)
+    if name == "HsId":
+        return range(q)
+    return None
 
 
 @dataclass(frozen=True)
@@ -378,8 +393,13 @@ class InvariantContext:
     # ---- identity polynomials (must expand to zero) ----------------------
 
     def identity_poly(self, name, s=None):
-        """Base-ring difference for each named relation; zero iff it holds."""
+        """Base-ring difference for each named relation; zero iff it holds.
+        An indexed identity takes s in identity_indices(name, q)."""
         q = self.q
+        indices = identity_indices(name, q)
+        if indices is not None and s not in indices:
+            raise IndexOutOfRange("%s needs %d <= s <= %d, got %r"
+                                  % (name, indices[0], indices[-1], s))
         u, d, ds, c, cs, h = self.u, self.d, self.ds, self.c, self.cs, self.h
         if name == "T0":
             return c(0) * u(0) - c(1) * u(1) + u(2)
@@ -402,23 +422,15 @@ class InvariantContext:
                 - (c(1) * cs(0) - cs(1) * u(1) ** (q - 1)
                    - u(-1) * u(0) * self.delta_r4())
         if name == "Rs":
-            if s is None or not 0 <= s <= q - 2:
-                raise IndexOutOfRange("Rs needs 0 <= s <= q-2")
             return h(s) * u(1) - u(0) * u(-1) ** (q - 1 - s) * d(2) ** s \
                 - ds(2) * h(s + 1)
         if name == "Ks":
-            if s is None or not 1 <= s <= q - 1:
-                raise IndexOutOfRange("Ks needs 1 <= s <= q-1")
             return h(s) * ds(2) ** s - cs(1) * u(1) ** s \
                 - u(-1) ** (q - s) * u(0) * self.ks_sum(s)
         if name == "Kss":
-            if s is None or not 1 <= s <= q - 1:
-                raise IndexOutOfRange("Kss needs 1 <= s <= q-1")
             return h(q - 1 - s) * d(2) ** s - c(1) * u(-1) ** s \
                 - u(0) * u(1) ** (q - s) * self.ks_sum(s)
         if name == "HsId":
-            if s is None or not 0 <= s <= q - 1:
-                raise IndexOutOfRange("HsId needs 0 <= s <= q-1")
             return u(0) ** q * h(s) * ds(2) ** s - cs(0) * u(1) ** (s + 1) \
                 - u(-1) ** (q - s) * (d(2) * ds(2)) ** s
         raise UnknownName("no identity named %r" % (name,))

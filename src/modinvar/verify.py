@@ -22,10 +22,11 @@ from . import linalg
 from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
     involution_star, invariant_dimension, is_invariant
-from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, context, s7_weights
+from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, context, \
+    identity_indices, s7_weights
 from .groebner import TimeoutExceeded, buchberger, check_deadline, \
     cofactors_on_inputs, normal_form, standard_monomial_count
-from .mpoly import CHUNK, MASK, Polynomial, PolyRing
+from .mpoly import CHUNK, EXP_CAP, MASK, Polynomial, PolyRing
 
 
 class VerifyError(Exception):
@@ -156,6 +157,15 @@ def default_max_degree(q):
     return 24 if q == 2 else 2 * (q * q - 1)
 
 
+def _check_max_degree(max_degree):
+    """A degree bound must be nonnegative and fit in a packed key."""
+    if max_degree < 0:
+        raise VerifyError("max_degree must be nonnegative")
+    if max_degree > EXP_CAP:
+        raise VerifyError("max_degree must be at most %d, the largest "
+                          "weighted degree a packed key holds" % EXP_CAP)
+
+
 # ---------------------------------------------------------------------------
 # shared results, kept in the per-field context's memo
 
@@ -178,6 +188,14 @@ def _cached_gb(ctx, bound, deadline=None):
     bases = ctx.memo("gb", dict)
     top = max(bases, default=-1)
     return bases[top] if top >= bound else _exact_gb(ctx, bound, deadline)
+
+
+def _groebner_item(ctx, bound, deadline, state):
+    """The groebner item of the hilbert and kernel suites: the exact-bound
+    basis, kept in state["gb"] for the items after it."""
+    gb = state["gb"] = _exact_gb(ctx, bound, deadline)
+    return True, "%d basis elements, %d pairs processed" \
+        % (len(gb.basis), gb.pairs_processed)
 
 
 def _cached_dim(ctx, d, deadline=None):
@@ -234,18 +252,11 @@ def check_relations(field, deadline=None):
 
     for name in ("T0", "T1", "T1s", "K00", "T00", "T10", "T01", "delta"):
         rec.run(name, lambda n=name: _zero_item(ctx.identity_poly(n)))
-    for s in range(q - 1):
-        rec.run("Rs(%d)" % s,
-                lambda v=s: _zero_item(ctx.identity_poly("Rs", s=v)))
-    for s in range(1, q):
-        rec.run("Ks(%d)" % s,
-                lambda v=s: _zero_item(ctx.identity_poly("Ks", s=v)))
-    for s in range(1, q):
-        rec.run("Kss(%d)" % s,
-                lambda v=s: _zero_item(ctx.identity_poly("Kss", s=v)))
-    for s in range(q):
-        rec.run("Hs(%d)" % s,
-                lambda v=s: _zero_item(ctx.identity_poly("HsId", s=v)))
+    for name, label in (("Rs", "Rs"), ("Ks", "Ks"), ("Kss", "Kss"),
+                        ("HsId", "Hs")):
+        for s in identity_indices(name, q):
+            rec.run("%s(%d)" % (label, s), lambda n=name, v=s: _zero_item(
+                ctx.identity_poly(n, s=v)))
 
     def hdiv(s):
         back = ctx.h(s) * ctx.u(0) ** q
@@ -329,8 +340,7 @@ def check_invariance(field, deadline=None):
 
 
 def check_hilbert(field, max_degree, deadline=None):
-    if max_degree < 0:
-        raise VerifyError("max_degree must be nonnegative")
+    _check_max_degree(max_degree)
     ctx = context(field)
     q = ctx.q
     rec = _Recorder(deadline)
@@ -345,14 +355,8 @@ def check_hilbert(field, max_degree, deadline=None):
     rec.run("census", census)
 
     state = {}
-
-    def make_gb():
-        gb = _exact_gb(ctx, max_degree, deadline)
-        state["gb"] = gb
-        return True, "%d basis elements, %d pairs processed" \
-            % (len(gb.basis), gb.pairs_processed)
-
-    rec.run("groebner", make_gb)
+    rec.run("groebner",
+            lambda: _groebner_item(ctx, max_degree, deadline, state))
     series = hilbert_series_from_basis(ctx, max_degree)
 
     for d in range(max_degree + 1):
@@ -381,75 +385,50 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     weighted degree d and ranks[d] the dimension of their image span.
     Raises TimeoutExceeded when the deadline passes during the enumeration
     or before a block's rank.
+
+    The walk fixes one exponent after another and carries the packed key,
+    the bidegree (a, b) and the image of the prefix; its weighted degree is
+    a + b.  A prefix is pruned once a leading term divides its key, by a
+    plain scan of gb.lt_keys: standard_monomial_count, which the
+    standard-monomials item compares against, uses gb.index instead, so
+    the two counts rest on two divisibility tests.
     """
     S = ctx.S7
-    field = ctx.field
     n = S.n
-    weights = S.weights
     images = [ctx.pi_images()[name] for name in S7_NAMES]
     bidegs = ctx.bidegrees
-    lts = [S.unpack(k) for k in gb.lt_keys]
+    units = [S.pack(tuple(int(i == j) for j in range(n))) for i in range(n)]
 
     counts = [0] * (bound + 1)
     buckets = {}
-    exps = [0] * n
 
-    def dominated(pos):
-        # some leading term fits inside the exponents fixed so far
-        for lt in lts:
-            ok = True
-            for i in range(n):
-                if i <= pos:
-                    if lt[i] > exps[i]:
-                        ok = False
-                        break
-                elif lt[i]:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    def emit(poly, wd):
-        a = b = 0
-        for i in range(n):
-            if exps[i]:
-                da, db = bidegs[i]
-                a += exps[i] * da
-                b += exps[i] * db
-        counts[wd] += 1
-        buckets.setdefault((wd, a, b), []).append(_block_vector(poly, a, b))
-
-    def rec(pos, poly, wd):
+    def walk(pos, key, poly, a, b):
         check_deadline(deadline)
         if pos == n:
-            emit(poly, wd)
+            counts[a + b] += 1
+            buckets.setdefault((a, b), []).append(_block_vector(poly, a, b))
             return
-        e = 0
-        cur = poly
-        while True:
-            exps[pos] = e
-            if dominated(pos):
+        da, db = bidegs[pos]
+        while not any(S.key_divides(lt, key) for lt in gb.lt_keys):
+            walk(pos + 1, key, poly, a, b)
+            a += da
+            b += db
+            if a + b > bound:
                 break
-            rec(pos + 1, cur, wd + e * weights[pos])
-            e += 1
-            if wd + e * weights[pos] > bound:
-                break
-            cur = cur * images[pos]
-        exps[pos] = 0
+            key += units[pos]
+            poly = poly * images[pos]
 
-    rec(0, ctx.R4.one, 0)
+    walk(0, 0, ctx.R4.one, 0, 0)
 
     ranks = [0] * (bound + 1)
-    for (wd, _a, _b), rows in sorted(buckets.items()):
+    for (a, b), rows in sorted(buckets.items()):
         check_deadline(deadline)
-        ranks[wd] += linalg.rank_field(rows, field)
+        ranks[a + b] += linalg.rank_field(rows, ctx.field)
     return counts, ranks
 
 
 def check_kernel(field, max_degree, deadline=None):
-    if max_degree < 0:
-        raise VerifyError("max_degree must be nonnegative")
+    _check_max_degree(max_degree)
     ctx = context(field)
     q = ctx.q
     rec = _Recorder(deadline)
@@ -466,14 +445,8 @@ def check_kernel(field, max_degree, deadline=None):
     rec.run("relations-in-kernel", vanishing)
 
     state = {}
-
-    def make_gb():
-        gb = _exact_gb(ctx, max_degree, deadline)
-        state["gb"] = gb
-        return True, "%d basis elements, %d pairs processed" \
-            % (len(gb.basis), gb.pairs_processed)
-
-    rec.run("groebner", make_gb)
+    rec.run("groebner",
+            lambda: _groebner_item(ctx, max_degree, deadline, state))
 
     def image_ranks():
         counts, ranks = _standard_image_ranks(ctx, state["gb"], max_degree,
@@ -655,6 +628,13 @@ def verify_certificate(field, cert):
         % sum(len(p) for p in cert.ell.values())
 
 
+def _congruence(lhs, rhs, gb):
+    red = normal_form(lhs - rhs, gb)
+    if not red:
+        return True, "congruence holds"
+    return False, "nonzero normal form: %s" % _clip(red)
+
+
 def _carry_decomposition(q):
     bad = []
     for i1 in range(q):
@@ -716,26 +696,14 @@ def check_products(field, sample="all", seed=0, deadline=None):
     U1 = ctx.S7var("U1")
     Um1 = ctx.S7var("Um1")
 
-    def ks1():
-        lhs = Um1 ** (q - 1) * U0
-        rhs = ctx.S7var("C1s") * U1 - ctx.z_pullback(1, 0, 0)
-        red = normal_form(lhs - rhs, gb)
-        if not red:
-            return True, "congruence holds"
-        return False, "nonzero normal form: %s" % _clip(red)
-
-    rec.run("congruence:base", ks1)
-
+    rec.run("congruence:base", lambda: _congruence(
+        Um1 ** (q - 1) * U0,
+        ctx.S7var("C1s") * U1 - ctx.z_pullback(1, 0, 0), gb))
     for s in range(1, q - 1):
-        def step(v=s):
-            lhs = ctx.z_pullback(v, 0, 0) * U1
-            rhs = U0 * Um1 ** (q - 1 - v) * ctx.w_poly() ** v \
-                + ctx.z_pullback(v + 1, 0, 0)
-            red = normal_form(lhs - rhs, gb)
-            if not red:
-                return True, "congruence holds"
-            return False, "nonzero normal form: %s" % _clip(red)
-        rec.run("congruence:recursion(%d)" % s, step)
+        rec.run("congruence:recursion(%d)" % s, lambda v=s: _congruence(
+            ctx.z_pullback(v, 0, 0) * U1,
+            U0 * Um1 ** (q - 1 - v) * ctx.w_poly() ** v
+            + ctx.z_pullback(v + 1, 0, 0), gb))
 
     def decomposition():
         bad = _carry_decomposition(q)
@@ -846,6 +814,7 @@ def negative_controls(field, max_degree=None, deadline=None):
     q = ctx.q
     if max_degree is None:
         max_degree = default_max_degree(q)
+    _check_max_degree(max_degree)
     rec = _Recorder(deadline)
 
     def corrupted_t1():

@@ -9,7 +9,8 @@ import time
 import pytest
 
 import modinvar
-from modinvar.cli import main
+from modinvar import cli, verify
+from modinvar.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +119,19 @@ def test_show_s7_relation(capsys):
     assert out.strip() == "U0^3 + Um1*U1"
 
 
+def test_show_defaults_to_the_first_index(capsys):
+    code, out, _ = run_cli(capsys, "show", "Rs", "--q", "3")
+    assert code == 0
+    assert out.strip() == "0"
+
+
+def test_show_index_of_a_name_without_one_exits_two(capsys):
+    code, out, err = run_cli(capsys, "show", "u0", "--s", "1")
+    assert code == 2
+    assert out == ""
+    assert "takes no index" in err
+
+
 def test_reduce_document(capsys):
     code, out, _ = run_cli(capsys, "reduce", "A:1,1,0", "A:1,1,0",
                            "--q", "2")
@@ -197,3 +211,77 @@ def test_modulus_exponent_does_not_size_memory(capsys, modulus):
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert "UnsupportedSize" in err
+
+
+# a value for each of the nine flags, and the flags each subcommand reads
+FLAG_VALUES = {"--q": "2", "--modulus": "t^2+t+1", "--out": "r.json",
+               "--timeout-secs": "5", "--format": "text",
+               "--max-degree": "4", "--sample": "3", "--seed": "1",
+               "--s": "0"}
+SUITE_FLAGS = {"--q", "--modulus", "--out", "--timeout-secs", "--format"}
+READS = {
+    "relations": SUITE_FLAGS,
+    "invariance": SUITE_FLAGS,
+    "reduce": SUITE_FLAGS,
+    "hilbert": SUITE_FLAGS | {"--max-degree"},
+    "kernel": SUITE_FLAGS | {"--max-degree"},
+    "products": SUITE_FLAGS | {"--sample", "--seed"},
+    "show": {"--q", "--modulus", "--out", "--s"},
+}
+POSITIONALS = {"show": ["u0"], "reduce": ["A:0,0,0", "A:0,0,0"]}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command,
+                                                        flag):
+    argv = [command] + POSITIONALS.get(command, []) \
+        + [flag, FLAG_VALUES[flag]]
+    if flag in READS[command]:
+        args = build_parser().parse_args(argv)
+        assert args.command == command
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        # "unrecognized arguments", or for products "ambiguous option: --s"
+        assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ("directory", "missing-parent"))
+@pytest.mark.parametrize("argv", (
+    ["relations", "--q", "2"],
+    ["show", "u0", "--q", "2"],
+    ["reduce", "A:0,0,0", "A:0,0,0", "--q", "2"]), ids=lambda a: a[0])
+def test_unwritable_out_exits_two_before_any_work(monkeypatch, capsys,
+                                                  tmp_path, argv, where):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(verify, "check_relations", spy)
+    monkeypatch.setattr(verify, "reduce_product", spy)
+    monkeypatch.setattr(cli, "context", spy)
+    out = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("OSError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite", ("hilbert", "kernel"))
+def test_degree_bound_beyond_a_packed_key_exits_two(capsys, suite):
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, suite, "--q", "2",
+                             "--max-degree", "32768")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "VerifyError" in err
+    code, out, _ = run_cli(capsys, suite, "--q", "2", "--max-degree", "32767",
+                           "--timeout-secs", "0")
+    assert code == 3

@@ -9,6 +9,7 @@ from modinvar.gens import (
     InvariantContext,
     UnknownName,
     context_for_q,
+    identity_indices,
     s7_bidegrees,
     s7_weights,
 )
@@ -104,6 +105,20 @@ def test_identity_catalog_all_zero():
         ctx.identity_poly("nope")
     with pytest.raises(IndexOutOfRange):
         ctx.identity_poly("Rs", s=q - 1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+@pytest.mark.parametrize("name,lo,hi", (
+    ("Rs", 0, -2), ("Ks", 1, -1), ("Kss", 1, -1), ("HsId", 0, -1)))
+def test_identity_indices_bound_identity_poly(q, name, lo, hi):
+    # lo..q+hi is the index range the catalogue states
+    indices = identity_indices(name, q)
+    assert list(indices) == list(range(lo, q + hi + 1))
+    ctx = context_for_q(q)
+    for s in (lo - 1, q + hi + 1, None):
+        with pytest.raises(IndexOutOfRange):
+            ctx.identity_poly(name, s=s)
+    assert identity_indices("T0", q) is None
 
 
 @pytest.mark.parametrize("q,total", ((2, 6), (3, 48), (4, 180), (5, 480)))

@@ -355,6 +355,47 @@ def test_standard_monomials_check_the_deadline(monkeypatch):
     assert len(ranks) == nranks - 1  # the last check precedes the last rank
 
 
+# SHA-256 of json.dumps([counts, ranks]) of the standard-monomial walk,
+# frozen from the walk over unpacked exponent tuples
+WALK_DIGESTS = {
+    (2, 24): "19f13e3cd066df5a3fe4702ca3d49be7b9ee85ef4a28d050bf5682f1b6179b7f",
+    (3, 40): "5eba9e71ac9f1f84f5b813f44a6bbe9552728d8036318f93b4c9cbb23e3765a5",
+    (4, 40): "9563e3f3ae20d37839153b52168e3c64befbe32aa29e176b1d59324e3071b671",
+}
+
+
+@pytest.mark.parametrize("q,bound", sorted(WALK_DIGESTS))
+def test_standard_image_ranks_frozen(q, bound):
+    ctx = InvariantContext(ff_from_q(q))
+    counts, ranks = verify._standard_image_ranks(
+        ctx, verify._exact_gb(ctx, bound), bound)
+    digest = hashlib.sha256(json.dumps([counts, ranks]).encode()).hexdigest()
+    assert digest == WALK_DIGESTS[q, bound]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_relations_suite_checks_every_identity_index(q):
+    rep = check_relations(ff_from_q(q))
+    indexed = [it.name for it in rep.items if "(" in it.name
+               and it.name.split("(")[0] in ("Rs", "Ks", "Kss", "Hs")]
+    want = ["%s(%d)" % (label, s)
+            for name, label in (("Rs", "Rs"), ("Ks", "Ks"), ("Kss", "Kss"),
+                                ("HsId", "Hs"))
+            for s in gens.identity_indices(name, q)]
+    assert indexed == want
+
+
+@pytest.mark.parametrize("suite", (check_hilbert, check_kernel,
+                                   negative_controls))
+def test_degree_bound_must_fit_a_packed_key(suite):
+    t0 = time.monotonic()
+    with pytest.raises(verify.VerifyError, match="at most 32767"):
+        suite(ff_from_q(2), 32768)
+    with pytest.raises(verify.VerifyError, match="nonnegative"):
+        suite(ff_from_q(2), -1)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_kernel_budget_runs_out_inside_standard_monomials(monkeypatch):
     # the budget expires 40 clock reads after the Groebner item, which is
     # well inside the enumeration of the standard monomials
