@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import _kernels as K
 from . import linalg
 from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
@@ -600,10 +601,41 @@ def reduce_product(field, spec_f, spec_g, deadline=None):
                                 cofactors_on_inputs(gb, cof))
 
 
+def _evaluate_ell(ctx, ell):
+    """pi(sum_b n_b * pullback(b)) as sum_b pi(n_b) * pi(pullback(b)),
+    which equals the full substitution because pi is a ring map: one
+    polynomial product per basis element of ell.  The caller vouches that
+    every n_b is supported on the N-variables C0, C1, C0s, C1s.
+
+    pi(n_b) sums the images of its monomials, each taken by ctx.pi of that
+    single monomial once per context and kept under ("pi", key); the image
+    of each pullback is kept under ("pi-pullback", spec).  So the memo holds
+    one entry per N-monomial and per basis element that ever occur, however
+    many certificates are verified, and the construction reads none of it.
+    Memoizing the image of every 7-variable monomial instead would hold
+    far more: pullbacks have many more terms than N-coefficients."""
+    fld = ctx.field
+    total = {}
+    for spec, npoly in ell.items():
+        coef = {}
+        for key, cidx in npoly.terms.items():
+            image = ctx.memo(("pi", key), lambda: ctx.pi(
+                Polynomial(ctx.S7, {key: 1})))
+            K.iadd_scaled(coef, image.terms, cidx, 0, fld)
+        product = Polynomial(ctx.R4, coef) * ctx.memo(
+            ("pi-pullback", spec), lambda: ctx.pi(ctx.basis_pullback(spec)))
+        K.iadd_scaled(total, product.terms, 1, 0, fld)
+    return Polynomial(ctx.R4, total)
+
+
 def verify_certificate(field, cert):
     """Re-verify a certificate by pure expansion: the exact 7-variable
-    cofactor identity and the evaluated module identity.  Shares nothing with
-    the construction beyond polynomial arithmetic."""
+    cofactor identity on the full ell, then the evaluated module identity
+    pi(ell) = f*g in the base ring, with pi(ell) taken one basis element at
+    a time (_evaluate_ell).  Shares nothing with the construction beyond
+    polynomial arithmetic: it reads no fit block, factorization, fit-side
+    N-monomial image or Groebner basis, and takes the image of a pullback
+    from pi, never from basis_value."""
     ctx = context(field)
     for npoly in cert.ell.values():
         for key in npoly.terms:
@@ -622,7 +654,7 @@ def verify_certificate(field, cert):
         return False, "cofactor identity fails: %s" % _clip(lhs - rhs)
 
     value = ctx.basis_value(cert.f) * ctx.basis_value(cert.g)
-    if ctx.pi(ell_s7) != value:
+    if _evaluate_ell(ctx, cert.ell) != value:
         return False, "evaluated ell does not match the product"
     return True, "certificate verified by expansion (%d ell terms)" \
         % sum(len(p) for p in cert.ell.values())
@@ -718,6 +750,12 @@ def check_products(field, sample="all", seed=0, deadline=None):
         C1 = ctx.S7var("C1")
         C0s = ctx.S7var("C0s")
         C1s = ctx.S7var("C1s")
+        U0q = U0 ** q
+        one = ctx.S7.one
+        # each carry factor is raised to li, lj, lt in {0, 1}: two values
+        carry_i = (one, C1s * U0q - C0s * U1)
+        carry_j = (one, C1 * U0q - C0 * Um1)
+        carry_t = (one, C0 * C0s)
         checked = 0
         a_specs = [sp for sp in specs if sp.kind == "A"]
         for na, fa in enumerate(a_specs):
@@ -727,9 +765,8 @@ def check_products(field, sample="all", seed=0, deadline=None):
                 lt, t3 = divmod(fa.t + gb_spec.t, q - 1)
                 lhs = ctx.x_pullback(fa.i, fa.j, fa.t) \
                     * ctx.x_pullback(gb_spec.i, gb_spec.j, gb_spec.t)
-                rhs = (C1s * U0 ** q - C0s * U1) ** li \
-                    * (C1 * U0 ** q - C0 * Um1) ** lj \
-                    * (C0 * C0s) ** lt * ctx.x_pullback(i3, j3, t3)
+                rhs = carry_i[li] * carry_j[lj] * carry_t[lt] \
+                    * ctx.x_pullback(i3, j3, t3)
                 red = normal_form(lhs - rhs, gb)
                 if red:
                     return False, "pair %s * %s: nonzero normal form %s" \

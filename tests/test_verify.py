@@ -1,8 +1,10 @@
 """Check suites, report format, and reduction certificates."""
 
 import hashlib
+import inspect
 import itertools
 import json
+import random
 import time
 
 import numpy as np
@@ -631,3 +633,121 @@ def test_products_pass_their_budget_to_the_fit(monkeypatch):
                             deadline=deadline)
     assert report.overall == "pass"
     assert seen == [deadline] * 3
+
+
+# ---------------------------------------------------------------------------
+# the verifier's evaluation of ell
+
+
+def _full_pi_of_ell(ctx, ell):
+    """The test oracle: pi of the whole 7-variable ell by one full
+    substitution, as verify_certificate evaluated it before it went one
+    basis element at a time."""
+    ell_s7 = ctx.S7.zero
+    for spec, npoly in ell.items():
+        ell_s7 = ell_s7 + npoly * ctx.basis_pullback(spec)
+    return ctx.pi(ell_s7)
+
+
+@pytest.mark.parametrize("q,sample", ((2, None), (3, None), (4, 20), (5, 20)),
+                         ids=("q=2-all", "q=3-all", "q=4-20", "q=5-20"))
+def test_evaluated_ell_equals_the_full_substitution(q, sample):
+    field = ff_from_q(q)
+    ctx = context_for_q(q)
+    specs = ctx.enumerate_basis()
+    pairs = [(f, g) for n, f in enumerate(specs) for g in specs[n:]]
+    if sample is not None:
+        pairs = random.Random(q).sample(pairs, sample)
+    for f, g in pairs:
+        cert = reduce_product(field, f, g)
+        value = verify._evaluate_ell(ctx, cert.ell)
+        assert value == _full_pi_of_ell(ctx, cert.ell)
+        assert value == ctx.basis_value(f) * ctx.basis_value(g)
+
+
+def _throwaway_context(monkeypatch, field, memo=None):
+    """A fresh context that context(field) returns until the test ends;
+    monkeypatch puts the global context cache back afterwards."""
+    ctx = InvariantContext(field)
+    if memo is not None:
+        ctx._memo = memo
+    monkeypatch.setattr(gens, "_CONTEXTS",
+                        {(field.p, field.s, field.modulus): ctx})
+    return ctx
+
+
+def test_altered_basis_value_fails_only_the_evaluation(monkeypatch):
+    field = ff_from_q(3)
+    f, g = BasisSpec.parse("A:2,1,1"), BasisSpec.parse("B:1,1,3,1")
+    cert = reduce_product(field, f, g)
+    others = [spec for spec in cert.ell if spec not in (f, g)]
+    assert others
+    ctx = _throwaway_context(monkeypatch, field)
+    # the images of ell's pullbacks come from pi, not from basis_value
+    for spec in others:
+        ctx._memo["value", spec] = ctx.basis_value(spec) + ctx.R4.one
+    assert verify_certificate(field, cert)[0]
+    ctx._memo["value", f] = ctx.basis_value(f) + ctx.R4.one
+    assert verify_certificate(field, cert) == \
+        (False, "evaluated ell does not match the product")
+
+
+class _SpyMemo(dict):
+    """A context memo that records every key read or written."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def __getitem__(self, key):
+        self.seen.append(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.seen.append(key)
+        super().__setitem__(key, value)
+
+
+def test_verifier_reads_nothing_of_the_construction(monkeypatch):
+    field = ff_from_q(3)
+    certs = [reduce_product(field, BasisSpec.parse(f), BasisSpec.parse(g))
+             for f, g in (("A:2,1,1", "B:1,1,3,1"), ("Cs:1,0,0", "A:0,1,0"),
+                          ("C:1,2,0", "B:0,1,2,1"), ("A:1,1,0", "A:2,2,1"))]
+    memo = _SpyMemo()
+    _throwaway_context(monkeypatch, field, memo)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verifier called a construction function")
+
+    for name in ("normal_form", "buchberger", "cofactors_on_inputs",
+                 "_cached_gb", "_exact_gb", "_fit_in_module",
+                 "_build_fit_block", "reduce_product"):
+        monkeypatch.setattr(verify, name, forbidden)
+    for name in ("normal_form", "buchberger"):
+        monkeypatch.setattr(groebner, name, forbidden)
+    for name, fn in vars(linalg).items():
+        if inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
+            monkeypatch.setattr(linalg, name, forbidden)
+
+    for cert in certs:
+        ok, detail = verify_certificate(field, cert)
+        assert ok, detail
+    kinds = {key[0] if isinstance(key, tuple) else key for key in memo.seen}
+    assert not kinds & {"fit", "factor", "nimage", "nmonomials", "bidegree",
+                        "gb", "dim"}
+    assert {"pi", "pi-pullback"} <= kinds
+    # basis_value is read for the product f*g only
+    assert {key[1] for key in memo.seen if key[0] == "value"} \
+        == {spec for cert in certs for spec in (cert.f, cert.g)}
+
+
+def test_verifier_memo_does_not_grow_with_the_pairs(monkeypatch):
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    field = ff_from_q(3)
+    assert check_products(field, sample="all").overall == "pass"
+    ctx = context_for_q(3)
+    images = _memo_keys(ctx, "pi")
+    pullbacks = _memo_keys(ctx, "pi-pullback")
+    # 1,176 certificates, one entry per N-monomial and basis element met
+    assert len(pullbacks) <= len(ctx.enumerate_basis()) == 48
+    assert len(images) + len(pullbacks) <= 86
