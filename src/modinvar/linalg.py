@@ -1,18 +1,24 @@
 """Exact Gaussian elimination over GF(q).
 
-Every rank and solve is one elimination over the prime field GF(p), in numpy
-integer arithmetic mod p (vectorized, still exact; no floating point
-anywhere).  A matrix over GF(p^s) is first lifted to GF(p) by the regular
-representation: each entry becomes the s x s matrix of multiplication by it
-on the basis 1, t, ..., t^(s-1), so ranks multiply by s.  For s = 1 the lift
-is the identity.  Ranks over GF(2) pack rows into uint64 words instead.
+Every rank and solve is one elimination over the prime field GF(p).  A
+matrix over GF(p^s) is first lifted to GF(p) by the regular representation:
+each entry becomes the s x s matrix of multiplication by it on the basis 1,
+t, ..., t^(s-1), so ranks multiply by s.  For s = 1 the lift is the identity.
+For odd p the elimination runs in numpy integer arithmetic mod p (vectorized,
+still exact; no floating point anywhere).  For p = 2 each row is one Python
+int, column 0 in the highest bit, and the rows are inserted one by one into
+a greedy XOR basis keyed by leading bit; a rank is the size of that basis,
+taken on the orientation with fewer rows.
 
 A solve factors first and then applies the factorization, so one matrix
 factored once serves any number of right-hand sides: the pivot rows P and
 pivot columns of the lift L of its nonzero rows give an invertible square
 L[P, pivots], whose inverse maps b[P] to the pivot entries of the solution.
-Every solution is re-checked against the whole system, and that check alone
-decides consistency.  One Factorization serves every GF(p^s), s = 1 too.
+For p = 2 the pivot rows are the rows that entered the XOR basis and the
+pivot columns its leading bits, the same pivot set as reduced row echelon
+form, since both are fixed by the row space.  Every solution is re-checked
+against the whole system, and that check alone decides consistency.  One
+Factorization serves every GF(p^s), s = 1 too.
 """
 
 from __future__ import annotations
@@ -67,32 +73,54 @@ def _rref(aug, p, ncols, order=None):
     return pivots
 
 
-def rank_gf2(A):
-    """Rank over GF(2) of a 0/1 numpy matrix."""
-    A = np.asarray(A, dtype=np.uint8)
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return 0
-    packed = np.packbits(A, axis=1)
-    words = np.zeros((rows, (packed.shape[1] + 7) // 8 * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    W = words.view(np.uint64)
-    rank = 0
-    for col in range(cols):
-        # packbits is big-endian within bytes
-        hits = np.flatnonzero(words[rank:, col >> 3] & (0x80 >> (col & 7)))
-        if hits.size == 0:
-            continue
-        if hits[0]:
-            piv = rank + hits[0]
-            W[[rank, piv]] = W[[piv, rank]]
-        # the old row `rank` (0 in this column) now sits at the pivot's place
-        if hits.size > 1:
-            W[rank + hits[1:]] ^= W[rank]
-        rank += 1
-        if rank == rows:
+def _bit_rows(A):
+    """The rows of a 0/1 matrix as Python ints, column j at bit width-1-j,
+    and width: the column count rounded up to whole bytes."""
+    packed = np.packbits(np.asarray(A, dtype=np.uint8), axis=1)
+    n = packed.shape[1]
+    if n == 0:
+        return [0] * packed.shape[0], 0
+    data = packed.tobytes()
+    return ([int.from_bytes(data[i:i + n], "big")
+             for i in range(0, len(data), n)], 8 * n)
+
+
+def _bit_matrix(rows, width):
+    """The 0/1 matrix, width columns, of rows as returned by _bit_rows."""
+    data = b"".join(row.to_bytes(width // 8, "big") for row in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows),
+                                                         width // 8)
+    return np.unpackbits(packed, axis=1)
+
+
+def _xor_basis(rows, cols):
+    """Eliminate over GF(2) on int rows: insert each row, reduced by the
+    basis rows before it, under its leading bit, until cols rows are in.
+    Returns the basis {leading bit_length: row} and the indices of the
+    rows that entered it."""
+    basis = {}
+    entered = []
+    for i, row in enumerate(rows):
+        if len(basis) == cols:
             break
-    return rank
+        while row:
+            lead = row.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                entered.append(i)
+                break
+            row ^= pivot
+    return basis, entered
+
+
+def rank_gf2(A):
+    """Rank over GF(2) of a 0/1 numpy matrix: the size of the XOR basis of
+    its rows, or of its columns when there are fewer of those."""
+    A = np.asarray(A, dtype=np.uint8)
+    if A.shape[0] > A.shape[1]:
+        A = A.T
+    return len(_xor_basis(_bit_rows(A)[0], A.shape[1])[0])
 
 
 def rank_modp(A, p):
@@ -151,13 +179,38 @@ class Factorization(NamedTuple):
     inv: np.ndarray
 
 
+def _factor_gf2(L):
+    """Pivot rows, pivot columns and inverse of L[rows, pivots] for a 0/1
+    matrix L: the rows that entered its XOR basis, the basis's leading bits,
+    and Gauss-Jordan on the int rows of [L[rows, pivots] | I]."""
+    bits, width = _bit_rows(L)
+    basis, entered = _xor_basis(bits, L.shape[1])
+    rows = np.array(entered, dtype=np.intp)
+    pivots = np.array(sorted(width - lead for lead in basis), dtype=np.intp)
+    r = rows.size
+    square, width = _bit_rows(np.hstack([L[np.ix_(rows, pivots)],
+                                         np.eye(r, dtype=L.dtype)]))
+    for j in range(r):
+        bit = 1 << (width - 1 - j)
+        k = next(i for i in range(j, r) if square[i] & bit)
+        square[j], square[k] = square[k], square[j]
+        for i in range(r):
+            if i != j and square[i] & bit:
+                square[i] ^= square[j]
+    return rows, pivots, _bit_matrix(square, width)[:, r:2 * r].astype(
+        L.dtype)
+
+
 def factor_field(rows, field):
     """Factor a matrix of field indices over any FieldParams: one elimination
     of the lift of its nonzero rows, which also records the original row of
-    each pivot, and one of the small [L[rows, pivots] | I] for the inverse."""
+    each pivot, and one of the small [L[rows, pivots] | I] for the inverse.
+    Over p = 2 both are eliminations on int rows."""
     rows = np.asarray(rows)
     nonzero = np.flatnonzero(rows.any(axis=1))
     L = _lift(rows[nonzero], field)
+    if field.p == 2:
+        return Factorization(nonzero, *_factor_gf2(L))
     aug = L.copy()
     order = np.arange(L.shape[0])
     pivots = np.array(_rref(aug, field.p, L.shape[1], order), dtype=np.intp)

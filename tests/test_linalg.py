@@ -91,13 +91,22 @@ def test_solve_modp_inconsistent_returns_none():
 
 
 def test_rank_gf2_matches_generic_elimination():
+    """Wide and tall (the transpose) random matrices, up to 300 columns (rows
+    of several words, padding bits), and all-zero, 1 x n, n x 1, 0-row and
+    0-column ones."""
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        rows = int(rng.integers(1, 40))
-        cols = int(rng.integers(1, 140))
-        density = rng.uniform(0.05, 0.9)
+    cases = [(int(rng.integers(1, 40)), int(rng.integers(1, 140)),
+              rng.uniform(0.05, 0.9)) for _ in range(300)]
+    cases += [(int(rng.integers(40, 300)), int(rng.integers(1, 100)),
+               rng.uniform(0.05, 0.9)) for _ in range(100)]
+    cases += [(int(rng.integers(1, 20)), int(rng.integers(150, 300)),
+               rng.uniform(0.05, 0.9)) for _ in range(20)]
+    for n in (1, 7, 8, 9, 63, 64, 65, 130):
+        for rows, cols in ((1, n), (n, 1), (0, n), (n, 0), (n, n)):
+            cases += [(rows, cols, 0.0), (rows, cols, 0.5)]
+    for rows, cols, density in cases:
         A = (rng.random((rows, cols)) < density).astype(np.int8)
-        if rng.random() < 0.3:
+        if rows and rng.random() < 0.3:
             A[rng.integers(rows)] = A[rng.integers(rows)]
         expect = len(linalg._rref(A.copy(), 2, cols))
         assert linalg.rank_gf2(A) == expect
@@ -207,10 +216,24 @@ def rref_solve(A, b, p):
 
 
 def field_system(field, rng, rows, cols, kind):
-    """A matrix of field indices with some all-zero rows, and for kind
-    "deficient" a last nonzero row that repeats a multiple of another."""
+    """A matrix of field indices with some all-zero rows; for kind
+    "deficient" a last nonzero row that repeats a multiple of another, and
+    for kind "low-rank" nonzero rows that are combinations of at most
+    cols // 2 rows, some repeated, so the columns are dependent too."""
     A = [[rng.randrange(field.q) if rng.random() < 0.6 else 0
           for _ in range(cols)] for _ in range(rows)]
+    if kind == "low-rank":
+        base = A[:max(1, cols // 2)]
+        for i in range(rows):
+            if i % 4 == 3:
+                A[i] = A[i - 1]
+                continue
+            row = [0] * cols
+            for b in base:
+                c = rng.randrange(field.q)
+                row = [field.add_i(v, field.mul_i(c, w))
+                       for v, w in zip(row, b)]
+            A[i] = row
     for i in range(0, rows, 3):
         A[i] = [0] * cols
     if kind == "deficient" and rows > 2:
@@ -253,8 +276,9 @@ def test_one_factorization_solves_every_right_hand_side(q):
     field = ff_from_q(q)
     rng = random.Random(7000 + q)
     seen = {"none": 0, "zero-row": 0}
-    for rows, cols in ((1, 1), (4, 3), (3, 5), (6, 6), (9, 4), (13, 7)):
-        for kind in ("random", "deficient"):
+    for rows, cols in ((1, 1), (4, 3), (3, 5), (6, 6), (9, 4), (13, 7),
+                       (60, 6), (150, 14)):
+        for kind in ("random", "deficient", "low-rank"):
             A = field_system(field, rng, rows, cols, kind)
             fact = linalg.factor_field(A, field)
             assert list(fact.nonzero) == [i for i, row in enumerate(A)
