@@ -6,8 +6,9 @@ test cases share the (sometimes expensive) constructions: each context keeps
 one memo, read through InvariantContext.memo.  It holds the generator
 families, the relations, the basis list, and the value and pullback of every
 basis element asked for, each built once; verify adds its Groebner bases,
-invariant dimensions, module-fit blocks with their factorizations, and the
-certificate verifier's images of N-monomials and pullbacks to the same memo.
+invariant dimensions, module-fit blocks with their factorizations, lines and
+value grids, and the certificate verifier's images of N-monomials and
+pullbacks to the same memo.
 """
 
 from __future__ import annotations

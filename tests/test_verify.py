@@ -489,33 +489,233 @@ def test_products_build_each_fit_block_once(monkeypatch):
         assert block.tobytes() == built[key[1:]]
 
 
+def _sampled_pairs(ctx, sample, seed=0):
+    """The pairs check_products(field, sample, seed) certifies."""
+    specs = ctx.enumerate_basis()
+    pairs = [(f, g) for n, f in enumerate(specs) for g in specs[n:]]
+    if sample == "all":
+        return pairs
+    return random.Random(seed).sample(pairs, min(int(sample), len(pairs)))
+
+
+def _block_keys(ctx, pairs):
+    """The fit-block keys (degree, dx, dy) of the products of pairs, in
+    first-use order, from the bidegrees of the factors."""
+    keys = {}
+    for f, g in pairs:
+        (fx, fy), (gx, gy) = (ctx.r4_bidegree(ctx.basis_value(spec))
+                              for spec in (f, g))
+        keys.setdefault((f.degree(ctx.q) + g.degree(ctx.q), fx + gx, fy + gy))
+    return list(keys)
+
+
+def _brute_force_labels(ctx, dx, dy):
+    """Every basis spec times every N-monomial C0^a C1^b C0s^c C1s^e whose
+    product has bidegree (dx, dy), in lexicographic order."""
+    w1, w2 = ctx.q ** 2 - 1, ctx.q ** 2 - ctx.q
+    labels = []
+    for spec in ctx.enumerate_basis():
+        vx, vy = ctx.r4_bidegree(ctx.basis_value(spec))
+        for mono in itertools.product(
+                range(dx // w1 + 1), range(dx // w2 + 1),
+                range(dy // w1 + 1), range(dy // w2 + 1)):
+            a, b, c, e = mono
+            if (vx + a * w1 + b * w2, vy + c * w1 + e * w2) == (dx, dy):
+                labels.append((spec, mono))
+    return labels
+
+
 def test_fit_block_labels_match_a_brute_force_enumeration(monkeypatch):
-    """Every block of the q=3 census lists every basis spec times every
-    N-monomial C0^a C1^b C0s^c C1s^e of the block's bidegree, in
-    lexicographic order."""
-    monkeypatch.setattr(gens, "_CONTEXTS", {})
-    field = ff_from_q(3)
-    assert check_products(field, sample="all").overall == "pass"
-    ctx = context_for_q(3)
-    w1, w2 = 8, 6
-    bidegrees = {spec: ctx.r4_bidegree(ctx.basis_value(spec))
-                 for spec in ctx.enumerate_basis()}
-    keys = _memo_keys(ctx, "fit")
-    assert len(keys) == 145
-    for key in keys:
-        _fit, degree, dx, dy = key
-        expect = []
-        for spec, (vx, vy) in bidegrees.items():
-            for mono in itertools.product(
-                    range(dx // w1 + 1), range(dx // w2 + 1),
-                    range(dy // w1 + 1), range(dy // w2 + 1)):
-                a, b, c, e = mono
-                if (vx + a * w1 + b * w2, vy + c * w1 + e * w2) == (dx, dy):
-                    expect.append((spec, mono))
-        labels = ctx._memo[key][0]
-        assert list(labels) == expect
-        assert verify._build_fit_block(ctx, degree, dx, dy, None)[0] \
-            == labels
+    """Every block of the q=2 and q=3 censuses and of the q=4 sample of 300
+    pairs lists every basis spec times every N-monomial of the block's
+    bidegree, in lexicographic order.  Column order decides which solution
+    the solve returns, and so the certificates."""
+    for q, sample, count in ((2, "all", 17), (3, "all", 145),
+                             (4, "300", 164)):
+        monkeypatch.setattr(gens, "_CONTEXTS", {})
+        field = ff_from_q(q)
+        assert check_products(field, sample=sample).overall == "pass"
+        ctx = context_for_q(q)
+        keys = _memo_keys(ctx, "fit")
+        assert len(keys) == count
+        assert sorted(key[1:] for key in keys) \
+            == sorted(_block_keys(ctx, _sampled_pairs(ctx, sample)))
+        for key in keys:
+            _fit, degree, dx, dy = key
+            labels = ctx._memo[key][0]
+            assert list(labels) == _brute_force_labels(ctx, dx, dy)
+            assert verify._build_fit_block(ctx, degree, dx, dy, None)[0] \
+                == labels
+
+
+def _polynomial_fit_block(ctx, degree, dx, dy):
+    """The test oracle: the fit block with each column the polynomial
+    product of an N-monomial image and a basis value, read off with
+    _block_vector."""
+    q = ctx.q
+    w1, w2 = q * q - 1, q * q - q
+
+    def splits(r):
+        return [(a, (r - a * w1) // w2) for a in range(r // w1 + 1)
+                if (r - a * w1) % w2 == 0]
+
+    images = {}
+    labels = []
+    cols = []
+    for spec in ctx.enumerate_basis():
+        if spec.degree(q) > degree:
+            continue
+        value = ctx.basis_value(spec)
+        vx, vy = ctx.r4_bidegree(value)
+        for a, b in splits(dx - vx):
+            for c, e in splits(dy - vy):
+                mono = (a, b, c, e)
+                if mono not in images:
+                    images[mono] = ctx.c(0) ** a * ctx.c(1) ** b \
+                        * ctx.cs(0) ** c * ctx.cs(1) ** e
+                labels.append((spec, mono))
+                cols.append(verify._block_vector(images[mono] * value, dx, dy))
+    return tuple(labels), np.array(cols, dtype=np.uint8).T
+
+
+def _check_against_the_polynomial_oracle(ctx, pairs):
+    for degree, dx, dy in _block_keys(ctx, pairs):
+        labels, block = verify._build_fit_block(ctx, degree, dx, dy, None)
+        want_labels, want = _polynomial_fit_block(ctx, degree, dx, dy)
+        assert labels == want_labels
+        assert block.dtype == want.dtype == np.uint8
+        assert block.shape == want.shape
+        assert block.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q,sample", ((2, "all"), (3, "all"), (4, "300"),
+                                      (5, "20")),
+                         ids=("q=2-all", "q=3-all", "q=4-300", "q=5-20"))
+def test_fit_blocks_equal_the_polynomial_product_oracle(q, sample):
+    ctx = InvariantContext(ff_from_q(q))
+    _check_against_the_polynomial_oracle(ctx, _sampled_pairs(ctx, sample))
+
+
+@pytest.mark.parametrize("batch", (1, 1 << 30), ids=("one-value", "whole"))
+def test_fit_blocks_do_not_depend_on_the_batch_size(monkeypatch, batch):
+    """The columns do not depend on how values are batched: one value per
+    batch, or all values of a bidegree in one.  At the default size one
+    group of this q=5 sample takes several batches."""
+    ctx = InvariantContext(ff_from_q(5))
+    keys = _block_keys(ctx, _sampled_pairs(ctx, "20"))
+    want = [verify._build_fit_block(ctx, *key, None) for key in keys]
+    monkeypatch.setattr(verify, "_FIT_BATCH", batch)
+    for key, (labels, block) in zip(keys, want):
+        got_labels, got = verify._build_fit_block(ctx, *key, None)
+        assert got_labels == labels
+        assert got.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("batch", (1, 768, 1 << 14))
+def test_fit_columns_match_a_direct_convolution(monkeypatch, batch):
+    """Three values of two digit planes over GF(3), two x-lines and two
+    y-lines: every column against the 2-D convolution written out, in
+    batches of one value, of two (768 entries hold two values' 2 * 2 * 2 *
+    48), and of all three."""
+    p = 3
+    rng = np.random.default_rng(0)
+    planes = rng.integers(0, p, (3, 2, 4, 5), dtype=np.uint8)
+    xlines = rng.integers(0, p, (2, 3), dtype=np.uint8)
+    ylines = rng.integers(0, p, (2, 4), dtype=np.uint8)
+    want = np.zeros((3, 2, 2, 6, 8), dtype=np.int64)
+    for g, m, n, k in itertools.product(range(3), range(2), range(2),
+                                        range(2)):
+        conv = np.zeros((6, 8), dtype=np.int64)
+        for i, j, a, b in itertools.product(range(4), range(5), range(3),
+                                            range(4)):
+            conv[i + a, j + b] += int(planes[g, k, i, j]) * int(
+                xlines[m, a]) * int(ylines[n, b])
+        want[g, m, n] += conv % p * p ** k
+    monkeypatch.setattr(verify, "_FIT_BATCH", batch)
+    got = verify._fit_columns(planes, verify._toeplitz(xlines, 4),
+                              verify._toeplitz(ylines, 5, transpose=True), p)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want.reshape(12, 48))
+
+
+def test_a_block_too_large_for_exact_float64_is_refused(monkeypatch):
+    """(p-1)^3 (dx+1)(dy+1) >= 2^53 at p = 251 and dx = dy = 30000:
+    refused before any work, the basis of 15.8 million elements included."""
+    ctx = InvariantContext(ff_from_q(251))
+
+    def forbidden():
+        raise AssertionError("the build enumerated the basis")
+
+    monkeypatch.setattr(ctx, "enumerate_basis", forbidden)
+    with pytest.raises(verify.VerifyError, match="exact float64"):
+        verify._build_fit_block(ctx, 60000, 30000, 30000, None)
+    assert not ctx._memo
+
+
+def _line_pairs(q):
+    """Pairs whose blocks take the lines of C0, C1 (u1^(q-1) times u1 and
+    times um1*u1) and of C0s, C1s (um1^(q-1) times um1): at q = 8 and 9
+    blocks of at most 1,577 cells, quick to build both ways."""
+    return [(BasisSpec.parse(f), BasisSpec.parse(g)) for f, g in (
+        ("A:0,%d,0" % (q - 1), "A:0,1,0"), ("A:%d,0,0" % (q - 1), "A:1,0,0"),
+        ("A:0,%d,0" % (q - 1), "A:1,1,0"))]
+
+
+@pytest.mark.parametrize("q", (4, 8, 9))
+def test_fit_blocks_of_every_line_equal_the_oracle(q):
+    ctx = InvariantContext(ff_from_q(q))
+    pairs = _line_pairs(q)
+    monos = {mono for key in _block_keys(ctx, pairs)
+             for _spec, mono in verify._build_fit_block(ctx, *key, None)[0]}
+    assert {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)} <= monos
+    _check_against_the_polynomial_oracle(ctx, pairs)
+
+
+@pytest.mark.parametrize("q", (4, 8, 9))
+def test_values_outside_the_prime_field_use_every_digit_plane(q):
+    """Every basis value lies over GF(p), so its grid has one digit plane.
+    The values in the blocks of _line_pairs, scaled by t^(s-1) + 1, take
+    all s planes, at p = 2 and 3, and their blocks still match the
+    oracle."""
+    field = ff_from_q(q)
+    ctx = InvariantContext(field)
+    pairs = _line_pairs(q)
+    specs = {spec for key in _block_keys(ctx, pairs)
+             for spec, _mono in verify._build_fit_block(
+                 InvariantContext(field), *key, None)[0]}
+    scale = field.t ** (field.s - 1) + 1
+    for spec in specs:
+        ctx._memo["value", spec] = ctx.basis_value(spec) * scale
+    _check_against_the_polynomial_oracle(ctx, pairs)
+    _degrees, table = ctx._memo["grid"]
+    for spec, entry in zip(ctx.enumerate_basis(), table):
+        if entry is not None:
+            assert len(entry[2]) == (field.s if spec in specs else 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", (8, 9))
+def test_sampled_fit_blocks_equal_the_oracle_over_extension_fields(q):
+    """20-pair samples at q = 8 and 9."""
+    ctx = InvariantContext(ff_from_q(q))
+    _check_against_the_polynomial_oracle(ctx, _sampled_pairs(ctx, "20"))
+
+
+def test_a_line_outside_the_prime_field_raises():
+    """c1 corrupted to t*c1 puts a coefficient outside GF(2) in every line
+    of C1^b, b > 0: the build refuses it rather than convolve it digit by
+    digit, and stores no block."""
+    field = ff_from_q(4)
+    ctx = InvariantContext(field)
+    assert verify._fit_lines(ctx, "x", 12)[0] == ((0, 1),)   # C1
+    ctx._memo["c", 1] = ctx.c(1) * field.t
+    with pytest.raises(verify.VerifyError, match=r"outside GF\(2\)"):
+        verify._fit_lines(ctx, "x", 12)
+    assert verify._fit_lines(ctx, "x", 15)[0] == ((1, 0),)   # C0 alone
+    target, degree, _ = _fit_case(ctx, "A:0,3,0", "A:0,1,0")   # u1^4
+    with pytest.raises(verify.VerifyError, match=r"outside GF\(2\)"):
+        verify._fit_in_module(ctx, target, degree)
+    assert not _memo_keys(ctx, "fit")
 
 
 @pytest.mark.parametrize("q,pairs", (
@@ -734,7 +934,7 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
         assert ok, detail
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo.seen}
     assert not kinds & {"fit", "factor", "nimage", "nmonomials", "bidegree",
-                        "gb", "dim"}
+                        "gb", "dim", "line", "grid"}
     assert {"pi", "pi-pullback"} <= kinds
     # basis_value is read for the product f*g only
     assert {key[1] for key in memo.seen if key[0] == "value"} \
