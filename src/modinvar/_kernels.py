@@ -6,6 +6,10 @@ Coefficients are field indices and every kernel does its arithmetic through
 the field's flat add/mul/neg tables, prime fields included; `field` is the
 `gf.FieldParams` of the ring.  A kernel that needs the term order takes the
 ring's order key `okey` (see `mpoly.PolyRing`), never the name of the order.
+Every order key is affine in the packed key, okey(a + b) == okey(a) +
+okey(b) - okey(0), so reduction works on the combined keys
+E(k) = okey(k) << W | k of a MonicBasis: a heap of plain ints, and one
+addition per product term.
 """
 
 import heapq
@@ -85,15 +89,15 @@ class DivisorIndex:
     exponent chunk set.  A leading key can divide k only when its support
     lies inside k's, so for each support met so far the index keeps the
     ascending basis indices with such a leading support (Bachmann and
-    Schoenemann, ISSAC 1998), and extends the list when the basis has grown.
-    The first divisor it finds is the first one in basis order.
+    Schoenemann, ISSAC 1998).  add() appends the new index to every list
+    whose support holds the new key's, so a lookup is one dict get.  The
+    first divisor it finds is the first one in basis order.
     """
 
-    __slots__ = ("n", "keys", "supports", "by_support", "guard", "lexmask",
+    __slots__ = ("keys", "supports", "by_support", "guard", "lexmask",
                  "fill", "lexguard")
 
-    def __init__(self, n, keys=()):
-        self.n = n
+    def __init__(self, n):
         self.keys = []
         self.supports = []
         self.by_support = {}
@@ -103,89 +107,151 @@ class DivisorIndex:
             self.fill |= 0x7FFF << (CHUNK * i)
             self.lexguard |= 0x8000 << (CHUNK * i)
         self.guard = self.lexguard | (0x8000 << (CHUNK * n))
-        for k in keys:
-            self.add(k)
 
     def support(self, k):
         return ((k & self.lexmask) + self.fill) & self.lexguard
 
     def add(self, k):
         """Append the leading key of the next basis element."""
+        i = len(self.keys)
+        s = self.support(k)
         self.keys.append(k)
-        self.supports.append(self.support(k))
-
-    def candidates(self, s):
-        """Ascending indices of the leading keys whose support lies in s."""
-        nb = len(self.keys)
-        entry = self.by_support.get(s)
-        if entry is None:
-            start, got = 0, []
-        else:
-            start, got = entry
-            if start == nb:
-                return got
-        sups = self.supports
-        got.extend(i for i in range(start, nb) if sups[i] | s == s)
-        self.by_support[s] = (nb, got)
-        return got
+        self.supports.append(s)
+        for t, got in self.by_support.items():
+            if s | t == t:
+                got.append(i)
 
     def first_divisor(self, k):
         """Index of the first leading key dividing k, or -1."""
+        # self.support(k), inlined: this runs for every reduced term
+        s = ((k & self.lexmask) + self.fill) & self.lexguard
+        got = self.by_support.get(s)
+        if got is None:
+            got = self.by_support[s] = [
+                i for i, t in enumerate(self.supports) if t | s == s]
         guard, keys = self.guard, self.keys
         kg = k | guard
-        # self.support(k), inlined: this runs for every reduced term
-        for i in self.candidates(((k & self.lexmask) + self.fill)
-                                 & self.lexguard):
+        for i in got:
             if (kg - keys[i]) & guard == guard:
                 return i
         return -1
 
 
-def normal_form_terms(f, index, tails, okey, field, track):
-    """Complete reduction of f by a monic basis given as (index, tails).
+class MonicBasis:
+    """A monic basis as the reduction kernel reads it.
 
-    index is the basis's DivisorIndex; tails[i] holds basis[i] minus its
-    leading term index.keys[i] (leading coefficient 1).  okey is the ring's
-    order key; terms are taken in decreasing okey order, each reduced by the
-    first basis element whose leading term divides it.
+    Element i is the leading key keys[i], coefficient 1, plus the term dict
+    tails[i], whose terms all lie below it.  Every ring's order key is
+    affine in the packed key, okey(a + b) == okey(a) + okey(b) - okey(0),
+    so the combined key E(k) = okey(k) << W | k, W = CHUNK * (n + 1) the
+    width of a packed key, is too: E(a + b) == E(a) + E(b) - E(0), and
+    combined keys compare as the monomials do.  Beside each plain tail the
+    basis keeps the combined tail {E(k): c} and the combined leading key
+    E(keys[i]); both are built by add() and rebuilt by set_tail().
+    """
+
+    __slots__ = ("index", "keys", "tails", "ekeys", "etails", "okey",
+                 "width", "ezero")
+
+    def __init__(self, n, okey, elements=()):
+        self.index = DivisorIndex(n)
+        self.keys = self.index.keys
+        self.tails = []
+        self.ekeys = []
+        self.etails = []
+        self.okey = okey
+        self.width = CHUNK * (n + 1)
+        self.ezero = self.ekey(0)
+        for lt, tail in elements:
+            self.add(lt, tail)
+
+    def ekey(self, k):
+        """The combined key E(k) of packed key k."""
+        return self.okey(k) << self.width | k
+
+    def combined(self, terms):
+        """The term dict with every key k replaced by E(k)."""
+        okey, width = self.okey, self.width
+        return {okey(k) << width | k: c for k, c in terms.items()}
+
+    def add(self, lt, tail):
+        """Append the element lt + tail."""
+        self.index.add(lt)
+        self.tails.append(tail)
+        self.ekeys.append(self.ekey(lt))
+        self.etails.append(self.combined(tail))
+
+    def set_tail(self, i, tail):
+        """Replace the tail of element i, which keeps its leading key."""
+        self.tails[i] = tail
+        self.etails[i] = self.combined(tail)
+
+
+def spair_terms(basis, i, j, si, sj, field):
+    """Combined terms of si * basis[i] - sj * basis[j], where the monomials
+    si and sj (packed keys) make the two leading terms cancel."""
+    q, add_flat, neg_flat = field.q, field.add_flat, field.neg_flat
+    shi = basis.ekey(si) - basis.ezero
+    shj = basis.ekey(sj) - basis.ezero
+    out = {e + shi: c for e, c in basis.etails[i].items()}
+    for e, c in basis.etails[j].items():
+        e += shj
+        out[e] = add_flat[out.get(e, 0) * q + neg_flat[c]]
+    return out
+
+
+def normal_form_terms(f, basis, field, track):
+    """Complete reduction of f by a MonicBasis.
+
+    f is a term dict, or an S-pair (i, j, si, sj) taken as
+    spair_terms(basis, i, j, si, sj).  Terms are held under their combined
+    keys in a heap of plain ints and taken highest first, each reduced by
+    the first basis element whose leading term divides it: if E is the
+    term's combined key and E_i the leading one's, a tail term E_t becomes
+    E_t + (E - E_i), one addition and one dict lookup.
     Returns (remainder_dict, cofactors) where cofactors[i] is a term dict with
     f = sum_i cofactors[i] * basis[i] + remainder (None unless track).
     """
     q, mul_flat, add_flat, neg_flat = field.q, field.mul_flat, \
         field.add_flat, field.neg_flat
-    lt_keys, first_divisor = index.keys, index.first_divisor
-    nb = len(lt_keys)
-    pending = dict(f)
-    heap = [(-okey(k), k) for k in pending]
+    keys, ekeys, etails = basis.keys, basis.ekeys, basis.etails
+    first_divisor = basis.index.first_divisor
+    kmask = (1 << basis.width) - 1
+    heappop, heappush = heapq.heappop, heapq.heappush
+    if type(f) is tuple:
+        pending = spair_terms(basis, *f, field)
+    else:
+        pending = basis.combined(f)
+    heap = [-e for e in pending]
     heapq.heapify(heap)
     remainder = {}
-    cof = [None] * nb if track else None
+    cof = [None] * len(keys) if track else None
     while heap:
-        k = heapq.heappop(heap)[1]
-        if k not in pending:
-            continue
-        c = pending.pop(k)
+        # each combined key enters the heap once: every term a step adds
+        # lies below the term it reduces
+        e = -heappop(heap)
+        c = pending.pop(e)
         if not c:
             continue
+        k = e & kmask
         hit = first_divisor(k)
         if hit < 0:
             remainder[k] = c
             continue
-        kq = k - lt_keys[hit]
         if track:
             d = cof[hit]
             if d is None:
                 d = cof[hit] = {}
-            d[kq] = c  # leading monomials strictly decrease, so kq is fresh
-        tail = tails[hit]
-        if not tail:
-            continue
+            # leading monomials strictly decrease, so the quotient is fresh
+            d[k - keys[hit]] = c
+        shift = e - ekeys[hit]
         cq = neg_flat[c] * q
-        for kt, ct in tail.items():
-            kk = kt + kq
-            fresh = kk not in pending
-            v = add_flat[pending.get(kk, 0) * q + mul_flat[cq + ct]]
-            pending[kk] = v
-            if fresh:
-                heapq.heappush(heap, (-okey(kk), kk))
+        for et, ct in etails[hit].items():
+            et += shift
+            v = pending.get(et)
+            if v is None:
+                pending[et] = mul_flat[cq + ct]
+                heappush(heap, -et)
+            else:
+                pending[et] = add_flat[v * q + mul_flat[cq + ct]]
     return remainder, cof

@@ -18,10 +18,13 @@ from dataclasses import dataclass
 
 from .action import R4_NAMES, involution_star
 from .gf import ff_from_q
-from .mpoly import PolyRing
+from .mpoly import CHUNK, MASK, PolyRing
 
 S7_NAMES = ("C0", "C1", "C0s", "C1s", "Um1", "U0", "U1")
 RELATION_NAMES = ("T1", "T1s", "T00", "T01", "T10")
+# chunks 2 and 0 of an R4 key plus itself shifted down one chunk: the
+# x-degree and the y-degree (InvariantContext.r4_bidegree)
+_BIDEGREE_MASK = MASK << 2 * CHUNK | MASK
 
 # the swap automorphism of the abstract ring, as a variable renaming
 _S7_SWAP = {"C0": "C0s", "C1": "C1s", "C0s": "C0", "C1s": "C1",
@@ -176,19 +179,19 @@ class InvariantContext:
         return self.field.elem(math.comb(n, k))
 
     def r4_bidegree(self, f):
-        """(x-degree, y-degree) of a bihomogeneous element of the base ring."""
-        it = iter(f.terms)
-        try:
-            k = next(it)
-        except StopIteration:
+        """(x-degree, y-degree) of a bihomogeneous element of the base ring.
+
+        Read off the packed keys [wdeg | x1 | x2 | y1 | y2]: adding a key
+        to itself shifted down one chunk puts x1 + x2 in chunk 2 and
+        y1 + y2 in chunk 0, neither of which carries over its chunk.
+        """
+        if not f.terms:
             return None
-        e1, e2, e3, e4 = f.ring.unpack(k)
-        bd = (e1 + e2, e3 + e4)
-        for k in it:
-            e1, e2, e3, e4 = f.ring.unpack(k)
-            if (e1 + e2, e3 + e4) != bd:
-                raise GensError("polynomial is not bihomogeneous")
-        return bd
+        bds = {(k + (k >> CHUNK)) & _BIDEGREE_MASK for k in f.terms}
+        if len(bds) > 1:
+            raise GensError("polynomial is not bihomogeneous")
+        bd = bds.pop()
+        return bd >> 2 * CHUNK, bd & MASK
 
     def s7_bidegree(self, F):
         """(x-degree, y-degree) of a bihomogeneous 7-variable polynomial."""

@@ -35,21 +35,22 @@ class GroebnerBasis:
     """Monic, inter-reduced truncated basis, in increasing leading-term order.
 
     reps[k], present when tracked, is a list of cofactor polynomials with
-    basis[k] == sum_t reps[k][t] * inputs[t].  index is the divisor index of
-    the leading keys (lt_keys is its key list); every normal form modulo the
-    basis reuses it.
+    basis[k] == sum_t reps[k][t] * inputs[t].  monic is the basis as the
+    reduction kernel reads it (a `_kernels.MonicBasis`), index its divisor
+    index and lt_keys the leading keys; every normal form modulo the basis
+    reuses them.
     """
 
-    __slots__ = ("ring", "basis", "lt_keys", "tails", "reps", "bound",
-                 "inputs", "pairs_processed", "index")
+    __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "reps",
+                 "bound", "inputs", "pairs_processed")
 
-    def __init__(self, ring, basis, index, tails, reps, bound, inputs,
+    def __init__(self, ring, basis, monic, reps, bound, inputs,
                  pairs_processed):
         self.ring = ring
         self.basis = basis
-        self.index = index
-        self.lt_keys = index.keys
-        self.tails = tails
+        self.monic = monic
+        self.index = monic.index
+        self.lt_keys = monic.keys
         self.reps = reps
         self.bound = bound
         self.inputs = inputs
@@ -75,7 +76,8 @@ class _CriticalPairs:
     leading terms are coprime when their support masks share no bit.
     Pending pairs map (i, j), i < j, to their packed lcm; they are popped in
     (weight, i, j) order from a heap, and a pair a criterion has dropped
-    since it was pushed is skipped.
+    since it was pushed is skipped.  Only pushed pairs are weighed, unless
+    a degree bound needs every weight.
     """
 
     def __init__(self, ring, bound, deadline):
@@ -105,25 +107,31 @@ class _CriticalPairs:
         check_deadline(self.deadline)
         width, guard, weigher = self.width, self.guard, self.weigher
         wshift, wmask, bound = self.wshift, self.wmask, self.bound
-        sups = self.supports
-        t = len(self.lts)
+        lts, sups = self.lts, self.supports
+        t = len(lts)
         b = 0
         for e in self.ring.unpack(key):
             b = (b << width) | e
         st = (b + self.fill) & guard
         top = width - 1
-        lcms = []
-        cands = []
-        for i, a in enumerate(self.lts):
-            m = (((a | guard) - b) & guard) >> top
-            L = b ^ ((a ^ b) & ((m << width) - m))
-            lcms.append(L)
-            w = (L * weigher >> wshift) & wmask
-            if bound is None or w <= bound:
-                # coprime pairs (False) sort first within a weight
-                cands.append((w, sups[i] & st != 0, i, L))
-        self.lts.append(b)
-        sups.append(st)
+
+        def lcm(a):
+            # chunkwise max: g flags the chunks where a >= b, and
+            # g - (g >> top) masks their exponent bits
+            g = ((a | guard) - b) & guard
+            return b ^ ((a ^ b) & (g - (g >> top)))
+
+        # one int per new pair (i, t), sorting as (lcm, shares support, i):
+        # a proper divisor of an lcm packs to a smaller int, and coprime
+        # pairs come first among equal lcms
+        ib = t.bit_length()
+        sh = ib + 1
+        cands = [lcm(a) << sh | (s & st != 0) << ib | i
+                 for i, a, s in zip(range(t), lts, sups)]
+        if bound is not None:
+            cands = [c for c in cands
+                     if ((c >> sh) * weigher >> wshift) & wmask <= bound]
+        cands.sort()
         self.created += len(cands)
         check_deadline(self.deadline)
         # criterion B: drop an old pair whose lcm the new leading term
@@ -131,27 +139,36 @@ class _CriticalPairs:
         pending = self.pending
         dropped = [ij for ij, L in pending.items()
                    if ((L | guard) - b) & guard == guard
-                   and L != lcms[ij[0]] and L != lcms[ij[1]]]
+                   and L != lcm(lts[ij[0]]) and L != lcm(lts[ij[1]])]
         for ij in dropped:
             del pending[ij]
-        # criteria M and F: keep a new pair only when no kept pair's lcm
-        # divides its lcm; candidates come in weight order, so each is
+        lts.append(b)
+        sups.append(st)
+        # criteria M and F: keep the first pair of each lcm that no kept
+        # lcm divides; every divisor of an lcm comes before it, so each is
         # tested against what was kept.  A kept coprime pair (product
         # criterion) is not pushed, but still takes out pairs above it.
         check_deadline(self.deadline)
-        cands.sort()
         kept = []
         heap = self.heap
-        for w, shares, i, L in cands:
+        imask = (1 << ib) - 1
+        prev = -1
+        for c in cands:
+            L = c >> sh
+            if L == prev:
+                continue
+            prev = L
             Lg = L | guard
             for other in kept:
                 if (Lg - other) & guard == guard:
                     break
             else:
                 kept.append(L)
-                if shares:
+                if c >> ib & 1:
+                    i = c & imask
                     pending[i, t] = L
-                    heapq.heappush(heap, (w, i, t))
+                    heapq.heappush(heap, ((L * weigher >> wshift) & wmask,
+                                          i, t))
 
     def pop(self):
         """The next pending pair (i, j), or None when none is left."""
@@ -180,18 +197,16 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             raise InhomogeneousWithTruncation(
                 "degree truncation needs weighted-homogeneous generators")
     fld = ring.field
-    okey = ring.okey
 
     basis = []
-    index = K.DivisorIndex(ring.n)
-    lt_keys = index.keys
-    tails = []
+    monic = K.MonicBasis(ring.n, ring.okey)
+    lt_keys = monic.keys
     reps = [] if track else None
     zero = ring.zero
     pairs = _CriticalPairs(ring, bound, deadline)
 
-    def nf(terms):
-        return K.normal_form_terms(terms, index, tails, okey, fld, track)
+    def nf(f):
+        return K.normal_form_terms(f, monic, fld, track)
 
     def add_element(f, rep):
         lc = f.leading_coeff()
@@ -202,10 +217,9 @@ def buchberger(gens, bound=None, track=False, deadline=None):
                 rep = [r * inv for r in rep]
         basis.append(f)
         k = f.leading_key()
-        index.add(k)
         t = dict(f.terms)
         del t[k]
-        tails.append(t)
+        monic.add(k, t)
         if track:
             reps.append(rep)
         pairs.add(k)
@@ -233,12 +247,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
                                    ring.unpack(lt_keys[j]))))
         si = klcm - lt_keys[i]
         sj = klcm - lt_keys[j]
-        spoly = K.add_terms(K.scale_terms(basis[i].terms, 1, si, fld),
-                            K.scale_terms(basis[j].terms, 1, sj, fld),
-                            fld, True)
-        if not spoly:
-            continue
-        r_terms, cof = nf(spoly)
+        r_terms, cof = nf((i, j, si, sj))
         if not r_terms:
             continue
         rep = None
@@ -249,14 +258,14 @@ def buchberger(gens, bound=None, track=False, deadline=None):
                         cof, reps)
         add_element(Polynomial(ring, r_terms), rep)
 
-    basis, index, tails, reps = _inter_reduce(ring, basis, lt_keys, tails,
-                                              reps, deadline)
-    return GroebnerBasis(ring, basis, index, tails, reps, bound, inputs,
+    basis, monic, reps = _inter_reduce(ring, basis, monic, reps, deadline)
+    return GroebnerBasis(ring, basis, monic, reps, bound, inputs,
                          pairs.created)
 
 
-def _inter_reduce(ring, basis, lt_keys, tails, reps, deadline):
-    """The reduced basis in increasing leading-term order, with its index.
+def _inter_reduce(ring, basis, work, reps, deadline):
+    """The reduced basis in increasing leading-term order, with its
+    MonicBasis.
 
     Minimalisation first: a proper divisor has a strictly smaller order key,
     so a scan in increasing key order only looks back at what was kept, and
@@ -266,30 +275,28 @@ def _inter_reduce(ring, basis, lt_keys, tails, reps, deadline):
     tails are final by then.
     """
     track = reps is not None
-    order = sorted(range(len(basis)), key=lambda k: ring.okey(lt_keys[k]))
-    index = K.DivisorIndex(ring.n)
+    order = sorted(range(len(basis)), key=work.ekeys.__getitem__)
+    monic = K.MonicBasis(ring.n, ring.okey)
     kept = []
     for k in order:
         check_deadline(deadline)
-        if index.first_divisor(lt_keys[k]) < 0:
-            index.add(lt_keys[k])
+        if monic.index.first_divisor(work.keys[k]) < 0:
+            monic.add(work.keys[k], work.tails[k])
             kept.append(k)
     basis = [basis[k] for k in kept]
-    tails = [tails[k] for k in kept]
     reps = [reps[k] for k in kept] if track else None
-    for i, tail in enumerate(tails):
+    for i, tail in enumerate(monic.tails):
         check_deadline(deadline)
-        r, cof = K.normal_form_terms(tail, index, tails, ring.okey,
-                                     ring.field, track)
+        r, cof = K.normal_form_terms(tail, monic, ring.field, track)
         if r == tail:
             continue
         terms = dict(r)
-        terms[index.keys[i]] = 1
+        terms[monic.keys[i]] = 1
         basis[i] = Polynomial(ring, terms)
-        tails[i] = r
+        monic.set_tail(i, r)
         if track:
             reps[i] = _fold(reps[i], cof, reps)
-    return basis, index, tails, reps
+    return basis, monic, reps
 
 
 def _fold(rep, cof, reps):
@@ -310,8 +317,8 @@ def normal_form(f, gb, track=False):
     if gb.bound is not None and f and f.wdeg() > gb.bound:
         raise DegreeBoundExceeded(
             "degree %d beyond the computed bound %d" % (f.wdeg(), gb.bound))
-    r_terms, cof = K.normal_form_terms(f.terms, gb.index, gb.tails,
-                                       gb.ring.okey, gb.ring.field, track)
+    r_terms, cof = K.normal_form_terms(f.terms, gb.monic, gb.ring.field,
+                                       track)
     if not track:
         return Polynomial(gb.ring, r_terms)
     return Polynomial(gb.ring, r_terms), \

@@ -54,7 +54,8 @@ class PolyRing:
     """Descriptor for F_q[names] with per-variable weights and a term order.
 
     okey(k) is the order key of packed key k: an int that compares as the
-    monomial does in the ring's order.
+    monomial does in the ring's order.  It is affine in k, okey(a + b) ==
+    okey(a) + okey(b) - okey(0), which the reduction kernel relies on.
     """
 
     def __init__(self, field, names, weights=None, order="grevlex"):
@@ -421,7 +422,7 @@ class Polynomial:
         tail = dict(g.terms)
         del tail[ltk]
         rem, cof = K.normal_form_terms(
-            self.terms, K.DivisorIndex(r.n, [ltk]), [tail], r.okey, f, True)
+            self.terms, K.MonicBasis(r.n, r.okey, [(ltk, tail)]), f, True)
         if rem:
             raise NotDivisible("remainder has %d terms" % len(rem))
         q = cof[0] or {}

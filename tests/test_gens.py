@@ -5,6 +5,7 @@ import pytest
 from modinvar.action import enumerate_gl2, involution_star, is_invariant
 from modinvar.gens import (
     BasisSpec,
+    GensError,
     IndexOutOfRange,
     InvariantContext,
     UnknownName,
@@ -35,6 +36,36 @@ def test_generator_bidegrees():
     got = tuple(ctx.r4_bidegree(g) for g in ctx.generators().values())
     assert got == want
     assert tuple(s7_bidegrees(q)) == want
+
+
+def unpacked_bidegree(f):
+    """(x-degree, y-degree) from the exponent tuples; 'mixed' when the
+    terms disagree."""
+    bds = {(e1 + e2, e3 + e4)
+           for e1, e2, e3, e4 in map(f.ring.unpack, f.terms)}
+    return bds.pop() if len(bds) == 1 else "mixed"
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_packed_bidegree_matches_the_exponents(q):
+    # every basis value and every product target of the module fit
+    ctx = context_for_q(q)
+    values = [ctx.basis_value(spec) for spec in ctx.enumerate_basis()]
+    for n, f in enumerate(values):
+        assert ctx.r4_bidegree(f) == unpacked_bidegree(f)
+        for g in values[n:]:
+            target = f * g
+            assert ctx.r4_bidegree(target) == unpacked_bidegree(target)
+
+
+def test_bidegree_of_a_mixed_polynomial_is_an_error():
+    ctx = context_for_q(3)
+    R = ctx.R4
+    assert ctx.r4_bidegree(R.zero) is None
+    assert ctx.r4_bidegree(R.parse("x1^2*y2 + x1*x2*y1")) == (2, 1)
+    for text in ("x1 + y1", "x1*y1 + x2^2", "x1^2*y2 + x1*y1^2", "1 + y2"):
+        with pytest.raises(GensError):
+            ctx.r4_bidegree(R.parse(text))
 
 
 def test_u_and_d_families():

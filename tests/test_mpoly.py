@@ -115,6 +115,21 @@ def test_order_key_matches_the_reference_order(order, weights, data):
         reference_order_key(order, weights, b))
 
 
+@pytest.mark.parametrize("weights", ((1,) * 7, s7_weights(4)))
+@pytest.mark.parametrize("order", ("grlex", "grevlex", "lex"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_order_key_is_affine_in_the_packed_key(order, weights, data):
+    # the reduction kernel adds combined keys okey(k) << W | k, so every
+    # order key must turn monomial products into sums
+    R = PolyRing(ff_make(2), S7_VARS, weights=weights, order=order)
+    exps = st.tuples(*[st.integers(0, 150)] * R.n)
+    a, b = data.draw(exps), data.draw(exps)
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert R.okey(R.pack(ab)) == \
+        R.okey(R.pack(a)) + R.okey(R.pack(b)) - R.okey(0)
+
+
 def test_divide_exact():
     R = ring5()
     f = R.parse("x1^3*x2 + 2*x1^2*y1")

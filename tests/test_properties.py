@@ -4,8 +4,9 @@ The term kernels run on the field's flat tables for every field.  Here they
 are compared with independent references: plain integers mod p over GF(2),
 GF(3), GF(5), and coefficient tuples multiplied by gf._polymul_mod over
 GF(4), GF(9).  Also: text round trips, pack/unpack, the division
-identity of tracked normal forms, and the support-indexed divisor search
-against a plain scan for the first divisor.
+identity of tracked normal forms, and the combined-key reduction kernel with
+its support-indexed divisor search against a plain scan for the first
+divisor.
 """
 
 import functools
@@ -203,34 +204,61 @@ def terms_in(draw, R, min_size=0):
     return {R.pack(e): c for e, c in raw.items()}
 
 
+def monic_terms(lt, tail):
+    terms = dict(tail)
+    terms[lt] = 1
+    return terms
+
+
 @pytest.mark.parametrize("order", ("grlex", "grevlex", "lex"))
 @pytest.mark.parametrize("q", (2, 3, 4))
 @SETTINGS
 @given(data=st.data())
 def test_indexed_divisor_search_is_the_first_divisor(q, order, data):
-    # one index shared by calls while the basis grows: cached support lists
-    # must pick up the appended elements
+    # one basis shared by calls while it grows and while its tails are
+    # replaced in place, as the inter-reduction does: cached support lists
+    # must pick up the appended elements, and the combined tails the new
+    # plain ones
     R = PolyRing(ff_from_q(q), NAMES, order=order)
     field = R.field
-    index = K.DivisorIndex(R.n)
-    tails = []
+    basis = K.MonicBasis(R.n, R.okey)
     fs = []
+
+    def check(f, want_r, want_cof):
+        r, cof = K.normal_form_terms(f, basis, field, True)
+        assert r == want_r
+        assert [c or {} for c in cof] == want_cof
+        r, none = K.normal_form_terms(f, basis, field, False)
+        assert r == want_r and none is None
+
     for grow in (data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))):
         for lt, tail in data.draw(monic_basis(R, grow)):
-            index.add(lt)
-            tails.append(tail)
+            basis.add(lt, tail)
+        if basis.keys and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(basis.keys) - 1))
+            lt = basis.keys[i]
+            basis.set_tail(i, {k: c for k, c in data.draw(terms_in(R)).items()
+                               if R.okey(k) < R.okey(lt)})
         fs.append(data.draw(terms_in(R)))
         for f in fs:
-            want_r, want_cof = plain_normal_form(f, index.keys, tails, R,
-                                                 field)
-            r, cof = K.normal_form_terms(f, index, tails, R.okey,
-                                         field, True)
-            assert r == want_r
-            assert [c or {} for c in cof] == want_cof
-            r, none = K.normal_form_terms(f, index, tails, R.okey,
-                                          field, False)
-            assert r == want_r and none is None
-    for k in index.keys:
-        first = next(i for i, m in enumerate(index.keys)
+            check(f, *plain_normal_form(f, basis.keys, basis.tails, R, field))
+        if not basis.keys:
+            continue
+        # the S-pair entry seeds the same S-polynomial as the term kernels
+        i = data.draw(st.integers(0, len(basis.keys) - 1))
+        j = data.draw(st.integers(0, len(basis.keys) - 1))
+        lcm = R.pack(tuple(map(max, R.unpack(basis.keys[i]),
+                               R.unpack(basis.keys[j]))))
+        si, sj = lcm - basis.keys[i], lcm - basis.keys[j]
+        spoly = K.add_terms(
+            K.scale_terms(monic_terms(basis.keys[i], basis.tails[i]), 1, si,
+                          field),
+            K.scale_terms(monic_terms(basis.keys[j], basis.tails[j]), 1, sj,
+                          field),
+            field, True)
+        check((i, j, si, sj),
+              *plain_normal_form(spoly, basis.keys, basis.tails, R, field))
+    for k in basis.keys:
+        first = next(i for i, m in enumerate(basis.keys)
                      if R.key_divides(m, k))
-        assert index.first_divisor(k) == first
+        assert basis.index.first_divisor(k) == first

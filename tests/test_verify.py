@@ -152,6 +152,14 @@ def test_elimination_crosscheck_full_kernel(q):
     assert "identical" in rep.items[-1].detail
 
 
+def test_elimination_crosscheck_q4():
+    # the benchmark's Groebner workload, pinned where every run sees it
+    rep = elimination_crosscheck(ff_from_q(4))
+    assert [(it.name, it.status, it.detail) for it in rep.items] == [
+        ("lex-elimination", "pass", "basis size 371, eliminated 6"),
+        ("ideal-equality", "pass", "reduced bases identical (5 elements)")]
+
+
 def test_elimination_budget_is_a_real_bound():
     # at q=5 the pair update and the inter-reduction run long enough that
     # the budget must be checked inside them, not only between S-pairs
