@@ -208,7 +208,10 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     with e1 = e3 mod q-1; W maps (e1, e3) to (a-e1, b-e3), so the fixed
     space of both is spanned by W-orbit sums of those.  Only T is imposed by
     rank: T x1 = x1 - x2, T y2 = y1 + y2 and x2, y1 are fixed, so T has
-    integer entries and its rank over GF(p) is its rank over GF(q).
+    integer entries and its rank over GF(p) is its rank over GF(q).  The
+    binomials, T and T - I are built in the narrowest signed integer type
+    that holds 2(p-1)^2 + 1, the largest entry of an orbit-sum column: int8
+    for every p up to 7.
 
     use_full_group instead stacks g - I for every g in GL2(F_q) and takes
     the rank over GF(q): the exhaustive cross-check of the above.
@@ -236,7 +239,8 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
                 mates.append(mate)
     # binom[i, j] = C(i, j) mod p
     n = max(a, b)
-    binom = np.zeros((n + 1, n + 1), dtype=np.int64)
+    binom = np.zeros((n + 1, n + 1),
+                     dtype=linalg._int_type(2 * (p - 1) ** 2 + 1))
     binom[:, 0] = 1
     for i in range(1, n + 1):
         binom[i, 1:] = (binom[i - 1, 1:] + binom[i - 1, :-1]) % p
@@ -260,7 +264,7 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     pair = [k for k, (r, m) in enumerate(zip(reps, mates)) if r != m]
     if pair:
         mat[:, pair] += t_columns([mates[k] for k in pair])
-    return len(reps) - linalg.rank_modp(mat % p, p)
+    return len(reps) - linalg.rank_modp(mat, p)
 
 
 def _full_group_dimension(field, a, b):

@@ -1,24 +1,33 @@
 """Exact Gaussian elimination over GF(q).
 
-Every rank and solve is one elimination over the prime field GF(p).  A
-matrix over GF(p^s) is first lifted to GF(p) by the regular representation:
-each entry becomes the s x s matrix of multiplication by it on the basis 1,
-t, ..., t^(s-1), so ranks multiply by s.  For s = 1 the lift is the identity.
-For odd p the elimination runs in numpy integer arithmetic mod p (vectorized,
-still exact; no floating point anywhere).  For p = 2 each row is one Python
-int, column 0 in the highest bit, and the rows are inserted one by one into
-a greedy XOR basis keyed by leading bit; a rank is the size of that basis,
-taken on the orientation with fewer rows.
+Every rank and solve is one elimination over the prime field GF(p), on the
+smallest exact form of the matrix.  A matrix of GF(q) indices whose entries
+all lie below p lies over GF(p) itself (index i < p is the element i), and
+is eliminated as it is.  Only a matrix with an entry outside GF(p) is lifted
+to GF(p) by the regular representation: each entry becomes the s x s matrix
+of multiplication by it on the basis 1, t, ..., t^(s-1), so ranks multiply
+by s.  For a matrix A over GF(p) that lift is A (x) I_s up to a permutation,
+so skipping it changes no rank, pivot or solution.  For odd p the
+elimination runs in numpy integer arithmetic mod p on the narrowest signed
+type that holds (p-1)^2 (vectorized, still exact; no floating point
+anywhere).  For p = 2 each row is one Python int, column 0 in the highest
+bit, and the rows are inserted one by one into a greedy XOR basis keyed by
+leading bit; a rank is the size of that basis, taken on the orientation
+with fewer rows.
 
 A solve factors first and then applies the factorization, so one matrix
 factored once serves any number of right-hand sides: the pivot rows P and
-pivot columns of the lift L of its nonzero rows give an invertible square
-L[P, pivots], whose inverse maps b[P] to the pivot entries of the solution.
-For p = 2 the pivot rows are the rows that entered the XOR basis and the
-pivot columns its leading bits, the same pivot set as reduced row echelon
-form, since both are fixed by the row space.  Every solution is re-checked
-against the whole system, and that check alone decides consistency.  One
-Factorization serves every GF(p^s), s = 1 too.
+pivot columns of the eliminated matrix E (the nonzero rows, lifted or not)
+give an invertible square E[P, pivots], whose inverse maps b[P] to the pivot
+entries of the solution.  For p = 2 the pivot rows are the rows that
+entered the XOR basis and the pivot columns its leading bits, the same
+pivot set as reduced row echelon form, since both are fixed by the row
+space.  A right-hand side over GF(p^s) meets a factorization over GF(p) one
+base-p digit plane at a time (the coefficients of 1, t, ...), up to its
+highest plane that is not 0; one within GF(p) is a single plane.  Every
+solution is re-checked against the whole system, in every plane, and that
+check alone decides consistency.  One Factorization serves every GF(p^s),
+s = 1 too.
 """
 
 from __future__ import annotations
@@ -124,9 +133,11 @@ def rank_gf2(A):
 
 
 def rank_modp(A, p):
-    """Rank over GF(p), p prime, of an integer numpy matrix."""
+    """Rank over GF(p), p prime, of an integer numpy matrix.  Over p = 2
+    the residue is the low bit, which two's complement keeps for negative
+    entries too; numpy's integer % is a division, about 100 times slower."""
     if p == 2:
-        return rank_gf2(np.asarray(A) % 2)
+        return rank_gf2(np.asarray(A) & 1)
     A = np.asarray(A)
     aug = (A % p).astype(_int_type((p - 1) ** 2), copy=False)
     return len(_rref(aug, p, A.shape[1]))
@@ -161,22 +172,29 @@ def _lift(M, field):
 
 
 def rank_field(rows, field):
-    """Rank over any FieldParams of a matrix of field indices."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
+    """Rank over any FieldParams of a matrix of field indices: over GF(p)
+    as it is when every entry lies below p, else of the lift of its nonzero
+    rows, divided by s."""
+    A = np.asarray(rows)
+    if not A.size:
         return 0
-    return rank_modp(_lift(rows, field), field.p) // field.s
+    p = field.p
+    if A.max() < p:
+        return rank_modp(A, p)
+    return rank_modp(_lift(A[A.any(axis=1)], field), p) // field.s
 
 
 class Factorization(NamedTuple):
-    """A matrix of field indices factored for solving: the lift L of its
-    nonzero rows has pivot columns pivots, and L[rows, pivots] has inverse
-    inv."""
+    """A matrix of field indices factored for solving: its nonzero rows,
+    lifted when lifted is True and as they are otherwise (every entry in
+    GF(p)), form a matrix E with pivot columns pivots, and E[rows, pivots]
+    has inverse inv."""
 
     nonzero: np.ndarray
     rows: np.ndarray
     pivots: np.ndarray
     inv: np.ndarray
+    lifted: bool
 
 
 def _factor_gf2(L):
@@ -203,23 +221,38 @@ def _factor_gf2(L):
 
 def factor_field(rows, field):
     """Factor a matrix of field indices over any FieldParams: one elimination
-    of the lift of its nonzero rows, which also records the original row of
-    each pivot, and one of the small [L[rows, pivots] | I] for the inverse.
+    of its nonzero rows (over GF(p) as they are when every entry lies below
+    p, else of their lift), which also records the original row of each
+    pivot, and one of the small [E[rows, pivots] | I] for the inverse.
     Over p = 2 both are eliminations on int rows."""
     rows = np.asarray(rows)
+    p = field.p
     nonzero = np.flatnonzero(rows.any(axis=1))
-    L = _lift(rows[nonzero], field)
-    if field.p == 2:
-        return Factorization(nonzero, *_factor_gf2(L))
-    aug = L.copy()
-    order = np.arange(L.shape[0])
-    pivots = np.array(_rref(aug, field.p, L.shape[1], order), dtype=np.intp)
+    lifted = bool(rows.size) and int(rows.max()) >= p
+    E = _lift(rows[nonzero], field) if lifted else rows[nonzero]
+    if p == 2:
+        return Factorization(nonzero, *_factor_gf2(E), lifted)
+    # signed, so that a row operation on a uint8 block cannot wrap
+    E = E.astype(_int_type((p - 1) ** 2), copy=False)
+    aug = E.copy()
+    order = np.arange(E.shape[0])
+    pivots = np.array(_rref(aug, p, E.shape[1], order), dtype=np.intp)
     r = pivots.size
-    square = np.hstack([L[np.ix_(order[:r], pivots)],
-                        np.eye(r, dtype=L.dtype)])
-    _rref(square, field.p, r)
+    square = np.hstack([E[np.ix_(order[:r], pivots)],
+                        np.eye(r, dtype=E.dtype)])
+    _rref(square, p, r)
     return Factorization(nonzero, order[:r].copy(), pivots,
-                         square[:, r:].copy())
+                         square[:, r:].copy(), lifted)
+
+
+def _digit_planes(b, p):
+    """The base-p digits of an index vector b, one column per plane up to
+    the highest plane that is not 0."""
+    planes = []
+    while b.any():
+        planes.append(b % p)
+        b = b // p
+    return np.stack(planes, axis=1)
 
 
 def solve_factored(fact, rows, rhs, field):
@@ -227,11 +260,15 @@ def solve_factored(fact, rows, rhs, field):
     factorization of rows; returns a list of field indices with free
     variables 0, or None.
 
-    A zero row of rows needs a zero rhs.  The lifted pivot entries are
-    inv @ b[fact.rows], and the re-check of every lifted row decides
-    consistency.  A GF(q) pivot column lifts to s GF(p) pivot columns, so
-    this is the GF(q) solution in coefficients of 1, t, ...  The rows are
-    lifted again for the re-check, so no lifted copy outlives the solve.
+    A zero row of rows needs a zero rhs.  The pivot entries are
+    inv @ b[fact.rows], and the re-check of every row decides consistency.
+    For a lifted factorization b and the re-checked rows are lifted too, and
+    a GF(q) pivot column lifts to s GF(p) pivot columns, so the solution
+    comes out in coefficients of 1, t, ...; the rows are lifted again for
+    the re-check, so no lifted copy outlives the solve.  For one over GF(p)
+    a rhs within GF(p) is solved as it is, and any other one digit plane by
+    digit plane, each plane re-checked: the pivots of the lift are the
+    pivots of rows in every plane, so this is the same solution.
     """
     rows = np.asarray(rows)
     rhs = np.asarray(rhs, dtype=np.uint8)   # indices < q <= 256
@@ -239,14 +276,25 @@ def solve_factored(fact, rows, rhs, field):
     if np.count_nonzero(on_nonzero) < np.count_nonzero(rhs):
         return None
     p, s = field.p, field.s
-    L = _lift(rows[fact.nonzero], field)
-    wide = _int_type(L.shape[1] * (p - 1) ** 2 + p)
-    b = _lift(on_nonzero[:, None], field)[:, 0].astype(wide)
-    x = np.zeros(L.shape[1], dtype=wide)
+    E = rows[fact.nonzero]
+    if fact.lifted:
+        E = _lift(E, field)
+        b = _lift(on_nonzero[:, None], field)[:, 0]
+    elif s > 1 and on_nonzero.size and on_nonzero.max() >= p:
+        b = _digit_planes(on_nonzero, p)
+    else:
+        b = on_nonzero
+    wide = _int_type(E.shape[1] * (p - 1) ** 2 + p)
+    b = b.astype(wide)
+    x = np.zeros((E.shape[1],) + b.shape[1:], dtype=wide)
     x[fact.pivots] = fact.inv.astype(wide) @ b[fact.rows] % p
-    if np.any((L @ x - b) % p):
+    if np.any((E @ x - b) % p):
         return None
-    return (x.reshape(rows.shape[1], s) @ p ** np.arange(s)).tolist()
+    if fact.lifted:
+        x = x.reshape(rows.shape[1], s)
+    if x.ndim == 2:
+        x = x @ p ** np.arange(x.shape[1])
+    return x.tolist()
 
 
 def solve_generic(rows, rhs, field):

@@ -227,8 +227,8 @@ def hilbert_series_from_basis(ctx, bound):
 
 def _block_vector(poly, a, b):
     """Coefficient indices of a bihomogeneous base-ring polynomial of
-    bidegree (a, b), one slot per monomial x1^e1 x2^(a-e1) y1^e3 y2^(b-e3)
-    at e1*(b+1) + e3.
+    bidegree (a, b) as a bytearray, one uint8 slot (every index is below
+    q <= 256) per monomial x1^e1 x2^(a-e1) y1^e3 y2^(b-e3) at e1*(b+1) + e3.
 
     Reads e1 and e3 straight off the packed keys and never looks at e2 or
     e4: the caller vouches for the bidegree."""
@@ -236,7 +236,7 @@ def _block_vector(poly, a, b):
     sh1 = CHUNK * (n - 1)   # x1, the first variable
     sh3 = CHUNK * (n - 3)   # y1, the third
     width = b + 1
-    vec = [0] * ((a + 1) * width)
+    vec = bytearray((a + 1) * width)
     for key, cidx in poly.terms.items():
         vec[((key >> sh1) & MASK) * width + ((key >> sh3) & MASK)] = cidx
     return vec
@@ -393,6 +393,12 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     plain scan of gb.lt_keys: standard_monomial_count, which the
     standard-monomials item compares against, uses gb.index instead, so
     the two counts rest on two divisibility tests.
+
+    Each bidegree block keeps its block vectors (_block_vector) as the rows
+    of one uint8 matrix, appended to a bytearray: one byte per entry and no
+    object per row.  A block's matrix is released once its rank is taken;
+    rank_field eliminates it over GF(p) as it is whenever every entry lies
+    there, as every image of the seven generators does.
     """
     S = ctx.S7
     n = S.n
@@ -407,7 +413,8 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
         check_deadline(deadline)
         if pos == n:
             counts[a + b] += 1
-            buckets.setdefault((a, b), []).append(_block_vector(poly, a, b))
+            buckets.setdefault((a, b), bytearray()).extend(
+                _block_vector(poly, a, b))
             return
         da, db = bidegs[pos]
         while not any(S.key_divides(lt, key) for lt in gb.lt_keys):
@@ -422,9 +429,11 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     walk(0, 0, ctx.R4.one, 0, 0)
 
     ranks = [0] * (bound + 1)
-    for (a, b), rows in sorted(buckets.items()):
+    for a, b in sorted(buckets):
         check_deadline(deadline)
-        ranks[a + b] += linalg.rank_field(rows, ctx.field)
+        rows = np.frombuffer(buckets.pop((a, b)), dtype=np.uint8)
+        ranks[a + b] += linalg.rank_field(rows.reshape(-1, (a + 1) * (b + 1)),
+                                          ctx.field)
     return counts, ranks
 
 

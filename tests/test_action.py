@@ -1,8 +1,9 @@
 """Group enumeration, the diagonal action, and the two ring endomorphisms."""
 
+import numpy as np
 import pytest
 
-from modinvar import groebner
+from modinvar import action, groebner, linalg
 from modinvar.action import (
     Mat2,
     SingularMatrix,
@@ -197,6 +198,103 @@ def test_oracle_matches_full_group_on_every_block(q, top):
                 unbalanced += 1
     assert unbalanced
     assert killed or q == 2
+
+
+def int64_orbit_matrix(field, a, b):
+    """The oracle: the (T - I) orbit-sum matrix of the (a, b) block as
+    invariant_bidegree_dimension built it in int64, unreduced, and its
+    column count."""
+    q, p = field.q, field.p
+    reps, mates = [], []
+    for e1 in range(a + 1):
+        for e3 in range(e1 % (q - 1), b + 1, q - 1):
+            mate = (a - e1, b - e3)
+            if (e1, e3) <= mate:
+                reps.append((e1, e3))
+                mates.append(mate)
+    n = max(a, b)
+    binom = np.zeros((n + 1, n + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for i in range(1, n + 1):
+        binom[i, 1:] = (binom[i - 1, 1:] + binom[i - 1, :-1]) % p
+    tx = binom[:a + 1, :a + 1].T.copy()
+    odd = np.add.outer(np.arange(a + 1), np.arange(a + 1)) % 2 == 1
+    tx[odd] = -tx[odd]
+    ty = binom[:b + 1, :b + 1].T[::-1, ::-1]
+
+    def t_columns(monomials):
+        e1s = [m[0] for m in monomials]
+        e3s = [m[1] for m in monomials]
+        cols = (tx[:, None, e1s] * ty[None, :, e3s]).reshape(-1, len(e1s))
+        cols[[e1 * (b + 1) + e3 for e1, e3 in monomials],
+             np.arange(len(e1s))] -= 1
+        return cols
+
+    mat = t_columns(reps)
+    pair = [k for k, (r, m) in enumerate(zip(reps, mates)) if r != m]
+    if pair:
+        mat[:, pair] += t_columns([mates[k] for k in pair])
+    return mat, len(reps)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_narrow_oracle_matches_the_int64_construction(p, monkeypatch):
+    """At every supported p the oracle builds the same (T - I) matrix as the
+    int64 construction, in the narrow type, and so the same dimension: on
+    the small bidegrees and on those near 2p, where the binomials mod p run
+    through every value up to p - 1, so the entries reach (p-1)^2, within
+    the bound 2(p-1)^2 + 1."""
+    field = ff_make(p)
+    seen = []
+    rank_modp = linalg.rank_modp
+
+    def capture(mat, prime):
+        seen.append(mat)
+        return rank_modp(mat, prime)
+
+    monkeypatch.setattr(linalg, "rank_modp", capture)
+    near = range(2 * p - 2, 2 * p + 2)
+    blocks = [(a, b) for a in range(7) for b in range(7)]
+    blocks += [(a, b) for a in near for b in near]
+    bound = 2 * (p - 1) ** 2 + 1
+    largest = 0
+    for a, b in blocks:
+        del seen[:]
+        dim = invariant_bidegree_dimension(field, a, b)
+        if (a - b) % (p - 1):
+            assert dim == 0 and not seen
+            continue
+        want, cols = int64_orbit_matrix(field, a, b)
+        assert dim == cols - rank_modp(want % p, p), (a, b)
+        (mat,) = seen
+        assert mat.dtype == linalg._int_type(bound)
+        assert np.array_equal(mat, want), (a, b)
+        largest = max(largest, int(np.abs(want).max()))
+    assert (p - 1) ** 2 <= largest <= bound
+
+
+def test_narrow_oracle_type_holds_its_bound():
+    """The oracle's type holds 2(p-1)^2 + 1 and is the narrowest that
+    does: int8 at every supported p."""
+    narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}
+    for p in (2, 3, 5, 7, 11, 13, 127, 251, 65521):
+        bound = 2 * (p - 1) ** 2 + 1
+        t = linalg._int_type(bound)
+        assert np.iinfo(t).max >= bound
+        if t in narrower:
+            assert np.iinfo(narrower[t]).max < bound
+        if p <= 7:
+            assert t is np.int8
+
+
+@pytest.mark.parametrize("q,blocks", (
+    (5, ((0, 0), (1, 1), (2, 2), (3, 3), (0, 4), (4, 0), (1, 2))),
+    (7, ((1, 1), (2, 2), (0, 6), (2, 3)))))
+def test_oracle_matches_full_group_at_larger_p(q, blocks):
+    F = ff_from_q(q)
+    for a, b in blocks:
+        assert invariant_bidegree_dimension(F, a, b) == \
+            invariant_bidegree_dimension(F, a, b, use_full_group=True)
 
 
 class ExpiringClock:

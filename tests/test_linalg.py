@@ -1,12 +1,16 @@
 """Exact elimination: rank and solve over GF(p) against sympy's DomainMatrix,
-rank_gf2 against the generic elimination, and the regular-representation
-lift over GF(p^s) against brute-force enumeration."""
+rank_gf2 against the generic elimination, the regular-representation lift
+over GF(p^s) against brute-force enumeration, and the prime-field rule (a
+matrix over GF(p) is eliminated without the lift) against an oracle that
+always lifts."""
 
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -329,3 +333,140 @@ def test_inconsistent_only_on_a_zero_row():
             assert linalg.solve_factored(fact, A, bad, field) is None
             assert linalg.solve_generic(A, bad, field) is None
         assert linalg.solve_modp([[0, 0], [1, 0]], [1, 0], 3) is None
+
+
+# ---------------------------------------------------------------------------
+# the prime-field rule: a matrix over GF(p) is eliminated as it is
+
+
+def lifted_rank(A, field):
+    """The oracle: the rank of the lift of A's nonzero rows, divided by s."""
+    A = np.asarray(A)
+    return linalg.rank_modp(linalg._lift(A[A.any(axis=1)], field),
+                            field.p) // field.s
+
+
+def lifted_pivots(A, field):
+    """The oracle: the pivot columns of the lift of A's nonzero rows."""
+    A = np.asarray(A)
+    L = linalg._lift(A[A.any(axis=1)], field).astype(np.int64)
+    return linalg._rref(L, field.p, L.shape[1])
+
+
+def pivots_of_the_lift(fact, field):
+    """The pivot columns of the lift that fact stands for: its own pivots
+    when it was lifted, else each pivot j of the GF(p) matrix as the s
+    columns j*s, ..., j*s + s - 1 of its lift A (x) I_s."""
+    if fact.lifted:
+        return list(fact.pivots)
+    return [j * field.s + k for j in fact.pivots for k in range(field.s)]
+
+
+def assert_inverts_the_pivot_square(fact, A, field):
+    E = np.asarray(A)[fact.nonzero].astype(np.int64)
+    if fact.lifted:
+        E = linalg._lift(E, field)
+    square = E[np.ix_(fact.rows, fact.pivots)]
+    r = len(fact.pivots)
+    assert ((square @ fact.inv) % field.p == np.eye(r, dtype=int)).all()
+
+
+@st.composite
+def prime_field_systems(draw):
+    """(field, A, planes, bad): a matrix A over GF(p) with some zero rows
+    in GF(q), q = 4, 8 or 9, ending in a repeat of a nonzero row when there
+    is one; the right-hand sides A y_k of s vectors y_k over GF(p), one per
+    base-p digit plane; and a plane and a value outside GF(p) to place."""
+    field = ff_from_q(draw(st.sampled_from(EXTENSIONS)))
+    p = field.p
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.integers(1, 7))
+    entry = st.integers(0, p - 1)
+    A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        A[i] = [0] * cols
+    nonzero = [i for i, row in enumerate(A) if any(row)]
+    if nonzero:
+        A.append(list(A[draw(st.sampled_from(nonzero))]))
+    ys = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                       min_size=field.s, max_size=field.s))
+    planes = [(np.array(A) @ np.array(y)) % p for y in ys]
+    bad = (draw(st.integers(0, field.s - 1)),
+           (draw(st.integers(0, len(A) - 1)), draw(st.integers(0, cols - 1)),
+            draw(st.integers(p, field.q - 1))))
+    return field, A, planes, bad
+
+
+@settings(max_examples=80, deadline=None)
+@given(prime_field_systems())
+def test_prime_field_rule_matches_the_lift(system):
+    """rank_field, factor_field and solve_factored on a matrix over GF(p)
+    skip the lift and agree with the oracle that takes it: right-hand sides
+    within GF(p), in every digit plane, and inconsistent ones, on a
+    repeated row or on a zero row; and a matrix with one entry outside
+    GF(p) is lifted and agrees too."""
+    field, A, planes, (plane, (i, j, v)) = system
+    p, q = field.p, field.q
+    fact = linalg.factor_field(A, field)
+    assert not fact.lifted
+    assert linalg.rank_field(A, field) == lifted_rank(A, field) \
+        == len(fact.pivots)
+    assert pivots_of_the_lift(fact, field) == lifted_pivots(A, field)
+    assert_inverts_the_pivot_square(fact, A, field)
+
+    inside = [int(v) for v in planes[0]]
+    every = [int(v) for v in sum(p ** k * b for k, b in enumerate(planes))]
+    for b in (inside, every):
+        x = linalg.solve_factored(fact, A, b, field)
+        assert x == scratch_solve(A, b, field)
+        assert [elements_apply(field, row, x) for row in A] == b
+    bad = []
+    if any(A[-1]):
+        b = list(every)
+        b[-1] = field.add_i(b[-1], p ** plane)  # the repeat disagrees
+        bad.append(b)
+    zero = [r for r, row in enumerate(A) if not any(row)]
+    if zero:
+        b = list(inside)
+        b[zero[0]] = p ** plane
+        bad.append(b)
+    for b in bad:
+        assert linalg.solve_factored(fact, A, b, field) is None
+        assert scratch_solve(A, b, field) is None
+
+    outside = [list(row) for row in A]
+    outside[i][j] = v
+    fact = linalg.factor_field(outside, field)
+    assert fact.lifted and v >= p and v < q
+    assert linalg.rank_field(outside, field) == lifted_rank(outside, field)
+    assert pivots_of_the_lift(fact, field) == lifted_pivots(outside, field)
+    assert_inverts_the_pivot_square(fact, outside, field)
+    for b in [inside, every] + bad:
+        assert linalg.solve_factored(fact, outside, b, field) \
+            == scratch_solve(outside, b, field)
+
+
+@pytest.mark.parametrize("q", (3, 9))
+def test_uint8_block_factors_like_an_int_matrix(q):
+    """A read-only uint8 block, as the module fit passes, goes straight to
+    factor_field: over odd p its row operations must not wrap."""
+    field = ff_from_q(q)
+    p = field.p
+    rng = random.Random(9100 + q)
+    for rows, cols in ((5, 3), (12, 8), (40, 9), (90, 14)):
+        for kind in ("random", "low-rank"):
+            A = [[v % p for v in row]
+                 for row in field_system(field, rng, rows, cols, kind)]
+            block = np.array(A, dtype=np.uint8)
+            block.flags.writeable = False
+            fact = linalg.factor_field(block, field)
+            wide = linalg.factor_field(np.array(A, dtype=np.int64), field)
+            assert not fact.lifted
+            assert pivots_of_the_lift(fact, field) == lifted_pivots(A, field)
+            for got, want in zip(fact, wide):
+                assert np.array_equal(got, want)
+            assert_inverts_the_pivot_square(fact, A, field)
+            for b in right_hand_sides(field, rng, A, 3):
+                x = linalg.solve_factored(fact, block, b, field)
+                assert x == scratch_solve(A, b, field)

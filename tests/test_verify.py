@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,31 @@ def test_standard_monomials_check_the_deadline(monkeypatch):
             verify._standard_image_ranks(ctx, gb, 30, deadline=1.0)
         assert clock.reads == k
     assert len(ranks) == nranks - 1  # the last check precedes the last rank
+
+
+def test_standard_image_ranks_keep_one_byte_per_entry(monkeypatch):
+    """The walk keeps its block vectors at one byte per entry: under
+    tracemalloc its peak stays within 2 bytes per stored entry and a fixed
+    slack (Python lists of indices take about 8 bytes per entry)."""
+    ctx = InvariantContext(ff_from_q(2))
+    gb = verify._exact_gb(ctx, 26)
+    ctx.pi_images()
+    stored = []
+    rank_field = linalg.rank_field
+
+    def counting_rank(rows, field):
+        stored.append(rows.size)
+        return rank_field(rows, field)
+
+    monkeypatch.setattr(verify.linalg, "rank_field", counting_rank)
+    tracemalloc.start()
+    try:
+        verify._standard_image_ranks(ctx, gb, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(stored) > 400_000
+    assert peak <= 2 * sum(stored) + 256 * 1024
 
 
 # SHA-256 of json.dumps([counts, ranks]) of the standard-monomial walk,
