@@ -6,9 +6,10 @@ test cases share the (sometimes expensive) constructions: each context keeps
 one memo, read through InvariantContext.memo.  It holds the generator
 families, the relations, the basis list, and the value and pullback of every
 basis element asked for, each built once; verify adds its Groebner bases,
-invariant dimensions, module-fit blocks with their factorizations, lines and
-value grids, and the certificate verifier's images of N-monomials and
-pullbacks to the same memo.
+invariant dimensions, the product certificates' data in the C-last ring, the
+reference module fit's blocks with their factorizations, lines and value
+grids, and the certificate verifier's images of N-monomials and pullbacks to
+the same memo.
 """
 
 from __future__ import annotations

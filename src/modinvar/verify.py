@@ -10,16 +10,18 @@ raised unexpectedly live in a separate volatile block.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 import time
 import traceback
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as K
-from . import linalg
+from . import groebner, linalg
 from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
     involution_star, invariant_dimension, is_invariant
@@ -35,8 +37,10 @@ class VerifyError(Exception):
 
 
 class NotExpressible(VerifyError):
-    """A product failed to fit in the free module; firing on valid input
-    would falsify the module-basis property itself."""
+    """A product failed to fit in the free module, or the C-last
+    construction found the relations or the basis not to be what a free
+    module needs; firing on valid input would falsify the module-basis
+    property itself."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +183,7 @@ def _exact_gb(ctx, bound, deadline=None):
     gb = bases.get(bound)
     if gb is None:
         gb = bases[bound] = buchberger(ctx.ideal_generators(), bound=bound,
-                                       track=True, deadline=deadline)
+                                       deadline=deadline)
     return gb
 
 
@@ -689,6 +693,10 @@ def _fit_in_module(ctx, target, degree, deadline=None):
     It needs only the basis values, no Groebner basis.  Labels are unique
     within a block, so each nonzero entry of the solution is one term.
 
+    No suite calls it: reduce_product finds ell from the C-last normal
+    form.  It stays as the independent reference the tests compare that
+    ell against.
+
     The block matrix depends only on (degree, bidegree), so each context
     builds it once, by convolution of the basis values' coefficient grids
     with the lines of the N-monomials (_build_fit_block), and keeps it in
@@ -716,28 +724,180 @@ def _fit_in_module(ctx, target, degree, deadline=None):
     return {spec: Polynomial(ctx.S7, terms) for spec, terms in ell.items()}
 
 
+# S7's variables with the C's last.  Under weighted grevlex in this order the
+# five relations are already a Groebner basis, and every leading term is a
+# U-monomial, so S7/I is free over k[C0, C1, C0s, C1s] on the U-monomials
+# B_U outside the leading terms (Bayer and Stillman, Invent. Math. 87, 1987).
+_CLAST_NAMES = ("Um1", "U0", "U1", "C0", "C1", "C0s", "C1s")
+# the U-exponent chunks of a C-last key, below its weighted degree
+_CLAST_UMASK = ((1 << 3 * CHUNK) - 1) << 4 * CHUNK
+
+
+def _u_basis(ring, gb, q):
+    """B_U: the packed keys of the U-monomials no leading term of gb
+    divides.  The pure powers Um1^q, U0^(q^2-1) and U1^q among the leading
+    terms bound every exponent."""
+    first_divisor = gb.index.first_divisor
+    keys = (ring.pack((a, b, c, 0, 0, 0, 0)) for a in range(q)
+            for b in range(q * q - 1) for c in range(q))
+    return [key for key in keys if first_divisor(key) < 0]
+
+
+class _CLast(NamedTuple):
+    """The product certificates' data in the C-last ring, built once per
+    context by _build_clast.  For spec index m: pullbacks[m] is the pullback
+    p_m in ring, and NF(p_m) = sum_b L_{m,b}(C) b, with p_m - NF(p_m) =
+    sum_i cofactors[m][i] rel_i (term dicts).  tails[m] holds the terms of
+    NF(p_m) outside its constant part L(0), and shifts[m] their
+    C-monomials.  units maps the U-exponent bits of each b in B_U to its
+    packed key, and blocks maps a degree d to the keys of B_U of degree d
+    and, for each, the row of the inverse of L(0)'s block of degree d as
+    {spec index: coefficient}."""
+
+    ring: PolyRing
+    gb: object
+    index: dict
+    pullbacks: list
+    cofactors: list
+    tails: list
+    shifts: list
+    units: dict
+    blocks: dict
+
+
+def _build_clast(ctx, relations, deadline=None):
+    """The C-last data of ctx (_CLast) for the relations T1, T1s, T00,
+    T01, T10 in that order.
+
+    Raises NotExpressible, before it enumerates B_U, unless the relations
+    form a Groebner basis in the C-last order with the five pure-U leading
+    terms; and unless every block of L(0) is square and nonsingular.  Then
+    B_U is finite and the basis M is a k[C]-basis of S7/I.  Each block is
+    inverted once, by solves against the identity.  Checks the deadline
+    before each basis pullback and each block."""
+    q, fld = ctx.q, ctx.field
+    weight = dict(zip(ctx.S7.names, ctx.S7.weights))
+    ring = PolyRing(fld, _CLAST_NAMES,
+                    weights=[weight[nm] for nm in _CLAST_NAMES])
+    # once per context, through the groebner module: the names verify
+    # imports serve the reduction made per product alone
+    gb = groebner.buchberger([rel.remap(ring) for rel in relations],
+                             track=True, deadline=deadline)
+    leading = sorted(ring.unpack(key) for key in gb.lt_keys)
+    # U1^q, Um1^q, U0^(q^2-1), U0^(q^2-q-1) U1 and Um1 U0^(q^2-q-1)
+    if leading != sorted(exps + (0, 0, 0, 0) for exps in (
+            (0, 0, q), (q, 0, 0), (0, q * q - 1, 0), (0, q * q - q - 1, 1),
+            (1, q * q - q - 1, 0))):
+        raise NotExpressible("the relations in the C-last order have "
+                             "leading terms %s, not the five pure-U ones"
+                             % leading)
+    units = {key & _CLAST_UMASK: key for key in _u_basis(ring, gb, q)}
+
+    specs = ctx.enumerate_basis()
+    pullbacks, cofactors, tails, shifts, constant = [], [], [], [], []
+    for spec in specs:
+        check_deadline(deadline)
+        pull = ctx.basis_pullback(spec).remap(ring)
+        rem, cof = groebner.normal_form(pull, gb, track=True)
+        pullbacks.append(pull)
+        cofactors.append([c.terms for c in
+                          groebner.cofactors_on_inputs(gb, cof)])
+        tail, shift, at0 = {}, set(), {}
+        for key, c in rem.terms.items():
+            unit = units[key & _CLAST_UMASK]
+            if key == unit:
+                at0[key] = c
+            else:
+                tail[key] = c
+                shift.add(key - unit)
+        tails.append(tail)
+        shifts.append(shift)
+        constant.append(at0)
+
+    rows_of, cols_of = {}, {}
+    for m, spec in enumerate(specs):
+        rows_of.setdefault(spec.degree(q), []).append(m)
+    for key in units.values():
+        cols_of.setdefault(ring.key_wdeg(key), []).append(key)
+    blocks = {}
+    for d in sorted(set(rows_of) | set(cols_of)):
+        check_deadline(deadline)
+        rows, cols = rows_of.get(d, []), sorted(cols_of.get(d, []))
+        if len(rows) != len(cols):
+            raise NotExpressible("the block of L(0) in degree %d is %d x %d, "
+                                 "not square" % (d, len(rows), len(cols)))
+        block = np.array([[constant[m].get(key, 0) for key in cols]
+                          for m in rows], dtype=np.uint8)
+        fact = linalg.factor_field(block, fld)
+        inverse = [linalg.solve_factored(fact, block, unit, fld)
+                   for unit in np.eye(len(rows), dtype=np.uint8)]
+        if any(x is None for x in inverse):
+            raise NotExpressible("the block of L(0) in degree %d is singular"
+                                 % d)
+        blocks[d] = cols, [{m: x[c] for m, x in zip(rows, inverse) if x[c]}
+                           for c in range(len(cols))]
+    return _CLast(ring, gb, {spec: m for m, spec in enumerate(specs)},
+                  pullbacks, cofactors, tails, shifts, units, blocks)
+
+
 def reduce_product(field, spec_f, spec_g, deadline=None):
     """Certificate that the product of two basis elements lies in the free
     module modulo the relation ideal: an N-combination ell plus cofactors
     witnessing f*g - ell as an exact combination of the five relations.
-    ell is fitted first; one tracked reduction of pf*pg - ell then gives 0."""
+
+    One tracked normal form in the C-last ring (_build_clast, built once per
+    context under this deadline) gives P = pf*pg = sum_i c_i rel_i +
+    sum_b l_b(C) b.  ell solves ell L = l by back-substitution in increasing
+    C-degree: at each C-monomial g, ell_g is the part of l_g that the lower
+    ones leave unexplained times the inverse of L(0)'s block of degree
+    deg P - deg g, and ell_g (L - L(0)) is pushed to the higher g's.  ell is
+    unique, since the basis is a k[C]-basis of S7/I.  The cofactors are
+    c_i - sum_m ell_m e_{m,i}; they are one valid choice among many."""
     ctx = context(field)
     q = ctx.q
     spec_f.validate(q)
     spec_g.validate(q)
     degree = spec_f.degree(q) + spec_g.degree(q)
-    target = ctx.basis_value(spec_f) * ctx.basis_value(spec_g)
-    ell = _fit_in_module(ctx, target, degree, deadline=deadline)
+    cl = ctx.memo("clast", lambda: _build_clast(
+        ctx, ctx.ideal_generators(), deadline))
+    ring, units, fld = cl.ring, cl.units, ctx.field
+    product = cl.pullbacks[cl.index[spec_f]] * cl.pullbacks[cl.index[spec_g]]
+    rem, cof = normal_form(product, cl.gb, track=True)
+    cofactors = [dict(c.terms) for c in cofactors_on_inputs(cl.gb, cof)]
 
-    diff = ctx.basis_pullback(spec_f) * ctx.basis_pullback(spec_g)
-    for spec, npoly in ell.items():
-        diff = diff - npoly * ctx.basis_pullback(spec)
-    gb = _cached_gb(ctx, degree, deadline)
-    rem, cof = normal_form(diff, gb, track=True)
-    if rem:
-        raise NotExpressible("normal form of the fitted remainder is not 0")
-    return ReductionCertificate(q, spec_f, spec_g, ell,
-                                cofactors_on_inputs(gb, cof))
+    pending = dict(rem.terms)
+    heap = sorted({key - units[key & _CLAST_UMASK] for key in pending})
+    seen = set(heap)
+    ell = {}
+    while heap:
+        gamma = heapq.heappop(heap)
+        block = cl.blocks.get(degree - ring.key_wdeg(gamma))
+        if block is None:
+            continue
+        coords = {}
+        for key, row in zip(*block):
+            c = pending.pop(gamma + key, 0)
+            if c:
+                K.iadd_scaled(coords, row, c, 0, fld)
+        for m, x in coords.items():
+            ell.setdefault(m, {})[gamma] = x
+            minus = fld.neg_flat[x]
+            K.iadd_scaled(pending, cl.tails[m], minus, gamma, fld)
+            for acc, terms in zip(cofactors, cl.cofactors[m]):
+                K.iadd_scaled(acc, terms, minus, gamma, fld)
+            for shift in cl.shifts[m]:
+                if gamma + shift not in seen:
+                    seen.add(gamma + shift)
+                    heapq.heappush(heap, gamma + shift)
+    if pending:
+        raise NotExpressible("the normal form of the product is outside the "
+                             "span of the basis")
+    specs = ctx.enumerate_basis()
+    S7 = ctx.S7
+    return ReductionCertificate(
+        q, spec_f, spec_g,
+        {specs[m]: Polynomial(ring, ell[m]).remap(S7) for m in sorted(ell)},
+        [Polynomial(ring, terms).remap(S7) for terms in cofactors])
 
 
 def _evaluate_ell(ctx, ell):

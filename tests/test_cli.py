@@ -9,7 +9,9 @@ import time
 import pytest
 
 import modinvar
-from modinvar import cli, verify
+from modinvar import cli, gens, verify
+from modinvar.gens import InvariantContext
+from modinvar.gf import ff_from_q
 from modinvar.cli import build_parser, main
 
 
@@ -150,6 +152,22 @@ def test_reduce_trivial(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ell"] == {"A:0,0,0": "1"}
+
+
+def test_reduce_refused_construction_exits_one(capsys, monkeypatch):
+    """T10 replaced by 0 leaves a C-last leading term with a C in it: the
+    construction refuses, which is a verdict (exit 1), not bad input."""
+    field = ff_from_q(2)
+    ctx = InvariantContext(field)
+    ctx._memo["rel", "T10"] = ctx.S7.zero
+    monkeypatch.setattr(gens, "_CONTEXTS",
+                        {(field.p, field.s, field.modulus): ctx})
+    code, out, _ = run_cli(capsys, "reduce", "A:0,0,0", "A:0,0,0",
+                           "--q", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["reverified"] == "fail"
+    assert doc["detail"].startswith("the relations in the C-last order")
 
 
 def test_reduce_bad_spec(capsys):

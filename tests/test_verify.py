@@ -481,8 +481,16 @@ def _fits(ctx, target, ell):
     return total == target
 
 
-def test_products_build_each_fit_block_once(monkeypatch):
-    monkeypatch.setattr(gens, "_CONTEXTS", {})
+def _fit_pairs(ctx, pairs, deadline=None):
+    """_fit_in_module's ell of each product of pairs: the reference fit,
+    which no suite calls any more."""
+    return [verify._fit_in_module(
+        ctx, ctx.basis_value(f) * ctx.basis_value(g),
+        f.degree(ctx.q) + g.degree(ctx.q), deadline=deadline)
+        for f, g in pairs]
+
+
+def test_the_fit_builds_each_block_once(monkeypatch):
     built = {}
     build = verify._build_fit_block
 
@@ -501,18 +509,16 @@ def test_products_build_each_fit_block_once(monkeypatch):
         return factor(block, field)
 
     monkeypatch.setattr(linalg, "factor_field", counting_factor)
-    field = ff_from_q(3)
-    ctx = context_for_q(3)
-    report = check_products(field, sample="all")
-    assert report.overall == "pass"
+    ctx = InvariantContext(ff_from_q(3))
+    pairs = _sampled_pairs(ctx, "all")
+    ells = _fit_pairs(ctx, pairs)
     assert len(built) == len(_memo_keys(ctx, "fit")) == 145
     assert len(factored) == len(_memo_keys(ctx, "factor")) == 145
     assert len(_memo_keys(ctx, "value")) == 48
     assert len(_memo_keys(ctx, "bidegree")) == 48
     blocks = {k: ctx._memo[k] for k in _memo_keys(ctx, "fit")}
-    # a second run solves on the same blocks and factors and builds none
-    again = check_products(field, sample="all")
-    assert again.to_json(False) == report.to_json(False)
+    # a second pass solves on the same blocks and factors and builds none
+    assert _fit_pairs(ctx, pairs) == ells
     assert len(built) == 145
     assert len(factored) == 145
     for key, (labels, block) in blocks.items():
@@ -559,17 +565,15 @@ def _brute_force_labels(ctx, dx, dy):
     return labels
 
 
-def test_fit_block_labels_match_a_brute_force_enumeration(monkeypatch):
+def test_fit_block_labels_match_a_brute_force_enumeration():
     """Every block of the q=2 and q=3 censuses and of the q=4 sample of 300
     pairs lists every basis spec times every N-monomial of the block's
     bidegree, in lexicographic order.  Column order decides which solution
     the solve returns, and so the certificates."""
     for q, sample, count in ((2, "all", 17), (3, "all", 145),
                              (4, "300", 164)):
-        monkeypatch.setattr(gens, "_CONTEXTS", {})
-        field = ff_from_q(q)
-        assert check_products(field, sample=sample).overall == "pass"
-        ctx = context_for_q(q)
+        ctx = InvariantContext(ff_from_q(q))
+        _fit_pairs(ctx, _sampled_pairs(ctx, sample))
         keys = _memo_keys(ctx, "fit")
         assert len(keys) == count
         assert sorted(key[1:] for key in keys) \
@@ -853,20 +857,38 @@ def test_products_q4_census():
     assert len(reduced) == 180 * 181 // 2 == 16290
 
 
-def test_products_pass_their_budget_to_the_fit(monkeypatch):
+def test_the_fit_passes_its_budget_to_the_block_build(monkeypatch):
     seen = []
-    fit = verify._fit_in_module
+    build = verify._build_fit_block
 
-    def spy(ctx, target, degree, deadline=None):
+    def spy(ctx, degree, dx, dy, deadline):
         seen.append(deadline)
-        return fit(ctx, target, degree, deadline=deadline)
+        return build(ctx, degree, dx, dy, deadline)
 
-    monkeypatch.setattr(verify, "_fit_in_module", spy)
+    monkeypatch.setattr(verify, "_build_fit_block", spy)
     deadline = time.monotonic() + 600
-    report = check_products(ff_from_q(2), sample="3", seed=1,
-                            deadline=deadline)
+    ctx = InvariantContext(ff_from_q(2))
+    pairs = _sampled_pairs(ctx, "3", seed=1)
+    _fit_pairs(ctx, pairs, deadline=deadline)
+    assert seen == [deadline] * len(_block_keys(ctx, pairs)) == [deadline] * 3
+
+
+def test_products_pass_their_budget_to_the_clast_build(monkeypatch):
+    seen = []
+    build = verify._build_clast
+
+    def spy(ctx, relations, deadline=None):
+        seen.append(deadline)
+        return build(ctx, relations, deadline)
+
+    monkeypatch.setattr(verify, "_build_clast", spy)
+    field = ff_from_q(2)
+    ctx = _throwaway_context(monkeypatch, field)
+    deadline = time.monotonic() + 600
+    report = check_products(field, sample="3", seed=1, deadline=deadline)
     assert report.overall == "pass"
-    assert seen == [deadline] * 3
+    assert seen == [deadline]    # built once, by the first item
+    assert "clast" in ctx._memo
 
 
 # ---------------------------------------------------------------------------
@@ -955,9 +977,10 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
 
     for name in ("normal_form", "buchberger", "cofactors_on_inputs",
                  "_cached_gb", "_exact_gb", "_fit_in_module",
-                 "_build_fit_block", "reduce_product"):
+                 "_build_fit_block", "reduce_product", "_build_clast",
+                 "_u_basis"):
         monkeypatch.setattr(verify, name, forbidden)
-    for name in ("normal_form", "buchberger"):
+    for name in ("normal_form", "buchberger", "cofactors_on_inputs"):
         monkeypatch.setattr(groebner, name, forbidden)
     for name, fn in vars(linalg).items():
         if inspect.isfunction(fn) and fn.__module__ == linalg.__name__:
@@ -968,7 +991,7 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
         assert ok, detail
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo.seen}
     assert not kinds & {"fit", "factor", "nimage", "nmonomials", "bidegree",
-                        "gb", "dim", "line", "grid"}
+                        "gb", "dim", "line", "grid", "clast"}
     assert {"pi", "pi-pullback"} <= kinds
     # basis_value is read for the product f*g only
     assert {key[1] for key in memo.seen if key[0] == "value"} \
@@ -985,3 +1008,174 @@ def test_verifier_memo_does_not_grow_with_the_pairs(monkeypatch):
     # 1,176 certificates, one entry per N-monomial and basis element met
     assert len(pullbacks) <= len(ctx.enumerate_basis()) == 48
     assert len(images) + len(pullbacks) <= 86
+
+
+# ---------------------------------------------------------------------------
+# product certificates from one tracked normal form in the C-last order
+
+
+def _clast_context_facts(q):
+    """The C-last data of a fresh context: the relations stay a 5-element
+    basis with the five pure-U leading terms; B_U, found by brute force in
+    a box larger than the pure powers allow, has |GL2| elements and the
+    degree multiset of the basis; and every block of L(0), read off the
+    normal forms of the pullbacks, is square, of full rank, and the stored
+    inverse inverts it."""
+    field = ff_from_q(q)
+    ctx = InvariantContext(field)
+    cl = verify._build_clast(ctx, ctx.ideal_generators())
+    ring = cl.ring
+    assert ring.names == ("Um1", "U0", "U1", "C0", "C1", "C0s", "C1s")
+    leading = [(0, 0, q), (q, 0, 0), (0, q * q - 1, 0),
+               (0, q * q - q - 1, 1), (1, q * q - q - 1, 0)]
+    assert len(cl.gb.basis) == 5
+    assert sorted(ring.unpack(k) for k in cl.gb.lt_keys) \
+        == sorted(e + (0, 0, 0, 0) for e in leading)
+
+    box = itertools.product(range(q + 2), range(q * q + 1), range(q + 2))
+    standard = sorted(ring.pack(e + (0, 0, 0, 0)) for e in box if not any(
+        all(a <= b for a, b in zip(lt, e)) for lt in leading))
+    assert sorted(cl.units.values()) == standard
+    assert len(standard) == (q * q - 1) * (q * q - q)
+    specs = ctx.enumerate_basis()
+    assert sorted(ring.key_wdeg(k) for k in standard) \
+        == sorted(spec.degree(q) for spec in specs)
+
+    forms = [groebner.normal_form(pull, cl.gb).terms for pull in cl.pullbacks]
+    for d, (cols, inverse) in cl.blocks.items():
+        rows = [m for m, spec in enumerate(specs) if spec.degree(q) == d]
+        assert len(rows) == len(cols) == len(inverse)
+        block = [[forms[m].get(k, 0) for k in cols] for m in rows]
+        assert linalg.rank_field(np.array(block, dtype=np.uint8),
+                                 field) == len(rows)
+        for r, m in enumerate(rows):
+            for n in rows:
+                total = 0
+                for c, row in enumerate(inverse):
+                    total = field.add_i(total, field.mul_i(block[r][c],
+                                                           row.get(n, 0)))
+                assert total == (m == n)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_clast_context_facts(q):
+    _clast_context_facts(q)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", (7, 8, 9))
+def test_clast_context_facts_at_large_q(q):
+    _clast_context_facts(q)
+
+
+def _ell_equals_the_fit(q, sample):
+    """Every certificate's ell equals _fit_in_module's, fitted in a context
+    of its own, and the certificate passes verify_certificate."""
+    field = ff_from_q(q)
+    reference = InvariantContext(field)
+    pairs = _sampled_pairs(reference, sample)
+    for (f, g), fitted in zip(pairs, _fit_pairs(reference, pairs)):
+        cert = reduce_product(field, f, g)
+        assert cert.ell == fitted, (f.label(), g.label())
+        ok, detail = verify_certificate(field, cert)
+        assert ok, (f.label(), g.label(), detail)
+    return len(pairs)
+
+
+@pytest.mark.parametrize("q,sample,count", ((2, "all", 21), (3, "all", 1176),
+                                            (4, "300", 300)),
+                         ids=("q=2-all", "q=3-all", "q=4-300"))
+def test_ell_equals_the_fit(q, sample, count):
+    assert _ell_equals_the_fit(q, sample) == count
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", (5, 7, 8, 9))
+def test_ell_equals_the_fit_at_large_q(q):
+    assert _ell_equals_the_fit(q, "200") == 200
+
+
+def test_a_timed_out_clast_build_stores_nothing(monkeypatch):
+    field = ff_from_q(3)
+    f, g = BasisSpec.parse("A:2,1,1"), BasisSpec.parse("B:1,1,3,1")
+    ctx = _throwaway_context(monkeypatch, field)
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    verify._build_clast(ctx, ctx.ideal_generators(), deadline=1.0)
+    # Buchberger's checks, one per basis pullback and one per block
+    assert clock.reads > len(ctx.enumerate_basis())
+    for k in (1, clock.reads // 2, clock.reads):
+        monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock(k))
+        with pytest.raises(TimeoutExceeded):
+            reduce_product(field, f, g, deadline=1.0)
+        assert "clast" not in ctx._memo
+    monkeypatch.setattr(groebner.time, "monotonic", ExpiringClock())
+    assert verify_certificate(field, reduce_product(field, f, g,
+                                                    deadline=1.0))[0]
+    assert "clast" in ctx._memo
+
+
+def test_a_deadline_passing_in_the_build_times_the_item_out(monkeypatch):
+    """The budget runs out inside the first item, while it builds the
+    C-last data: that item times out, the rest are skipped, and no C-last
+    entry is kept."""
+    field = ff_from_q(2)
+    ctx = _throwaway_context(monkeypatch, field)
+    max_deg = max(spec.degree(2) for spec in ctx.enumerate_basis())
+    verify._exact_gb(ctx, 2 * max_deg)
+    build = verify._build_clast
+
+    def late(ctx, relations, deadline=None):
+        monkeypatch.setattr(groebner.time, "monotonic", lambda: 1e9)
+        return build(ctx, relations, deadline)
+
+    monkeypatch.setattr(verify, "_build_clast", late)
+    report = check_products(field, sample="3", deadline=1.0)
+    statuses = [it.status for it in report.items]
+    assert statuses[0] == "timeout"
+    assert set(statuses[1:]) == {"skipped"}
+    assert "clast" not in ctx._memo
+
+
+def test_dropped_t10_is_refused_before_b_u_is_enumerated(monkeypatch):
+    """Without T10, a leading term in the C-last order holds C0, so B_U is
+    infinite: the build refuses on the leading terms, before any
+    enumeration."""
+    ctx = InvariantContext(ff_from_q(3))
+
+    def forbidden(*args):
+        raise AssertionError("B_U was enumerated")
+
+    monkeypatch.setattr(verify, "_u_basis", forbidden)
+    relations = [ctx.relation(n) for n in RELATION_NAMES if n != "T10"]
+    with pytest.raises(verify.NotExpressible, match="leading terms"):
+        verify._build_clast(ctx, relations)
+
+
+def test_a_non_square_or_singular_block_is_refused():
+    ctx = InvariantContext(ff_from_q(3))
+    ctx._memo["basis"] = ctx.enumerate_basis()[1:]    # no degree-0 element
+    with pytest.raises(verify.NotExpressible, match="degree 0 is 0 x 1"):
+        verify._build_clast(ctx, ctx.ideal_generators())
+    ctx = InvariantContext(ff_from_q(3))
+    f, g = BasisSpec.parse("A:1,0,0"), BasisSpec.parse("A:0,1,0")
+    assert f.degree(3) == g.degree(3) == 4
+    ctx._memo["pullback", g] = ctx.basis_pullback(f)
+    with pytest.raises(verify.NotExpressible, match="degree 4 is singular"):
+        verify._build_clast(ctx, ctx.ideal_generators())
+
+
+def test_a_failed_clast_build_fails_the_products_items(monkeypatch):
+    """T10 replaced by 0: every product item fails with the refusal, a
+    verdict rather than bad input, and nothing is stored."""
+    field = ff_from_q(2)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["rel", "T10"] = ctx.S7.zero
+    report = check_products(field, sample="2")
+    reduces = [it for it in report.items if it.name.startswith("reduce(")]
+    assert len(reduces) == 2
+    for item in reduces:
+        assert item.status == "fail"
+        assert item.detail.startswith("NotExpressible: the relations in the "
+                                      "C-last order have leading terms")
+    assert "clast" not in ctx._memo
