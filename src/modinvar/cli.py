@@ -159,6 +159,20 @@ def cmd_reduce(args):
     return 0 if ok else 1
 
 
+def _budget(text):
+    """--timeout-secs: whole seconds, 0 or more (0 is a budget already
+    spent); a negative or non-integer budget is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be whole seconds, got %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "must be 0 or more seconds, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="modinvar",
@@ -176,7 +190,7 @@ def build_parser():
     field.add_argument("--out", default=None,
                        help="output path (default: standard output)")
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--timeout-secs", type=int, default=600)
+    run.add_argument("--timeout-secs", type=_budget, default=600)
     run.add_argument("--format", choices=("json", "text"), default="json")
     degree = argparse.ArgumentParser(add_help=False)
     degree.add_argument("--max-degree", type=int, default=None,

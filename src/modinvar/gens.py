@@ -8,8 +8,8 @@ families, the relations, the basis list, and the value and pullback of every
 basis element asked for, each built once; verify adds its Groebner bases,
 invariant dimensions, the product certificates' data in the C-last ring, the
 reference module fit's blocks with their factorizations, lines and value
-grids, and the certificate verifier's images of N-monomials and pullbacks to
-the same memo.
+grids, and the certificate verifier's Kronecker-packed images of N-monomials
+and pullbacks to the same memo.
 """
 
 from __future__ import annotations

@@ -92,6 +92,7 @@ class PolyRing:
             self.okey = okey
         else:
             raise PolyError("unknown order %r" % order)
+        self._hash = hash((field, names, self.weights, order))
         g = 0
         for i in range(self.n + 1):
             g |= 0x8000 << (CHUNK * i)
@@ -283,11 +284,61 @@ class PolyRing:
                 and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.field, self.names, self.weights, self.order))
+        return self._hash
 
     def __repr__(self):
         return "PolyRing(GF(%d), %s, order=%s)" % (
             self.field.q, "[%s]" % ",".join(self.names), self.order)
+
+
+# Polynomial.remap's plans by (source ring, target ring, var_map items).
+# Rings are compared by value, so equal rings share a plan.
+_REMAP_PLANS = {}
+
+
+def _remap_plan(src, ring, var_map):
+    """How a packed key of src moves to ring under var_map: (moves,
+    missing, weights).  Each move (mask, left, right) takes a run of chunks
+    that keep their order and spacing, (k & mask) << left >> right; the
+    runs are disjoint, so the moved key ORs them together.  missing masks
+    the chunks of the variables with no place in ring.  The weighted degree
+    moves as a chunk when every placed variable keeps its weight; otherwise
+    weights lists (shift, weight) of each placed variable's chunk, and the
+    degree is recomputed.  Raises as remap does for a bad map."""
+    if ring.field != src.field:
+        raise FieldMismatch("remap must preserve the field")
+    for nm in var_map:
+        if nm not in src._index:
+            raise PolyError("no variable %r in %r" % (nm, src.names))
+    dest = [ring._index.get(var_map.get(nm, nm)) for nm in src.names]
+    placed = [j for j in dest if j is not None]
+    if len(set(placed)) != len(placed):
+        raise PolyError("var_map sends two variables to one")
+    missing = 0
+    pairs = []    # (source chunk, target chunk), chunk 0 the lowest
+    for i, j in enumerate(dest):
+        if j is None:
+            missing |= MASK << CHUNK * (src.n - 1 - i)
+        else:
+            pairs.append((src.n - 1 - i, ring.n - 1 - j))
+    weights = None
+    if all(src.weights[i] == ring.weights[j]
+           for i, j in enumerate(dest) if j is not None):
+        pairs.append((src.n, ring.n))
+    else:
+        weights = tuple((CHUNK * (src.n - 1 - i), ring.weights[j])
+                        for i, j in enumerate(dest) if j is not None)
+    runs = []     # [first source chunk, first target chunk, length]
+    for s, t in sorted(pairs):
+        if runs and runs[-1][0] + runs[-1][2] == s \
+                and runs[-1][1] + runs[-1][2] == t:
+            runs[-1][2] += 1
+        else:
+            runs.append([s, t, 1])
+    moves = tuple((((1 << CHUNK * length) - 1) << CHUNK * s,
+                   max(CHUNK * (t - s), 0), max(CHUNK * (s - t), 0))
+                  for s, t, length in runs)
+    return moves, missing, weights
 
 
 class Polynomial:
@@ -492,31 +543,39 @@ class Polynomial:
         variable renamed by var_map (a name it omits keeps its name).
 
         Works on packed keys and keeps every coefficient; a variable in use
-        that has no place in the target ring raises MissingImage.
+        that has no place in the target ring raises MissingImage.  Each key
+        moves by the plan of its (source ring, target ring, var_map): a few
+        masked shifts of runs of chunks (_remap_plan), built once and kept
+        by ring equality.
         """
         src = self.ring
-        if ring.field != src.field:
-            raise FieldMismatch("remap must preserve the field")
-        var_map = var_map or {}
-        for nm in var_map:
-            if nm not in src._index:
-                raise PolyError("no variable %r in %r" % (nm, src.names))
-        dest = [ring._index.get(var_map.get(nm, nm)) for nm in src.names]
-        placed = [j for j in dest if j is not None]
-        if len(set(placed)) != len(placed):
-            raise PolyError("var_map sends two variables to one")
+        mapping = frozenset(var_map.items()) if var_map else None
+        plan = _REMAP_PLANS.get((src, ring, mapping))
+        if plan is None:
+            plan = _REMAP_PLANS[src, ring, mapping] = _remap_plan(
+                src, ring, var_map or {})
+        moves, missing, weights = plan
+        terms = self.terms
+        if missing:
+            for k in terms:
+                if k & missing:
+                    i = next(i for i in range(src.n)
+                             if k >> CHUNK * (src.n - 1 - i) & MASK
+                             and missing >> CHUNK * (src.n - 1 - i) & MASK)
+                    raise MissingImage("variable %r has no place in %r"
+                                       % (src.names[i], ring))
         out = {}
-        n = ring.n
-        for k, c in self.terms.items():
-            new = [0] * n
-            for i, e in enumerate(src.unpack(k)):
-                if e:
-                    j = dest[i]
-                    if j is None:
-                        raise MissingImage("variable %r has no place in %r"
-                                           % (src.names[i], ring))
-                    new[j] = e
-            out[ring.pack(new)] = c
+        for k, c in terms.items():
+            new = 0
+            for mask, left, right in moves:
+                new |= (k & mask) << left >> right
+            if weights is not None:
+                wdeg = sum((k >> shift & MASK) * w for shift, w in weights)
+                if wdeg > EXP_CAP:
+                    raise ExponentOverflow("weighted degree %d out of range"
+                                           % wdeg)
+                new |= wdeg << ring._wshift
+            out[new] = c
         return Polynomial(ring, out)
 
     def evaluate(self, point):

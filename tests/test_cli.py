@@ -190,6 +190,28 @@ def test_timeout_exit_three(capsys):
     assert any(it["status"] == "timeout" for it in doc["items"])
 
 
+@pytest.mark.parametrize("value, message",
+                         (("-5", "must be 0 or more seconds, got -5"),
+                          ("abc", "must be whole seconds, got 'abc'")))
+@pytest.mark.parametrize("argv", (["kernel", "--q", "3"],
+                                  ["reduce", "A:0,0,0", "A:0,0,0"]),
+                         ids=lambda a: a[0])
+def test_bad_timeout_is_a_usage_error(monkeypatch, capsys, argv,
+                                           value, message):
+    def spy(*args, **kwargs):
+        raise AssertionError("ran with a bad budget")
+
+    monkeypatch.setattr(verify, "check_kernel", spy)
+    monkeypatch.setattr(verify, "reduce_product", spy)
+    monkeypatch.setattr(cli, "_field_from_args", spy)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--timeout-secs", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--timeout-secs" in err and message in err
+    assert "_budget" not in err
+
+
 def test_console_script_installed():
     # the child imports the same modinvar as this process, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(modinvar.__file__)))

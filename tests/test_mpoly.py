@@ -292,6 +292,127 @@ def test_remap_round_trip(q):
         assert h.remap(S7, swap).remap(S7, swap) == h
 
 
+def _remap_by_unpacking(f, ring, var_map=None):
+    """The reference remap: unpack each key, move its exponents, repack."""
+    src = f.ring
+    if ring.field != src.field:
+        raise FieldMismatch("remap must preserve the field")
+    var_map = var_map or {}
+    for nm in var_map:
+        if nm not in src.names:
+            raise PolyError("no variable %r in %r" % (nm, src.names))
+    names = {nm: j for j, nm in enumerate(ring.names)}
+    dest = [names.get(var_map.get(nm, nm)) for nm in src.names]
+    placed = [j for j in dest if j is not None]
+    if len(set(placed)) != len(placed):
+        raise PolyError("var_map sends two variables to one")
+    out = {}
+    for k, c in f.terms.items():
+        new = [0] * ring.n
+        for i, e in enumerate(src.unpack(k)):
+            if e:
+                if dest[i] is None:
+                    raise MissingImage(src.names[i])
+                new[dest[i]] = e
+        out[ring.pack(new)] = c
+    return ring.from_dict(out)
+
+
+def _package_ring_pairs(q):
+    """(source ring, target ring, var_map, source variables) of every move
+    the package makes: R4 -> R11 (elimination), R11 -> S7 (back from it),
+    S7 <-> the C-last ring (product certificates), and the swaps of R4
+    (involution_star) and of S7 (s7_star)."""
+    from modinvar.action import _SWAP
+    from modinvar.gens import _S7_SWAP
+    from modinvar.verify import _CLAST_NAMES
+
+    R4, R11, S7, _ = remap_rings(q)
+    weight = dict(zip(S7.names, S7.weights))
+    clast = PolyRing(S7.field, _CLAST_NAMES,
+                     weights=[weight[nm] for nm in _CLAST_NAMES])
+    return ((R4, R11, None, R4_VARS), (R11, S7, None, S7_VARS),
+            (S7, clast, None, S7_VARS), (clast, S7, None, S7_VARS),
+            (R4, R4, _SWAP, R4_VARS), (S7, S7, _S7_SWAP, S7_VARS))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_planned_remap_equals_unpacking(q):
+    import random
+
+    rng = random.Random(30 + q)
+    for src, ring, var_map, names in _package_ring_pairs(q):
+        for terms, top in ((0, 1), (1, 30), (8, 5), (40, 40)):
+            f = random_poly(src, rng, names=names, terms=terms, top=top)
+            got = f.remap(ring, var_map)
+            assert got == _remap_by_unpacking(f, ring, var_map)
+            assert got.ring is ring
+
+
+def test_planned_remap_raises_as_unpacking_does():
+    R4, R11, S7, _ = remap_rings(3)
+    cases = [
+        (R11.var("C0") * R11.var("x1") + R11.var("U0"), S7, None),
+        (R4.var("x1") * R4.var("y2"), R4, {"x1": "z"}),
+        (R4.var("y2") + R4.var("x2"), R4, {"x1": "z"}),
+        (R4.zero, R4, {"w": "x1"}),
+        (R4.var("x1"), R4, {"x1": "x2"}),
+        (R4.zero, R4, {"x1": "x2"}),
+        (R4.var("x1"), PolyRing(ff_make(5), R4_VARS), None),
+    ]
+    for f, ring, var_map in cases:
+        try:
+            want = _remap_by_unpacking(f, ring, var_map)
+        except PolyError as exc:
+            want = type(exc)
+        except FieldMismatch as exc:
+            want = type(exc)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                f.remap(ring, var_map)
+            # and again, with nothing cached by the failure
+            with pytest.raises(want):
+                f.remap(ring, var_map)
+        else:
+            assert f.remap(ring, var_map) == want
+
+
+def test_remap_plans_are_shared_by_equal_rings_only(monkeypatch):
+    import random
+
+    from modinvar import mpoly
+
+    built = []
+    plan = mpoly._remap_plan
+    monkeypatch.setattr(mpoly, "_remap_plan", lambda *args: (
+        built.append(args[1]), plan(*args))[1])
+    rng = random.Random(7)
+    fld = ff_from_q(5)
+    w7 = s7_weights(5)
+    first = PolyRing(fld, S7_VARS, weights=w7)
+    twin = PolyRing(fld, S7_VARS, weights=w7)     # equal, not the same
+    f = random_poly(PolyRing(fld, R4_VARS + S7_VARS,
+                             weights=(1,) * 4 + w7, order="lex"),
+                    rng, names=S7_VARS)
+    f.remap(first)
+    plans, builds = len(mpoly._REMAP_PLANS), len(built)
+    g = f.remap(twin)
+    assert len(built) == builds      # the plan of first serves twin
+    assert len(mpoly._REMAP_PLANS) == plans and g.ring is twin
+    assert g == _remap_by_unpacking(f, twin)
+    # other weights: a plan of its own, with the weighted degree recomputed
+    heavy = PolyRing(fld, S7_VARS, weights=[w + 1 for w in w7])
+    h = f.remap(heavy)
+    assert len(mpoly._REMAP_PLANS) == plans + 1
+    assert len(built) == builds + 1 and built[-1] is heavy
+    assert h == _remap_by_unpacking(f, heavy)
+    assert h.wdeg() > f.wdeg()
+    # a degree the target weights cannot hold overflows as packing does
+    tall = PolyRing(fld, ("a",), weights=(EXP_CAP,))
+    with pytest.raises(ExponentOverflow):
+        PolyRing(fld, ("a",)).var("a", 2).remap(tall)
+
+
 def test_remap_rejects_variable_without_place():
     R4, R11, S7, _ = remap_rings(3)
     f = R11.var("C0") * R11.var("x1") + R11.var("U0")

@@ -13,6 +13,7 @@ import pytest
 from test_action import ExpiringClock
 from test_report_digests import DIGESTS
 
+from modinvar import _kernels as K
 from modinvar import gens, groebner, linalg, verify
 from modinvar.gens import (
     RELATION_NAMES,
@@ -22,6 +23,7 @@ from modinvar.gens import (
 )
 from modinvar.gf import ff_from_q
 from modinvar.groebner import TimeoutExceeded
+from modinvar.mpoly import Polynomial
 from modinvar.verify import (
     check_hilbert,
     elimination_crosscheck,
@@ -134,6 +136,18 @@ def test_certificate_corruption_detected():
     cert.ell[key] = cert.ell[key] + ctx.S7var("C0")
     ok, detail = verify_certificate(field, cert)
     assert not ok
+
+
+def test_an_ell_with_a_u_variable_is_refused():
+    field = ff_from_q(3)
+    ctx = context_for_q(3)
+    f, g = BasisSpec.parse("A:1,0,0"), BasisSpec.parse("B:0,0,1,0")
+    cert = reduce_product(field, f, g)
+    assert verify_certificate(field, cert)[0]
+    spec = next(iter(cert.ell))
+    cert.ell[spec] = cert.ell[spec] + ctx.S7var("U0")
+    assert verify_certificate(field, cert) == \
+        (False, "ell coefficient uses a non-N variable")
 
 
 def test_starred_pair_certificate():
@@ -905,6 +919,34 @@ def _full_pi_of_ell(ctx, ell):
     return ctx.pi(ell_s7)
 
 
+def _term_dict_pi_of_ell(ctx, ell, images=None):
+    """The term-dict oracle: pi(sum_b n_b * pullback(b)) as sum_b pi(n_b) *
+    pi(pullback(b)), one polynomial product per basis element of ell, as
+    verify_certificate evaluated it before the packed check.  The images of
+    N-monomials and pullbacks are kept in images, never in the context."""
+    images = {} if images is None else images
+    fld = ctx.field
+    total = {}
+    for spec, npoly in ell.items():
+        coef = {}
+        for key, cidx in npoly.terms.items():
+            if key not in images:
+                images[key] = ctx.pi(Polynomial(ctx.S7, {key: 1}))
+            K.iadd_scaled(coef, images[key].terms, cidx, 0, fld)
+        if spec not in images:
+            images[spec] = ctx.pi(ctx.basis_pullback(spec))
+        product = Polynomial(ctx.R4, coef) * images[spec]
+        K.iadd_scaled(total, product.terms, 1, 0, fld)
+    return Polynomial(ctx.R4, total)
+
+
+def _verdicts(ctx, ell, f, g, images=None):
+    """(packed verdict, term-dict verdict) of pi(ell) = value(f) * value(g)."""
+    value = ctx.basis_value(f) * ctx.basis_value(g)
+    return (verify._ell_matches_product(ctx, ell, f, g),
+            _term_dict_pi_of_ell(ctx, ell, images) == value)
+
+
 @pytest.mark.parametrize("q,sample", ((2, None), (3, None), (4, 20), (5, 20)),
                          ids=("q=2-all", "q=3-all", "q=4-20", "q=5-20"))
 def test_evaluated_ell_equals_the_full_substitution(q, sample):
@@ -914,11 +956,184 @@ def test_evaluated_ell_equals_the_full_substitution(q, sample):
     pairs = [(f, g) for n, f in enumerate(specs) for g in specs[n:]]
     if sample is not None:
         pairs = random.Random(q).sample(pairs, sample)
+    images = {}
     for f, g in pairs:
         cert = reduce_product(field, f, g)
-        value = verify._evaluate_ell(ctx, cert.ell)
+        value = _term_dict_pi_of_ell(ctx, cert.ell, images)
         assert value == _full_pi_of_ell(ctx, cert.ell)
         assert value == ctx.basis_value(f) * ctx.basis_value(g)
+
+
+def _packed_agrees_on_correct_certificates(q, sample):
+    field = ff_from_q(q)
+    ctx = context_for_q(q)
+    images = {}
+    pairs = _sampled_pairs(ctx, sample)
+    for f, g in pairs:
+        cert = reduce_product(field, f, g)
+        assert _verdicts(ctx, cert.ell, f, g, images) == (True, True), \
+            (f.label(), g.label())
+    return len(pairs)
+
+
+@pytest.mark.parametrize("q,sample,count", ((2, "all", 21), (3, "all", 1176),
+                                            (4, "300", 300)),
+                         ids=("q=2-all", "q=3-all", "q=4-300"))
+def test_packed_check_agrees_with_the_term_dict_oracle(q, sample, count):
+    assert _packed_agrees_on_correct_certificates(q, sample) == count
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", (5, 7, 8, 9))
+def test_packed_check_agrees_with_the_term_dict_oracle_at_large_q(q):
+    assert _packed_agrees_on_correct_certificates(q, "200") == 200
+
+
+def _changed(ell, spec, terms):
+    """ell with the polynomial of spec replaced by the term dict terms."""
+    out = dict(ell)
+    out[spec] = Polynomial(ell[spec].ring, terms)
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_packed_check_rejects_a_changed_coefficient(q):
+    field = ff_from_q(q)
+    ctx = context_for_q(q)
+    for f, g in _sampled_pairs(ctx, "20", seed=q):
+        cert = reduce_product(field, f, g)
+        spec = max(cert.ell, key=lambda s: s.label())
+        terms = dict(cert.ell[spec].terms)
+        key = min(terms)
+        terms[key] = field.add_i(terms[key], 1)
+        if not terms[key]:
+            del terms[key]
+        ell = _changed(cert.ell, spec, terms)
+        assert _verdicts(ctx, ell, f, g) == (False, False)
+
+
+@pytest.mark.parametrize("q,unit", ((4, 2), (9, 3)))
+def test_packed_check_splits_coefficients_into_digit_planes(q, unit):
+    """Coefficients t and 1 + t (indices unit and unit + 1) lie outside
+    GF(p): plane 1 must vanish, so both fail, even where plane 0 alone
+    matches the product."""
+    ctx = InvariantContext(ff_from_q(q))
+    one, f = BasisSpec.parse("A:0,0,0"), BasisSpec.parse("A:1,0,0")
+    for cidx, verdict in ((1, True), (unit, False), (unit + 1, False)):
+        ell = {f: ctx.S7.from_dict({0: cidx})}
+        assert _verdicts(ctx, ell, f, one) == (verdict, verdict), cidx
+
+
+def test_packed_check_refuses_an_image_outside_the_prime_field(monkeypatch):
+    field = ff_from_q(4)
+    f = BasisSpec.parse("A:1,0,0")
+    cert = reduce_product(field, f, f)
+    ctx = _throwaway_context(monkeypatch, field)
+    t = ctx.R4.from_dict({0: 2})    # the generator t of GF(4) over GF(2)
+    ctx._memo["value", f] = ctx.basis_value(f) * t
+    with pytest.raises(verify.VerifyError, match="outside GF"):
+        verify_certificate(field, cert)
+
+
+def _foreign_terms(ctx, cert, shifts):
+    """cert's ell with gamma times each N-monomial of shifts added to the
+    polynomial of its first spec, gamma that spec's first N-monomial."""
+    spec = min(cert.ell, key=lambda s: s.label())
+    terms = dict(cert.ell[spec].terms)
+    gamma = min(terms)
+    fld = ctx.field
+    for name in shifts:
+        key = gamma + ctx.S7.var(name).leading_key()
+        terms[key] = fld.add_i(terms.get(key, 0), 1)
+        if not terms[key]:
+            del terms[key]
+    return _changed(cert.ell, spec, terms), spec, gamma
+
+
+def test_packed_check_rejects_a_term_of_another_bidegree():
+    field = ff_from_q(3)
+    ctx = context_for_q(3)
+    for f, g in _sampled_pairs(ctx, "10", seed=5):
+        cert = reduce_product(field, f, g)
+        for shift in ("C0", "C1s"):
+            ell, _, _ = _foreign_terms(ctx, cert, (shift,))
+            assert _verdicts(ctx, ell, f, g) == (False, False)
+
+
+def test_packed_check_keeps_foreign_bidegrees_apart():
+    """At q=2, c0 + c1 and c0s + c1s both become 1 once x2 = y2 = 1, and
+    packing forgets x2 and y2: the four foreign terms (C0 + C1 + C0s +
+    C1s) gamma b cancel in one bidegree-blind sum, but each lies in a group
+    of its own, which must vanish."""
+    field = ff_from_q(2)
+    ctx = context_for_q(2)
+    f = g = BasisSpec.parse("A:1,1,0")
+    cert = reduce_product(field, f, g)
+    ell, spec, gamma = _foreign_terms(ctx, cert, ("C0", "C1", "C0s", "C1s"))
+    layout = verify._kron_layout(ctx)
+    pullback = ctx.pi(ctx.basis_pullback(spec))
+    blind = 0
+    for name in ("C0", "C1", "C0s", "C1s"):
+        monomial = ctx.S7.from_dict({gamma + ctx.S7.var(name).leading_key(): 1})
+        (_, image), = verify._packed(ctx.pi(monomial) * pullback, 2,
+                                     layout).values()
+        blind += image
+    assert not any(b % 2 for b in blind.to_bytes(
+        (blind.bit_length() + 15) // 16 * 2, "little")[::2])
+    assert _verdicts(ctx, ell, f, g) == (False, False)
+
+
+def test_a_long_ell_takes_the_overflow_path(monkeypatch):
+    """At q=7 a slot of c G P may reach 216 min(|G|, |P|): the 23-term ell
+    of A:6,6,5 squared sums past 2^16 in one group, so its sums are reduced
+    mod p in chunks; the verdicts still agree, and a changed coefficient is
+    still caught."""
+    field = ff_from_q(7)
+    ctx = context_for_q(7)
+    f = BasisSpec.parse("A:6,6,5")
+    cert = reduce_product(field, f, f)
+    flushes, sums = [], []
+    flush, init = verify._SlotSum.flush, verify._SlotSum.__init__
+    monkeypatch.setattr(verify._SlotSum, "flush", lambda self, *a: (
+        flushes.append(1), flush(self, *a))[1])
+    monkeypatch.setattr(verify._SlotSum, "__init__", lambda self: (
+        sums.append(1), init(self))[1])
+    images = {}
+    assert _verdicts(ctx, cert.ell, f, f, images) == (True, True)
+    assert len(flushes) > len(sums)     # flushes beyond one per sum
+    spec = max(cert.ell, key=lambda s: s.label())
+    terms = dict(cert.ell[spec].terms)
+    key = max(terms)
+    terms[key] = field.add_i(terms[key], 1) or 1
+    ell = _changed(cert.ell, spec, terms)
+    assert _verdicts(ctx, ell, f, f, images) == (False, False)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_the_default_stride_holds_every_product(q):
+    """No basis value has y-degree above D/2, so the stride D + 1 holds
+    the y-degree of every product of two."""
+    ctx = context_for_q(q)
+    stride, width = verify._kron_layout(ctx)
+    top = max(ctx.r4_bidegree(ctx.basis_value(spec))[1]
+              for spec in ctx.enumerate_basis())
+    assert (2 * top + 1, width) == (stride, 16)
+
+
+def test_slot_sums_are_exact_past_the_slot_width():
+    """Random packed sums whose slots pass 2^16 read mod p as the exact
+    slot sums do."""
+    rng = random.Random(3)
+    p, slots, layout = 7, 40, (41, 16)
+    total, exact = verify._SlotSum(), [0] * slots
+    for _ in range(2000):
+        vals = [rng.randrange(256) for _ in range(slots)]
+        exact = [a + b for a, b in zip(exact, vals)]
+        packed = int.from_bytes(np.array(vals, dtype="<u2").tobytes(),
+                                "little")
+        total.add(packed, 255, slots, layout, p)
+    assert max(exact) >= 1 << 16
+    assert total.result(slots, layout, p).tolist() == [e % p for e in exact]
 
 
 def _throwaway_context(monkeypatch, field, memo=None):
@@ -992,7 +1207,7 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo.seen}
     assert not kinds & {"fit", "factor", "nimage", "nmonomials", "bidegree",
                         "gb", "dim", "line", "grid", "clast"}
-    assert {"pi", "pi-pullback"} <= kinds
+    assert {"packed-pi", "packed-pullback"} <= kinds
     # basis_value is read for the product f*g only
     assert {key[1] for key in memo.seen if key[0] == "value"} \
         == {spec for cert in certs for spec in (cert.f, cert.g)}
@@ -1003,8 +1218,8 @@ def test_verifier_memo_does_not_grow_with_the_pairs(monkeypatch):
     field = ff_from_q(3)
     assert check_products(field, sample="all").overall == "pass"
     ctx = context_for_q(3)
-    images = _memo_keys(ctx, "pi")
-    pullbacks = _memo_keys(ctx, "pi-pullback")
+    images = _memo_keys(ctx, "packed-pi")
+    pullbacks = _memo_keys(ctx, "packed-pullback")
     # 1,176 certificates, one entry per N-monomial and basis element met
     assert len(pullbacks) <= len(ctx.enumerate_basis()) == 48
     assert len(images) + len(pullbacks) <= 86
