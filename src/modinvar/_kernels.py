@@ -4,8 +4,12 @@ Polynomial terms are dict[packed_monomial_int, coeff_index_int]; packed keys
 add under monomial multiplication (16-bit chunks, wdeg chunk on top).
 Coefficients are field indices and every kernel does its arithmetic through
 the field's flat add/mul/neg tables, prime fields included; `field` is the
-`gf.FieldParams` of the ring.  A kernel that needs the term order takes the
-ring's order key `okey` (see `mpoly.PolyRing`), never the name of the order.
+`gf.FieldParams` of the ring.  One product loop serves every product:
+iadd_mul accumulates c * A * B into a term dict in place, so a sum of
+products (a certificate identity, a cofactor fold) builds no dict per
+partial product or partial sum, and mul_terms is iadd_mul into a fresh
+dict.  A kernel that needs the term order takes the ring's order key
+`okey` (see `mpoly.PolyRing`), never the name of the order.
 Every order key is affine in the packed key, okey(a + b) == okey(a) +
 okey(b) - okey(0), so reduction works on the combined keys
 E(k) = okey(k) << W | k of a MonicBasis: a heap of plain ints, and one
@@ -20,26 +24,31 @@ CHUNK = 16
 MASK = 0xFFFF
 
 
-def mul_terms(A, B, field):
-    """Term-merge product of two term dicts."""
-    if not A or not B:
-        return {}
+def iadd_mul(acc, A, B, c, field):
+    """acc += c * A * B, in place, for term dicts A and B and a coefficient
+    index c; returns acc.  Each product term is one addition of keys and
+    one table lookup into acc, with no dict for the product."""
+    if not A or not B or not c:
+        return acc
     if len(B) < len(A):
         A, B = B, A
     q, mul_flat, add_flat = field.q, field.mul_flat, field.add_flat
-    out = {}
+    cq = c * q
     for ka, ca in A.items():
-        cq = ca * q
+        caq = mul_flat[cq + ca] * q
         for kb, cb in B.items():
             k = ka + kb
-            c = mul_flat[cq + cb]
-            prev = out.get(k, 0)
-            v = add_flat[prev * q + c]
+            v = add_flat[acc.get(k, 0) * q + mul_flat[caq + cb]]
             if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
+                acc[k] = v
+            elif k in acc:
+                del acc[k]
+    return acc
+
+
+def mul_terms(A, B, field):
+    """Term-merge product of two term dicts."""
+    return iadd_mul({}, A, B, 1, field)
 
 
 def add_terms(A, B, field, subtract):

@@ -9,7 +9,8 @@ basis element asked for, each built once; verify adds its Groebner bases,
 invariant dimensions, the product certificates' data in the C-last ring, the
 reference module fit's blocks with their factorizations, lines and value
 grids, and the certificate verifier's Kronecker-packed images of N-monomials
-and pullbacks to the same memo.
+and pullbacks, and of the basis values, each kept beside the value object
+it packed ("packed-value"), to the same memo.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import heapq
 import time
 
 from . import _kernels as K
-from .mpoly import EXP_CAP, Polynomial, RingMismatch
+from .mpoly import EXP_CAP, Polynomial, RingMismatch, iadd_product
 
 
 class GroebnerError(Exception):
@@ -197,6 +197,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             raise InhomogeneousWithTruncation(
                 "degree truncation needs weighted-homogeneous generators")
     fld = ring.field
+    minus = fld.neg_flat[1]
 
     basis = []
     monic = K.MonicBasis(ring.n, ring.okey)
@@ -234,7 +235,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         r_terms, cof = nf(g.terms)
         if not r_terms:
             continue
-        rep = _fold(unit_rep(t), cof, reps) if track else None
+        rep = _fold(unit_rep(t), cof, reps, minus) if track else None
         add_element(Polynomial(ring, r_terms), rep)
 
     while True:
@@ -255,7 +256,7 @@ def buchberger(gens, bound=None, track=False, deadline=None):
             mi = Polynomial(ring, {si: 1})
             mj = Polynomial(ring, {sj: 1})
             rep = _fold([mi * a - mj * b for a, b in zip(reps[i], reps[j])],
-                        cof, reps)
+                        cof, reps, minus)
         add_element(Polynomial(ring, r_terms), rep)
 
     basis, monic, reps = _inter_reduce(ring, basis, monic, reps, deadline)
@@ -295,19 +296,23 @@ def _inter_reduce(ring, basis, work, reps, deadline):
         basis[i] = Polynomial(ring, terms)
         monic.set_tail(i, r)
         if track:
-            reps[i] = _fold(reps[i], cof, reps)
+            reps[i] = _fold(reps[i], cof, reps, ring.field.neg_flat[1])
     return basis, monic, reps
 
 
-def _fold(rep, cof, reps):
-    """rep - sum_k cof[k] * reps[k], where cof[k] is a term dict (empty or
-    None where basis element k does not occur)."""
+def _fold(rep, cof, reps, c):
+    """rep + c * sum_k cof[k] * reps[k], for a coefficient index c, where
+    cof[k] is a term dict (empty or None where basis element k does not
+    occur).  Each entry accumulates in one term dict."""
     ring = rep[0].ring
+    acc = [dict(a.terms) for a in rep]
     for k, terms in enumerate(cof):
         if terms:
-            c = Polynomial(ring, terms)
-            rep = [a - c * b if b else a for a, b in zip(rep, reps[k])]
-    return rep
+            f = Polynomial(ring, terms)
+            for t, b in zip(acc, reps[k]):
+                if b:
+                    iadd_product(t, f, b, c)
+    return [Polynomial(ring, t) for t in acc]
 
 
 def normal_form(f, gb, track=False):
@@ -329,8 +334,8 @@ def cofactors_on_inputs(gb, cof):
     """Rewrite cofactors over gb.basis as cofactors over gb.inputs."""
     if gb.reps is None:
         raise GroebnerError("basis was computed without tracking")
-    return _fold([gb.ring.zero] * len(gb.inputs), [(-c).terms for c in cof],
-                 gb.reps)
+    return _fold([gb.ring.zero] * len(gb.inputs), [c.terms for c in cof],
+                 gb.reps, 1)
 
 
 def in_ideal(f, gb):

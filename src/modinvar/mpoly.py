@@ -341,6 +341,15 @@ def _remap_plan(src, ring, var_map):
     return moves, missing, weights
 
 
+def iadd_product(acc, f, g, c=1):
+    """acc += c * f * g, in place, on the term dict acc of f's ring, for
+    polynomials f and g and a coefficient index c.  Checks what f * g
+    checks, but builds no Polynomial: a sum of products accumulates in one
+    dict."""
+    f._check_product(g)
+    K.iadd_mul(acc, f.terms, g.terms, c, f.ring.field)
+
+
 class Polynomial:
     """Immutable sparse polynomial; terms is dict[packed_key, coeff_index]."""
 
@@ -401,6 +410,16 @@ class Polynomial:
         if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch("mixing %r and %r" % (self.ring, other.ring))
 
+    def _check_product(self, other):
+        """What self * other checks of a Polynomial other: one ring, and a
+        product degree a packed key holds."""
+        self._check(other)
+        a, b = self.terms, other.terms
+        # the weighted degree fills the top bits of every key
+        sh = self.ring._wshift
+        if a and b and (max(a) >> sh) + (max(b) >> sh) > EXP_CAP:
+            raise ExponentOverflow("product degree out of range")
+
     # --- arithmetic ---
 
     def __add__(self, other):
@@ -432,10 +451,7 @@ class Polynomial:
                 return self.ring.zero
             return Polynomial(self.ring, K.scale_terms(
                 self.terms, c.i, 0, self.ring.field))
-        self._check(other)
-        if self.terms and other.terms:
-            if self.wdeg() + other.wdeg() > EXP_CAP:
-                raise ExponentOverflow("product degree out of range")
+        self._check_product(other)
         return Polynomial(self.ring, K.mul_terms(
             self.terms, other.terms, self.ring.field))
 

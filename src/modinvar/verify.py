@@ -29,7 +29,8 @@ from .gens import _BIDEGREE_MASK, BasisSpec, RELATION_NAMES, S7_NAMES, \
     context, identity_indices, s7_weights
 from .groebner import TimeoutExceeded, buchberger, check_deadline, \
     cofactors_on_inputs, normal_form, standard_monomial_count
-from .mpoly import CHUNK, EXP_CAP, MASK, Polynomial, PolyRing
+from .mpoly import CHUNK, EXP_CAP, MASK, Polynomial, PolyRing, \
+    RingMismatch, iadd_product
 
 
 class VerifyError(Exception):
@@ -1006,6 +1007,14 @@ def _ell_matches_product(ctx, ell, f, g):
         return ctx.memo(("packed-pi", key), build) \
             if layout == default else build()
 
+    def value_image(spec, value):
+        # kept beside the value it packs: a value replaced in the memo is
+        # packed afresh
+        kept = ctx.memo(("packed-value", spec), list)
+        if not kept or kept[0] is not value:
+            kept[:] = value, _packed(value, p, default)
+        return kept[1]
+
     terms = []   # (digits of the coefficient, spec, N-monomial, images)
     for spec, npoly in ell.items():
         pimage = pullback_image(spec, default)
@@ -1017,7 +1026,7 @@ def _ell_matches_product(ctx, ell, f, g):
             terms.append((digits, spec, key, monomial_image(key, default),
                           pimage))
     values = ctx.basis_value(f), ctx.basis_value(g)
-    rhs = [_packed(value, p, default) for value in values]
+    rhs = [value_image(spec, value) for spec, value in zip((f, g), values)]
 
     # the layout: a stride above every product's y-degree, and a slot width
     # that holds every single product
@@ -1086,6 +1095,13 @@ def verify_certificate(field, cert):
     factorization, fit line or value grid, or Groebner basis, and takes the
     image of a pullback from pi, never from basis_value.
 
+    A certificate needs exactly one cofactor per relation, and fails
+    otherwise.  An ell or cofactor polynomial outside S7 raises
+    RingMismatch, and a product beyond EXP_CAP ExponentOverflow, as the
+    polynomial product would.  The cofactor identity accumulates pf*pg -
+    sum_b ell_b p_b - sum_r c_r r in one term dict (mpoly.iadd_product),
+    which must come out empty.
+
     The evaluated identity is checked on Kronecker-packed integers
     (_ell_matches_product; Harvey, J. Symb. Comp. 44, 2009).  A part of
     bidegree (dx, dy) of an R4 polynomial over GF(p) becomes the integer
@@ -1101,9 +1117,10 @@ def verify_certificate(field, cert):
       pi(pullback(b)) of each basis element are packed once per context,
       under the memo kinds "packed-pi" and "packed-pullback", at the
       context's stride D + 1 (D the highest basis degree) and 16-bit slots.
-      The right-hand side packs basis_value(f) and basis_value(g) per
-      certificate.  A packed image with a coefficient outside GF(p) raises
-      VerifyError.
+      The right-hand side packs basis_value(f) and basis_value(g) once per
+      context too, under "packed-value", kept beside the value object it
+      packs: a value that is not the one packed is packed afresh.  A packed
+      image with a coefficient outside GF(p) raises VerifyError.
     - Bidegree groups.  Each ell term c gamma b adds c G P to the group of
       its bidegree, and value(f) value(g) goes to the group of its own.
       Plane 0 of every group must equal its right-hand side mod p, slot by
@@ -1118,19 +1135,32 @@ def verify_certificate(field, cert):
       bits when a single product needs it; the images are then packed
       afresh for that certificate."""
     ctx = context(field)
+    S7 = ctx.S7
+    if len(cert.cofactors) != len(RELATION_NAMES):
+        return False, "certificate has %d cofactors, not %d (one per " \
+            "relation)" % (len(cert.cofactors), len(RELATION_NAMES))
+    # a polynomial of another ring raises before its keys are read
+    for poly in (*cert.ell.values(), *cert.cofactors):
+        if not isinstance(poly, Polynomial) \
+                or poly.ring is not S7 and poly.ring != S7:
+            raise RingMismatch("certificate polynomial %r is not in %r"
+                               % (poly, S7))
     if any(key & _S7_UMASK for npoly in cert.ell.values()
            for key in npoly.terms):
         return False, "ell coefficient uses a non-N variable"
 
-    ell_s7 = ctx.S7.zero
+    # pf*pg - sum_b ell_b p_b - sum_r c_r r, accumulated in one term dict
+    identity = {}
+    iadd_product(identity, ctx.basis_pullback(cert.f),
+                 ctx.basis_pullback(cert.g))
+    minus = ctx.field.neg_flat[1]
     for spec, npoly in cert.ell.items():
-        ell_s7 = ell_s7 + npoly * ctx.basis_pullback(spec)
-    lhs = ctx.basis_pullback(cert.f) * ctx.basis_pullback(cert.g) - ell_s7
-    rhs = ctx.S7.zero
+        iadd_product(identity, ctx.basis_pullback(spec), npoly, minus)
     for cofactor, name in zip(cert.cofactors, RELATION_NAMES):
-        rhs = rhs + cofactor * ctx.relation(name)
-    if lhs != rhs:
-        return False, "cofactor identity fails: %s" % _clip(lhs - rhs)
+        iadd_product(identity, ctx.relation(name), cofactor, minus)
+    if identity:
+        return False, "cofactor identity fails: %s" \
+            % _clip(Polynomial(S7, identity))
 
     if not _ell_matches_product(ctx, cert.ell, cert.f, cert.g):
         return False, "evaluated ell does not match the product"

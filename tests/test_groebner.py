@@ -138,6 +138,19 @@ def test_tracked_division_certificate():
     assert sum((c * g for c, g in zip(oncof, inputs)), rem) == f
 
 
+def test_tracked_reps_express_each_basis_element():
+    """Every cofactor fold (seeding, S-pairs, inter-reduction) keeps
+    basis[k] == sum_t reps[k][t] * inputs[t]."""
+    R = textbook_ring()
+    for texts in (("x^2 + y*z", "x*y + z^2", "y^3 + x*z"),
+                  ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")):
+        inputs = [R.parse(t) for t in texts]
+        gb = buchberger(inputs, track=True)
+        assert any(sum(1 for c in rep if c) > 1 for rep in gb.reps)
+        for b, rep in zip(gb.basis, gb.reps):
+            assert sum((c * g for c, g in zip(rep, inputs)), R.zero) == b
+
+
 def test_remainder_is_fully_reduced():
     R = textbook_ring()
     gb = buchberger([R.parse("x^2 + y*z"), R.parse("x*y + z^2")])

@@ -3,7 +3,8 @@
 The term kernels run on the field's flat tables for every field.  Here they
 are compared with independent references: plain integers mod p over GF(2),
 GF(3), GF(5), and coefficient tuples multiplied by gf._polymul_mod over
-GF(4), GF(9).  Also: text round trips, pack/unpack, the division
+GF(4), GF(9); the in-place product iadd_mul is compared with mul_terms.
+Also: text round trips, pack/unpack, the division
 identity of tracked normal forms, and the combined-key reduction kernel with
 its support-indexed divisor search against a plain scan for the first
 divisor.
@@ -102,6 +103,24 @@ def test_kernels_match_reference_arithmetic(q, data):
     acc = dict(B)
     K.iadd_scaled(acc, A, c, shift, field)
     assert acc == reference_combine(field, B, A, c, shift)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+@SETTINGS
+@given(data=st.data())
+def test_iadd_mul_accumulates_a_scaled_product(q, data):
+    """iadd_mul(acc, A, B, c) is acc + c * mul_terms(A, B), in place, and
+    acc = -c * A * B cancels to {}."""
+    field = ring(q).field
+    acc, A, B = (data.draw(terms(q)) for _ in range(3))
+    c = data.draw(st.integers(1, q - 1))
+    product = K.mul_terms(A, B, field)
+    got = dict(acc)
+    assert K.iadd_mul(got, A, B, c, field) is got
+    assert got == reference_combine(field, acc, product, c)
+    minus_c = reference_ops(field)[1](field.p - 1, c)
+    cancel = reference_combine(field, {}, product, minus_c)
+    assert K.iadd_mul(cancel, A, B, c, field) == {}
 
 
 @pytest.mark.parametrize("q", FIELDS)

@@ -1,5 +1,6 @@
 """Check suites, report format, and reduction certificates."""
 
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -23,7 +24,8 @@ from modinvar.gens import (
 )
 from modinvar.gf import ff_from_q
 from modinvar.groebner import TimeoutExceeded
-from modinvar.mpoly import Polynomial
+from modinvar.mpoly import EXP_CAP, ExponentOverflow, Polynomial, \
+    PolyRing, RingMismatch
 from modinvar.verify import (
     check_hilbert,
     elimination_crosscheck,
@@ -148,6 +150,71 @@ def test_an_ell_with_a_u_variable_is_refused():
     cert.ell[spec] = cert.ell[spec] + ctx.S7var("U0")
     assert verify_certificate(field, cert) == \
         (False, "ell coefficient uses a non-N variable")
+
+
+def _ab_certificate():
+    field = ff_from_q(3)
+    cert = reduce_product(field, BasisSpec.parse("A:2,1,1"),
+                          BasisSpec.parse("B:1,1,3,1"))
+    assert verify_certificate(field, cert)[0]
+    return field, context_for_q(3), cert
+
+
+@pytest.mark.parametrize("count", (4, 6))
+def test_a_certificate_needs_one_cofactor_per_relation(count):
+    """A missing cofactor, or a sixth one (U0) that no relation multiplies,
+    fails the certificate."""
+    field, ctx, cert = _ab_certificate()
+    cofactors = (cert.cofactors + [ctx.S7var("U0")])[:count]
+    assert verify_certificate(field, dataclasses.replace(
+        cert, cofactors=cofactors)) == \
+        (False, "certificate has %d cofactors, not 5 (one per relation)"
+         % count)
+
+
+def _clast_ring(ctx):
+    weight = dict(zip(ctx.S7.names, ctx.S7.weights))
+    return PolyRing(ctx.field, verify._CLAST_NAMES,
+                    weights=[weight[nm] for nm in verify._CLAST_NAMES])
+
+
+def test_a_certificate_polynomial_of_another_ring_raises():
+    field, ctx, cert = _ab_certificate()
+    ring = _clast_ring(ctx)
+    cofactors = list(cert.cofactors)
+    cofactors[2] = cofactors[2].remap(ring)
+    with pytest.raises(RingMismatch):
+        verify_certificate(field, dataclasses.replace(cert,
+                                                      cofactors=cofactors))
+    # C1s is the last C-last variable: read as an S7 key, it would be U1,
+    # and the certificate would fail as an ell with a U-variable
+    spec = next(iter(cert.ell))
+    ell = dict(cert.ell)
+    ell[spec] = ring.var("C1s")
+    with pytest.raises(RingMismatch):
+        verify_certificate(field, dataclasses.replace(cert, ell=ell))
+
+
+def test_a_product_beyond_the_exponent_cap_raises():
+    """An ell or cofactor term whose product with its pullback or relation
+    has weighted degree above EXP_CAP raises, as the polynomial product
+    would, though the term alone fits in a packed key."""
+    field, ctx, cert = _ab_certificate()
+    spec = max(cert.ell, key=lambda s: ctx.basis_pullback(s).wdeg())
+    weight = dict(zip(ctx.S7.names, ctx.S7.weights))
+    big = ctx.S7.var("C0", EXP_CAP // weight["C0"])
+    assert big.wdeg() + ctx.basis_pullback(spec).wdeg() > EXP_CAP
+    ell = dict(cert.ell)
+    ell[spec] = cert.ell[spec] + big
+    with pytest.raises(ExponentOverflow):
+        verify_certificate(field, dataclasses.replace(cert, ell=ell))
+    cofactors = list(cert.cofactors)
+    big = ctx.S7.var("U0", EXP_CAP // weight["U0"])
+    assert big.wdeg() + ctx.relation(RELATION_NAMES[0]).wdeg() > EXP_CAP
+    cofactors[0] = cofactors[0] + big
+    with pytest.raises(ExponentOverflow):
+        verify_certificate(field, dataclasses.replace(cert,
+                                                      cofactors=cofactors))
 
 
 def test_starred_pair_certificate():
@@ -1207,7 +1274,7 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo.seen}
     assert not kinds & {"fit", "factor", "nimage", "nmonomials", "bidegree",
                         "gb", "dim", "line", "grid", "clast"}
-    assert {"packed-pi", "packed-pullback"} <= kinds
+    assert {"packed-pi", "packed-pullback", "packed-value"} <= kinds
     # basis_value is read for the product f*g only
     assert {key[1] for key in memo.seen if key[0] == "value"} \
         == {spec for cert in certs for spec in (cert.f, cert.g)}
@@ -1220,8 +1287,10 @@ def test_verifier_memo_does_not_grow_with_the_pairs(monkeypatch):
     ctx = context_for_q(3)
     images = _memo_keys(ctx, "packed-pi")
     pullbacks = _memo_keys(ctx, "packed-pullback")
+    values = _memo_keys(ctx, "packed-value")
     # 1,176 certificates, one entry per N-monomial and basis element met
     assert len(pullbacks) <= len(ctx.enumerate_basis()) == 48
+    assert len(values) <= 48
     assert len(images) + len(pullbacks) <= 86
 
 
@@ -1281,6 +1350,35 @@ def test_clast_context_facts(q):
 @pytest.mark.parametrize("q", (7, 8, 9))
 def test_clast_context_facts_at_large_q(q):
     _clast_context_facts(q)
+
+
+def _polynomial_fold(rep, cof, reps):
+    """rep - sum_k cof[k] * reps[k] with a Polynomial for every partial
+    product and sum: the cofactor fold before it accumulated in term
+    dicts, kept as its oracle."""
+    ring = rep[0].ring
+    for k, terms in enumerate(cof):
+        if terms:
+            c = Polynomial(ring, terms)
+            rep = [a - c * b if b else a for a, b in zip(rep, reps[k])]
+    return rep
+
+
+def test_cofactors_on_inputs_equal_the_polynomial_fold():
+    """On the tracked normal form of every one of the 1,176 q=3 products,
+    as reduce_product takes it."""
+    field = ff_from_q(3)
+    ctx = InvariantContext(field)
+    cl = verify._build_clast(ctx, ctx.ideal_generators())
+    gb = cl.gb
+    zero = [gb.ring.zero] * len(gb.inputs)
+    pairs = _sampled_pairs(ctx, "all")
+    assert len(pairs) == 1176
+    for f, g in pairs:
+        product = cl.pullbacks[cl.index[f]] * cl.pullbacks[cl.index[g]]
+        _, cof = groebner.normal_form(product, gb, track=True)
+        assert groebner.cofactors_on_inputs(gb, cof) == _polynomial_fold(
+            zero, [(-c).terms for c in cof], gb.reps), (f.label(), g.label())
 
 
 def _ell_equals_the_fit(q, sample):
