@@ -28,7 +28,7 @@ from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
 from .gens import _BIDEGREE_MASK, BasisSpec, RELATION_NAMES, S7_NAMES, \
     context, identity_indices, s7_weights
 from .groebner import TimeoutExceeded, buchberger, check_deadline, \
-    cofactors_on_inputs, normal_form, standard_monomial_count
+    normal_form, standard_monomial_count
 from .mpoly import CHUNK, EXP_CAP, MASK, Polynomial, PolyRing, \
     RingMismatch, iadd_product
 
@@ -512,105 +512,11 @@ class ReductionCertificate:
             "ell": {spec.label(): str(poly)
                     for spec, poly in sorted(self.ell.items(),
                                              key=lambda kv: kv[0].label())},
+            # strict: a certificate without one cofactor per relation raises
+            # rather than lose one from the report
             "cofactors": {name: str(poly) for name, poly in
-                          zip(RELATION_NAMES, self.cofactors)},
+                          zip(RELATION_NAMES, self.cofactors, strict=True)},
         }
-
-
-# The float64 temporaries of one batch of fit-block columns hold at most
-# this many entries, unless the columns of a single value hold more.
-_FIT_BATCH = 1 << 14
-
-
-def _fit_lines(ctx, axis, r):
-    """The N-monomials of degree r on one side and their coefficient lines:
-    C0^a C1^b of x-degree r for axis "x", C0s^c C1s^e of y-degree r for
-    axis "y".  Returns (splits, lines): the exponent pairs with a*(q^2-1) +
-    b*(q^2-q) = r, first exponent ascending, and the uint8 matrix whose row
-    m holds at column e the coefficient of x1^e x2^(r-e) (of y1^e y2^(r-e))
-    in the monomial of splits[m].
-
-    c0, c1, c0s and c1s have coefficients 0 and 1 only, so every line lies
-    in the prime field; a coefficient outside it raises VerifyError."""
-    q, p = ctx.q, ctx.field.p
-    w1, w2 = q * q - 1, q * q - q
-    splits = tuple((a, (r - a * w1) // w2) for a in range(r // w1 + 1)
-                   if (r - a * w1) % w2 == 0)
-    gen = ctx.c if axis == "x" else ctx.cs
-    shift = CHUNK * (ctx.R4.n - (1 if axis == "x" else 3))  # x1 or y1
-    lines = np.zeros((len(splits), r + 1), dtype=np.uint8)
-    for m, (a, b) in enumerate(splits):
-        for key, cidx in (gen(0) ** a * gen(1) ** b).terms.items():
-            if cidx >= p:
-                raise VerifyError("N-monomial coefficient index %d lies "
-                                  "outside GF(%d)" % (cidx, p))
-            lines[m, (key >> shift) & MASK] = cidx
-    lines.flags.writeable = False
-    return splits, lines
-
-
-def _fit_grid(ctx, spec):
-    """(vx, vy, planes) of a basis element: the bidegree of its value and
-    the value's coefficients as base-p digit planes, planes[k, e1, e3] the
-    digit of p^k in the GF(q) index of x1^e1 x2^(vx-e1) y1^e3 y2^(vy-e3),
-    up to the highest digit that is not 0 everywhere: one plane for a value
-    over GF(p), as every basis value is."""
-    p = ctx.field.p
-    value = ctx.basis_value(spec)
-    vx, vy = ctx.memo(("bidegree", spec), lambda: ctx.r4_bidegree(value))
-    n = value.ring.n    # x1 and y1 exponents, read as _block_vector does
-    grid = np.zeros((vx + 1, vy + 1), dtype=np.uint8)
-    grid[[(key >> CHUNK * (n - 1)) & MASK for key in value.terms],
-         [(key >> CHUNK * (n - 3)) & MASK for key in value.terms]] = \
-        list(value.terms.values())
-    planes = [grid % p]
-    grid //= p
-    while grid.any():
-        planes.append(grid % p)
-        grid //= p
-    planes = np.stack(planes)
-    planes.flags.writeable = False
-    return vx, vy, planes
-
-
-def _toeplitz(lines, width, transpose=False):
-    """t[m, i, k] = lines[m, i - k], 0 off the line: the float64 matrices,
-    width columns each, of convolution by each line; with transpose, each
-    matrix transposed."""
-    count, n = lines.shape
-    padded = np.zeros((count, n + 2 * (width - 1)))
-    padded[:, width - 1:width - 1 + n] = lines
-    index = np.add.outer(np.arange(width - 1, n + 2 * width - 2),
-                         -np.arange(width))
-    return padded[:, index.T if transpose else index]
-
-
-def _fit_columns(planes, tx, tyt, p):
-    """Block vectors, (G*M*N, cells) uint8, of value g times x-line m times
-    y-line n at row (g*M + m)*N + n, for values of one bidegree given by
-    their digit planes (G, s, vx+1, vy+1), and the Toeplitz factors tx
-    (M, dx+1, vx+1) of the x-lines and tyt (N, vy+1, dy+1), transposed, of
-    the y-lines.
-
-    Each digit plane is convolved over the integers, (Tx @ plane) @ Ty^T,
-    and reduced mod p: the lines lie in GF(p), so a product by them acts
-    digit by digit.  The caller vouches that every sum stays below 2^53,
-    where float64 is exact.  Each batch of values holds at most _FIT_BATCH
-    float64 entries, or the columns of one value where those alone hold
-    more."""
-    s = planes.shape[1]
-    tx = tx[:, None, None]
-    tyt = tyt[:, None]
-    cells = tx.shape[-2] * tyt.shape[-1]
-    per_value = len(tx) * len(tyt)
-    out = np.empty((len(planes) * per_value, cells), dtype=np.uint8)
-    step = max(1, _FIT_BATCH // (per_value * s * cells))
-    for g in range(0, len(planes), step):
-        full = (tx @ planes[g:g + step, None, None] @ tyt).astype(np.int64)
-        full %= p          # (values, M, N, s, dx+1, dy+1)
-        out[g * per_value:(g + step) * per_value] = \
-            p ** np.arange(s) @ full.reshape(-1, s, cells)
-    return out
 
 
 def _build_fit_block(ctx, degree, dx, dy, deadline):
@@ -622,67 +528,39 @@ def _build_fit_block(ctx, degree, dx, dy, deadline):
     (vx, vy) takes the (a, b) of x-degree dx - vx, each with the (c, e) of
     y-degree dy - vy.
 
-    No column is a polynomial product: each is the value's coefficient grid
-    convolved with the x-line of C0^a C1^b and the y-line of C0s^c C1s^e,
-    and all columns of the values of one bidegree are computed in one batch
-    (_fit_columns), with Toeplitz factors sized by that bidegree and built
-    once per block.  The memo keeps the lines per side and degree under
-    ("line", "x") and ("line", "y") (_fit_lines), and one table under
-    "grid": the degree of every spec, and the bidegree and digit planes of
-    each spec's value (_fit_grid), filled right after the spec's deadline
-    check on its first visit in a block of at least its degree.  The
-    deadline is checked before each basis element."""
-    p = ctx.field.p
-    cells = (dx + 1) * (dy + 1)
-    if (p - 1) ** 3 * cells >= 2 ** 53:
-        raise VerifyError("fit block of bidegree (%d, %d) is too large for "
-                          "exact float64 convolution" % (dx, dy))
-    specs = ctx.enumerate_basis()
-    degrees, table = ctx.memo("grid", lambda: (
-        [spec.degree(ctx.q) for spec in specs], [None] * len(specs)))
-    xside = ctx.memo(("line", "x"), dict)   # x-degree -> _fit_lines
-    yside = ctx.memo(("line", "y"), dict)
+    Each column is the polynomial product of the N-monomial's image and
+    the value, read off with _block_vector.  The memo keeps the bidegree of
+    each basis value under ("bidegree", spec) and the image of each
+    N-monomial under ("nimage", a, b, c, e).  The deadline is checked
+    before each basis element."""
+    q = ctx.q
+    w1 = q * q - 1
+    w2 = q * q - q
+
+    def splits(r):   # (a, b) with a*w1 + b*w2 = r, a ascending
+        return [(a, (r - a * w1) // w2) for a in range(r // w1 + 1)
+                if (r - a * w1) % w2 == 0]
+
+    cols = []
     labels = []
-    groups = {}   # (vx, vy, planes) -> monomials, lines and specs: a batch
-    for i, spec in enumerate(specs):
+    for spec in ctx.enumerate_basis():
         check_deadline(deadline)
-        if degrees[i] > degree:
+        if spec.degree(q) > degree:
             continue
-        entry = table[i]
-        if entry is None:
-            entry = table[i] = _fit_grid(ctx, spec)
-        vx, vy, planes = entry
-        if vx > dx or vy > dy:
-            continue
-        key = vx, vy, len(planes)
-        group = groups.get(key)
-        if group is None:
-            xs, xlines = xside.get(dx - vx) or xside.setdefault(
-                dx - vx, _fit_lines(ctx, "x", dx - vx))
-            ys, ylines = yside.get(dy - vy) or yside.setdefault(
-                dy - vy, _fit_lines(ctx, "y", dy - vy))
-            monos = [xm + ym for xm in xs for ym in ys]
-            group = groups[key] = (monos, xlines, ylines, [], [])
-        monos, _, _, firsts, grids = group
-        if monos:
-            firsts.append(len(labels))
-            grids.append(planes)
-            labels.extend([(spec, mono) for mono in monos])
-    if not labels:
+        value = ctx.basis_value(spec)
+        vx, vy = ctx.memo(("bidegree", spec),
+                          lambda: ctx.r4_bidegree(value))
+        for a, b in splits(dx - vx):
+            for c, e in splits(dy - vy):
+                mono = (a, b, c, e)
+                labels.append((spec, mono))
+                image = ctx.memo(("nimage",) + mono, lambda: (
+                    ctx.c(0) ** a * ctx.c(1) ** b * ctx.cs(0) ** c
+                    * ctx.cs(1) ** e))
+                cols.append(_block_vector(image * value, dx, dy))
+    if not cols:
         raise NotExpressible("no module candidates in degree %d" % degree)
-    matrix = np.empty((len(labels), cells), dtype=np.uint8)
-    tx_of, tyt_of = {}, {}    # Toeplitz factors by value x- and y-degree
-    for (vx, vy, _), (monos, xlines, ylines, firsts, grids) in groups.items():
-        if not firsts:
-            continue
-        if vx not in tx_of:
-            tx_of[vx] = _toeplitz(xlines, vx + 1)
-        if vy not in tyt_of:
-            tyt_of[vy] = _toeplitz(ylines, vy + 1, transpose=True)
-        rows = np.add.outer(firsts, np.arange(len(monos))).ravel()
-        matrix[rows] = _fit_columns(np.stack(grids), tx_of[vx], tyt_of[vy],
-                                    p)
-    matrix = matrix.T
+    matrix = np.array(cols, dtype=np.uint8).T  # field indices are < 256
     matrix.flags.writeable = False
     return tuple(labels), matrix
 
@@ -699,12 +577,12 @@ def _fit_in_module(ctx, target, degree, deadline=None):
     ell against.
 
     The block matrix depends only on (degree, bidegree), so each context
-    builds it once, by convolution of the basis values' coefficient grids
-    with the lines of the N-monomials (_build_fit_block), and keeps it in
-    its memo under ("fit", degree, dx, dy); it factors it once, under
-    ("factor", degree, dx, dy).  A build that raises, a timeout included,
-    stores neither.  Only the right-hand side is built per target, and
-    every target's solution is re-checked against the whole block by
+    builds it once, from polynomial products of the N-monomial images and
+    the basis values (_build_fit_block), and keeps it in its memo under
+    ("fit", degree, dx, dy); it factors it once, under ("factor", degree,
+    dx, dy).  A build that raises, a timeout included, stores neither.
+    Only the right-hand side is built per target, and every target's
+    solution is re-checked against the whole block by
     linalg.solve_factored.
     """
     dx, dy = ctx.r4_bidegree(target)
@@ -750,15 +628,17 @@ class _CLast(NamedTuple):
     """The product certificates' data in the C-last ring, built once per
     context by _build_clast.  For spec index m: pullbacks[m] is the pullback
     p_m in ring, and NF(p_m) = sum_b L_{m,b}(C) b, with p_m - NF(p_m) =
-    sum_i cofactors[m][i] rel_i (term dicts).  tails[m] holds the terms of
-    NF(p_m) outside its constant part L(0), and shifts[m] their
-    C-monomials.  units maps the U-exponent bits of each b in B_U to its
-    packed key, and blocks maps a degree d to the keys of B_U of degree d
-    and, for each, the row of the inverse of L(0)'s block of degree d as
-    {spec index: coefficient}."""
+    sum_i cofactors[m][i] rel_i (term dicts).  Relation i is u times the
+    Groebner basis element k for (k, u) = on_basis[i], so its cofactor is
+    u times that element's.  tails[m] holds the terms of NF(p_m) outside
+    its constant part L(0), and shifts[m] their C-monomials.  units maps
+    the U-exponent bits of each b in B_U to its packed key, and blocks maps
+    a degree d to the keys of B_U of degree d and, for each, the row of the
+    inverse of L(0)'s block of degree d as {spec index: coefficient}."""
 
     ring: PolyRing
     gb: object
+    on_basis: list
     index: dict
     pullbacks: list
     cofactors: list
@@ -774,8 +654,10 @@ def _build_clast(ctx, relations, deadline=None):
 
     Raises NotExpressible, before it enumerates B_U, unless the relations
     form a Groebner basis in the C-last order with the five pure-U leading
-    terms; and unless every block of L(0) is square and nonsingular.  Then
-    B_U is finite and the basis M is a k[C]-basis of S7/I.  Each block is
+    terms, and each element of the reduced basis is a constant times one
+    relation (distinct leading terms make that match one to one); and
+    unless every block of L(0) is square and nonsingular.  Then B_U is
+    finite and the basis M is a k[C]-basis of S7/I.  Each block is
     inverted once, by solves against the identity.  Checks the deadline
     before each basis pullback and each block."""
     q, fld = ctx.q, ctx.field
@@ -794,6 +676,14 @@ def _build_clast(ctx, relations, deadline=None):
         raise NotExpressible("the relations in the C-last order have "
                              "leading terms %s, not the five pure-U ones"
                              % leading)
+    on_basis = [None] * len(relations)
+    for k, rep in enumerate(gb.reps):
+        entries = [(i, r.terms) for i, r in enumerate(rep) if r]
+        if len(entries) != 1 or set(entries[0][1]) != {0}:
+            raise NotExpressible("the reduced basis element %d is not a "
+                                 "constant times one relation" % k)
+        i, terms = entries[0]
+        on_basis[i] = k, terms[0]
     units = {key & _CLAST_UMASK: key for key in _u_basis(ring, gb, q)}
 
     specs = ctx.enumerate_basis()
@@ -803,8 +693,8 @@ def _build_clast(ctx, relations, deadline=None):
         pull = ctx.basis_pullback(spec).remap(ring)
         rem, cof = groebner.normal_form(pull, gb, track=True)
         pullbacks.append(pull)
-        cofactors.append([c.terms for c in
-                          groebner.cofactors_on_inputs(gb, cof)])
+        cofactors.append([K.scale_terms(cof[k].terms, u, 0, fld)
+                          for k, u in on_basis])
         tail, shift, at0 = {}, set(), {}
         for key, c in rem.terms.items():
             unit = units[key & _CLAST_UMASK]
@@ -839,7 +729,8 @@ def _build_clast(ctx, relations, deadline=None):
                                  % d)
         blocks[d] = cols, [{m: x[c] for m, x in zip(rows, inverse) if x[c]}
                            for c in range(len(cols))]
-    return _CLast(ring, gb, {spec: m for m, spec in enumerate(specs)},
+    return _CLast(ring, gb, on_basis,
+                  {spec: m for m, spec in enumerate(specs)},
                   pullbacks, cofactors, tails, shifts, units, blocks)
 
 
@@ -866,7 +757,8 @@ def reduce_product(field, spec_f, spec_g, deadline=None):
     ring, units, fld = cl.ring, cl.units, ctx.field
     product = cl.pullbacks[cl.index[spec_f]] * cl.pullbacks[cl.index[spec_g]]
     rem, cof = normal_form(product, cl.gb, track=True)
-    cofactors = [dict(c.terms) for c in cofactors_on_inputs(cl.gb, cof)]
+    cofactors = [K.scale_terms(cof[k].terms, u, 0, fld)
+                 for k, u in cl.on_basis]
 
     pending = dict(rem.terms)
     heap = sorted({key - units[key & _CLAST_UMASK] for key in pending})
@@ -1092,8 +984,8 @@ def verify_certificate(field, cert):
     cofactor identity on the full ell, then the evaluated module identity
     pi(ell) = f*g in the base ring.  Shares nothing with the construction
     beyond polynomial arithmetic: it reads no C-last data, fit block,
-    factorization, fit line or value grid, or Groebner basis, and takes the
-    image of a pullback from pi, never from basis_value.
+    factorization or Groebner basis, and takes the image of a pullback from
+    pi, never from basis_value.
 
     A certificate needs exactly one cofactor per relation, and fails
     otherwise.  An ell or cofactor polynomial outside S7 raises
