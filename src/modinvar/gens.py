@@ -7,10 +7,10 @@ one memo, read through InvariantContext.memo.  It holds the generator
 families, the relations, the basis list, and the value and pullback of every
 basis element asked for, each built once; verify adds its Groebner bases,
 invariant dimensions, the product certificates' data in the C-last ring, the
-reference module fit's blocks with their factorizations, lines and value
-grids, and the certificate verifier's Kronecker-packed images of N-monomials
-and pullbacks, and of the basis values, each kept beside the value object
-it packed ("packed-value"), to the same memo.
+reference module fit's blocks with their factorizations, and the certificate
+verifier's checks that pi sends the relations to 0 ("relations-vanish") and
+each pullback to its basis value ("pullback-value"), each kept beside the
+objects it compared, to the same memo.
 """
 
 from __future__ import annotations

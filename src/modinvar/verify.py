@@ -25,7 +25,7 @@ from . import groebner, linalg
 from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
     involution_star, invariant_dimension, is_invariant
-from .gens import _BIDEGREE_MASK, BasisSpec, RELATION_NAMES, S7_NAMES, \
+from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, \
     context, identity_indices, s7_weights
 from .groebner import TimeoutExceeded, buchberger, check_deadline, \
     normal_form, standard_monomial_count
@@ -795,197 +795,24 @@ def reduce_product(field, spec_f, spec_g, deadline=None):
         [Polynomial(ring, terms).remap(S7) for terms in cofactors])
 
 
-# The slot width, in bits, of the packed images the memo keeps.  A
-# certificate whose single products could overflow it packs at 32 or 64.
-_SLOT_BITS = 16
-
-
-def _kron_layout(ctx):
-    """(W, w), the stride and slot width of the packed images ctx's memo
-    keeps: W = D + 1 for D the highest basis degree, since no basis value
-    has y-degree above D/2 and so no product of two has y-degree above D;
-    and w = _SLOT_BITS.  Only a speed choice: a certificate with a product
-    these do not hold raises them for itself."""
-    q = ctx.q
-    return max(spec.degree(q) for spec in ctx.enumerate_basis()) + 1, \
-        _SLOT_BITS
-
-
-def _packed(poly, p, layout):
-    """{(dx, dy): (term count, packed integer)} of an R4 polynomial over
-    GF(p), one entry per bidegree: the sum of c * 2^(w * (e1 * W + e3))
-    over its terms c x1^e1 x2^(dx-e1) y1^e3 y2^(dy-e3), for layout (W, w).
-    The integer is exact only when dy < W.  A coefficient outside GF(p)
-    raises VerifyError."""
-    terms = poly.terms
-    if not terms:
-        return {}
-    top = max(terms.values())
-    if top >= p:
-        raise VerifyError("a packed image has coefficient index %d outside "
-                          "GF(%d)" % (top, p))
-    stride, width = layout
-    size = width // 8
-    # x1 + x2 in chunk 2 and y1 + y2 in chunk 0, as r4_bidegree reads them
-    groups = {}
-    for key in terms:
-        groups.setdefault((key + (key >> CHUNK)) & _BIDEGREE_MASK,
-                          []).append(key)
-    out = {}
-    for bd, keys in groups.items():
-        dx, dy = bd >> 2 * CHUNK, bd & MASK
-        buf = bytearray((dx * stride + dy + 1) * size)
-        for key in keys:
-            buf[((key >> 3 * CHUNK & MASK) * stride
-                 + (key >> CHUNK & MASK)) * size] = terms[key]
-        out[dx, dy] = len(keys), int.from_bytes(buf, "little")
-    return out
-
-
-def _slot_width(bound):
-    """The narrowest slot width of 16, 32 and 64 bits that holds bound."""
-    for width in (16, 32, 64):
-        if bound < 1 << width:
-            return width
-    raise VerifyError("a packed product overflows every slot width")
-
-
-class _SlotSum:
-    """A sum of packed products in one bidegree, exact mod p: it is reduced
-    slot by slot into residues before its slot bound could reach 2^w."""
-
-    __slots__ = ("total", "bound", "residues")
-
-    def __init__(self):
-        self.total, self.bound, self.residues = 0, 0, None
-
-    def add(self, product, bound, slots, layout, p):
-        if self.bound + bound >> layout[1]:
-            self.flush(slots, layout, p)
-        self.total += product
-        self.bound += bound
-
-    def flush(self, slots, layout, p):
-        width = layout[1] // 8
-        digits = np.frombuffer(self.total.to_bytes(slots * width, "little"),
-                               dtype="<u%d" % width) % p
-        self.residues = digits if self.residues is None \
-            else (self.residues + digits) % p
-        self.total, self.bound = 0, 0
-
-    def result(self, slots, layout, p):
-        """Its slots mod p, or None when every slot is 0 mod p."""
-        if self.total or self.residues is None:
-            self.flush(slots, layout, p)
-        return self.residues if self.residues.any() else None
-
-
-def _ell_matches_product(ctx, ell, f, g):
-    """Whether pi(ell) = value(f) * value(g), checked exactly on
-    Kronecker-packed integers; see verify_certificate."""
-    p = ctx.field.p
-    default = ctx.memo("kronecker", lambda: _kron_layout(ctx))
-    S7 = ctx.S7
-
-    def pullback_image(spec, layout):
-        def build():
-            return _packed(ctx.pi(ctx.basis_pullback(spec)), p, layout)
-        return ctx.memo(("packed-pullback", spec), build) \
-            if layout == default else build()
-
-    def monomial_image(key, layout):
-        def build():
-            return _packed(ctx.pi(Polynomial(S7, {key: 1})), p, layout)
-        return ctx.memo(("packed-pi", key), build) \
-            if layout == default else build()
-
-    def value_image(spec, value):
-        # kept beside the value it packs: a value replaced in the memo is
-        # packed afresh
-        kept = ctx.memo(("packed-value", spec), list)
-        if not kept or kept[0] is not value:
-            kept[:] = value, _packed(value, p, default)
-        return kept[1]
-
-    terms = []   # (digits of the coefficient, spec, N-monomial, images)
-    for spec, npoly in ell.items():
-        pimage = pullback_image(spec, default)
-        for key, cidx in npoly.terms.items():
-            digits = []    # base p, lowest first
-            while cidx:
-                cidx, d = divmod(cidx, p)
-                digits.append(d)
-            terms.append((digits, spec, key, monomial_image(key, default),
-                          pimage))
-    values = ctx.basis_value(f), ctx.basis_value(g)
-    rhs = [value_image(spec, value) for spec, value in zip((f, g), values)]
-
-    # the layout: a stride above every product's y-degree, and a slot width
-    # that holds every single product
-    cube, square = (p - 1) ** 3, (p - 1) ** 2
-    stride, single = default[0], 0
-    for _, _, _, gimage, pimage in terms:
-        for (_, gy), (gn, _) in gimage.items():
-            for (_, py), (pn, _) in pimage.items():
-                stride = max(stride, gy + py + 1)
-                single = max(single, cube * min(gn, pn))
-    for (_, fy), (fn, _) in rhs[0].items():
-        for (_, gy), (gn, _) in rhs[1].items():
-            stride = max(stride, fy + gy + 1)
-            single = max(single, square * min(fn, gn))
-    layout = stride, max(default[1], _slot_width(single))
-    if layout != default:
-        terms = [(digits, spec, key, monomial_image(key, layout),
-                  pullback_image(spec, layout))
-                 for digits, spec, key, _, _ in terms]
-        rhs = [_packed(value, p, layout) for value in values]
-
-    sums = {}   # bidegree -> {digit plane or "rhs": _SlotSum}
-
-    def add(bd, plane, product, bound):
-        planes = sums.setdefault(bd, {})
-        s = planes.get(plane)
-        if s is None:
-            s = planes[plane] = _SlotSum()
-        s.add(product, bound, bd[0] * stride + bd[1] + 1, layout, p)
-
-    for digits, _, _, gimage, pimage in terms:
-        for (gx, gy), (gn, G) in gimage.items():
-            for (px, py), (pn, P) in pimage.items():
-                product = G * P
-                bd, bound = (gx + px, gy + py), cube * min(gn, pn)
-                for plane, d in enumerate(digits):
-                    if d:
-                        add(bd, plane, d * product if d > 1 else product,
-                            bound)
-    for (fx, fy), (fn, F) in rhs[0].items():
-        for (gx, gy), (gn, G) in rhs[1].items():
-            add((fx + gx, fy + gy), "rhs", F * G, square * min(fn, gn))
-
-    # in each bidegree, plane 0 equals the right-hand side mod p and every
-    # other plane vanishes
-    for bd, planes in sums.items():
-        slots = bd[0] * stride + bd[1] + 1
-        residues = {plane: s.result(slots, layout, p)
-                    for plane, s in planes.items()}
-        want, got = residues.pop("rhs", None), residues.pop(0, None)
-        if any(r is not None for r in residues.values()):
-            return False
-        if got is None or want is None:
-            if got is not want:
-                return False
-        elif not np.array_equal(got, want):
-            return False
-    return True
+def _kept(ctx, key, sources, build):
+    """build(), kept in ctx's memo under key beside the objects of sources
+    it read: when one of them is no longer the object kept, it is built
+    again."""
+    kept = ctx.memo(key, list)
+    if not kept or any(a is not b for a, b in zip(kept[0], sources)):
+        kept[:] = sources, build()
+    return kept[1]
 
 
 def verify_certificate(field, cert):
     """Re-verify a certificate by pure expansion: the exact 7-variable
-    cofactor identity on the full ell, then the evaluated module identity
-    pi(ell) = f*g in the base ring.  Shares nothing with the construction
-    beyond polynomial arithmetic: it reads no C-last data, fit block,
-    factorization or Groebner basis, and takes the image of a pullback from
-    pi, never from basis_value.
+    cofactor identity on the full ell, then the facts about the context
+    that carry it to the evaluated module identity pi(ell) = f*g in the
+    base ring.  Shares nothing with the construction beyond polynomial
+    arithmetic: it reads no C-last data, fit block, factorization or
+    Groebner basis, and takes the image of a pullback from pi, never from
+    basis_value.
 
     A certificate needs exactly one cofactor per relation, and fails
     otherwise.  An ell or cofactor polynomial outside S7 raises
@@ -994,38 +821,14 @@ def verify_certificate(field, cert):
     sum_b ell_b p_b - sum_r c_r r in one term dict (mpoly.iadd_product),
     which must come out empty.
 
-    The evaluated identity is checked on Kronecker-packed integers
-    (_ell_matches_product; Harvey, J. Symb. Comp. 44, 2009).  A part of
-    bidegree (dx, dy) of an R4 polynomial over GF(p) becomes the integer
-    sum c * 2^(w * (e1 * W + e3)) over its terms c x1^e1 x2^(dx-e1) y1^e3
-    y2^(dy-e3).  Within one bidegree, e1 and e3 fix the monomial; and when
-    the stride W exceeds the y-degree of a product, the slots of a product
-    of two parts are the sums of slot indices, so each integer product
-    holds the polynomial product's coefficients as sums over the integers.
-    That is exact while no slot reaches 2^w, and then the slots mod p are
-    the GF(p) coefficients.
-
-    - Images.  G = pi(gamma) of each N-monomial gamma and P_b =
-      pi(pullback(b)) of each basis element are packed once per context,
-      under the memo kinds "packed-pi" and "packed-pullback", at the
-      context's stride D + 1 (D the highest basis degree) and 16-bit slots.
-      The right-hand side packs basis_value(f) and basis_value(g) once per
-      context too, under "packed-value", kept beside the value object it
-      packs: a value that is not the one packed is packed afresh.  A packed
-      image with a coefficient outside GF(p) raises VerifyError.
-    - Bidegree groups.  Each ell term c gamma b adds c G P to the group of
-      its bidegree, and value(f) value(g) goes to the group of its own.
-      Plane 0 of every group must equal its right-hand side mod p, slot by
-      slot, so a group the product does not reach must vanish.
-    - Digit planes.  G and P lie over GF(p), so an ell coefficient c =
-      sum_k c_k p^k outside GF(p) multiplies them digit by digit: digit c_k
-      goes to plane k of its group, and every plane above 0 must vanish.
-    - Slot bound.  A slot of c_k G P is at most (p-1)^3 min(|G|, |P|).  The
-      certificate sums these bounds per group and plane, and reduces a sum
-      into residues mod p before its bound would reach 2^w.  The stride is
-      raised above every product's y-degree, and the slot width to 32 or 64
-      bits when a single product needs it; the images are then packed
-      afresh for that certificate."""
+    pi is a ring homomorphism, so once that identity holds, sum_b pi(ell_b)
+    pi(p_b) = pi(pf) pi(pg) - sum_r pi(c_r) pi(r).  The evaluated identity
+    then follows from three facts that do not depend on the certificate:
+    pi(r) = 0 for the five relations, pi(pf) = value(f) and pi(pg) =
+    value(g).  Each is checked once and kept in the memo beside the objects
+    it compared (_kept): the relations under "relations-vanish", and each
+    pullback with its value under ("pullback-value", spec), so a relation,
+    pullback or value replaced in the memo is compared again."""
     ctx = context(field)
     S7 = ctx.S7
     if len(cert.cofactors) != len(RELATION_NAMES):
@@ -1042,20 +845,28 @@ def verify_certificate(field, cert):
         return False, "ell coefficient uses a non-N variable"
 
     # pf*pg - sum_b ell_b p_b - sum_r c_r r, accumulated in one term dict
+    pf, pg = ctx.basis_pullback(cert.f), ctx.basis_pullback(cert.g)
+    relations = tuple(ctx.relation(name) for name in RELATION_NAMES)
     identity = {}
-    iadd_product(identity, ctx.basis_pullback(cert.f),
-                 ctx.basis_pullback(cert.g))
+    iadd_product(identity, pf, pg)
     minus = ctx.field.neg_flat[1]
     for spec, npoly in cert.ell.items():
         iadd_product(identity, ctx.basis_pullback(spec), npoly, minus)
-    for cofactor, name in zip(cert.cofactors, RELATION_NAMES):
-        iadd_product(identity, ctx.relation(name), cofactor, minus)
+    for cofactor, rel in zip(cert.cofactors, relations):
+        iadd_product(identity, rel, cofactor, minus)
     if identity:
         return False, "cofactor identity fails: %s" \
             % _clip(Polynomial(S7, identity))
 
-    if not _ell_matches_product(ctx, cert.ell, cert.f, cert.g):
-        return False, "evaluated ell does not match the product"
+    bad = _kept(ctx, "relations-vanish", relations, lambda: [
+        name for name, rel in zip(RELATION_NAMES, relations) if ctx.pi(rel)])
+    if bad:
+        return False, "nonvanishing relations: %s" % ", ".join(bad)
+    for spec, pull in ((cert.f, pf), (cert.g, pg)):
+        value = ctx.basis_value(spec)
+        if not _kept(ctx, ("pullback-value", spec), (pull, value),
+                     lambda: ctx.pi(pull) == value):
+            return False, "evaluated ell does not match the product"
     return True, "certificate verified by expansion (%d ell terms)" \
         % sum(len(p) for p in cert.ell.values())
 
@@ -1109,8 +920,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
     rec = _Recorder(deadline)
 
     specs = ctx.enumerate_basis()
-    max_deg = max(sp.degree(q) for sp in specs)
-    gb = _cached_gb(ctx, 2 * max_deg, deadline)
+    bound = 2 * max(sp.degree(q) for sp in specs)
 
     pairs = [(specs[i], specs[j]) for i in range(len(specs))
              for j in range(i, len(specs))]
@@ -1128,14 +938,18 @@ def check_products(field, sample="all", seed=0, deadline=None):
     U1 = ctx.S7var("U1")
     Um1 = ctx.S7var("Um1")
 
+    # built by the first congruence item that runs, under the item's budget
+    def gb():
+        return _cached_gb(ctx, bound, deadline)
+
     rec.run("congruence:base", lambda: _congruence(
         Um1 ** (q - 1) * U0,
-        ctx.S7var("C1s") * U1 - ctx.z_pullback(1, 0, 0), gb))
+        ctx.S7var("C1s") * U1 - ctx.z_pullback(1, 0, 0), gb()))
     for s in range(1, q - 1):
         rec.run("congruence:recursion(%d)" % s, lambda v=s: _congruence(
             ctx.z_pullback(v, 0, 0) * U1,
             U0 * Um1 ** (q - 1 - v) * ctx.w_poly() ** v
-            + ctx.z_pullback(v + 1, 0, 0), gb))
+            + ctx.z_pullback(v + 1, 0, 0), gb()))
 
     def decomposition():
         bad = _carry_decomposition(q)
@@ -1146,6 +960,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
     rec.run("congruence:exponent-carry", decomposition)
 
     def product_congruence():
+        basis = gb()
         C0 = ctx.S7var("C0")
         C1 = ctx.S7var("C1")
         C0s = ctx.S7var("C0s")
@@ -1167,7 +982,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
                     * ctx.x_pullback(gb_spec.i, gb_spec.j, gb_spec.t)
                 rhs = carry_i[li] * carry_j[lj] * carry_t[lt] \
                     * ctx.x_pullback(i3, j3, t3)
-                red = normal_form(lhs - rhs, gb)
+                red = normal_form(lhs - rhs, basis)
                 if red:
                     return False, "pair %s * %s: nonzero normal form %s" \
                         % (fa.label(), gb_spec.label(), _clip(red))

@@ -1,5 +1,5 @@
 """Golden digests of the byte-stable report of every suite at q=2 and q=3,
-and of the q=4 products sample, the one report that runs the module fit over
+and of the q=4 products sample, the one report that certifies products over
 an extension field.
 
 The non-volatile report JSON is the regression oracle for refactors: any

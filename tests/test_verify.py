@@ -922,9 +922,10 @@ def _full_pi_of_ell(ctx, ell):
 
 def _term_dict_pi_of_ell(ctx, ell, images=None):
     """The term-dict oracle: pi(sum_b n_b * pullback(b)) as sum_b pi(n_b) *
-    pi(pullback(b)), one polynomial product per basis element of ell, as
-    verify_certificate evaluated it before the packed check.  The images of
-    N-monomials and pullbacks are kept in images, never in the context."""
+    pi(pullback(b)), one polynomial product per basis element of ell; it
+    evaluates ell itself, which verify_certificate never does.  The images
+    of N-monomials and pullbacks are kept in images, never in the
+    context."""
     images = {} if images is None else images
     fld = ctx.field
     total = {}
@@ -941,11 +942,12 @@ def _term_dict_pi_of_ell(ctx, ell, images=None):
     return Polynomial(ctx.R4, total)
 
 
-def _verdicts(ctx, ell, f, g, images=None):
-    """(packed verdict, term-dict verdict) of pi(ell) = value(f) * value(g)."""
-    value = ctx.basis_value(f) * ctx.basis_value(g)
-    return (verify._ell_matches_product(ctx, ell, f, g),
-            _term_dict_pi_of_ell(ctx, ell, images) == value)
+def _verdicts(ctx, cert, images=None):
+    """(verify_certificate's verdict, the term-dict oracle's verdict) on
+    cert; the oracle checks pi(ell) = value(f) * value(g)."""
+    value = ctx.basis_value(cert.f) * ctx.basis_value(cert.g)
+    return (verify_certificate(ctx.field, cert)[0],
+            _term_dict_pi_of_ell(ctx, cert.ell, images) == value)
 
 
 @pytest.mark.parametrize("q,sample", ((2, None), (3, None), (4, 20), (5, 20)),
@@ -965,14 +967,14 @@ def test_evaluated_ell_equals_the_full_substitution(q, sample):
         assert value == ctx.basis_value(f) * ctx.basis_value(g)
 
 
-def _packed_agrees_on_correct_certificates(q, sample):
+def _verifier_agrees_on_correct_certificates(q, sample):
     field = ff_from_q(q)
     ctx = context_for_q(q)
     images = {}
     pairs = _sampled_pairs(ctx, sample)
     for f, g in pairs:
         cert = reduce_product(field, f, g)
-        assert _verdicts(ctx, cert.ell, f, g, images) == (True, True), \
+        assert _verdicts(ctx, cert, images) == (True, True), \
             (f.label(), g.label())
     return len(pairs)
 
@@ -981,13 +983,15 @@ def _packed_agrees_on_correct_certificates(q, sample):
                                             (4, "300", 300)),
                          ids=("q=2-all", "q=3-all", "q=4-300"))
 def test_packed_check_agrees_with_the_term_dict_oracle(q, sample, count):
-    assert _packed_agrees_on_correct_certificates(q, sample) == count
+    """verify_certificate passes every certificate reduce_product makes,
+    and the term-dict evaluation of each ell is the product."""
+    assert _verifier_agrees_on_correct_certificates(q, sample) == count
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", (5, 7, 8, 9))
 def test_packed_check_agrees_with_the_term_dict_oracle_at_large_q(q):
-    assert _packed_agrees_on_correct_certificates(q, "200") == 200
+    assert _verifier_agrees_on_correct_certificates(q, "200") == 200
 
 
 def _changed(ell, spec, terms):
@@ -995,6 +999,16 @@ def _changed(ell, spec, terms):
     out = dict(ell)
     out[spec] = Polynomial(ell[spec].ring, terms)
     return out
+
+
+def _fails_the_identity(ctx, cert, ell, images=None):
+    """Whether cert with ell in place of its own fails verify_certificate
+    at the cofactor identity; the oracle must reject ell too."""
+    value = ctx.basis_value(cert.f) * ctx.basis_value(cert.g)
+    assert _term_dict_pi_of_ell(ctx, ell, images) != value
+    ok, detail = verify_certificate(ctx.field,
+                                    dataclasses.replace(cert, ell=ell))
+    return not ok and detail.startswith("cofactor identity fails: ")
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
@@ -1009,31 +1023,35 @@ def test_packed_check_rejects_a_changed_coefficient(q):
         terms[key] = field.add_i(terms[key], 1)
         if not terms[key]:
             del terms[key]
-        ell = _changed(cert.ell, spec, terms)
-        assert _verdicts(ctx, ell, f, g) == (False, False)
+        assert _fails_the_identity(ctx, cert, _changed(cert.ell, spec, terms))
 
 
 @pytest.mark.parametrize("q,unit", ((4, 2), (9, 3)))
 def test_packed_check_splits_coefficients_into_digit_planes(q, unit):
     """Coefficients t and 1 + t (indices unit and unit + 1) lie outside
-    GF(p): plane 1 must vanish, so both fail, even where plane 0 alone
-    matches the product."""
-    ctx = InvariantContext(ff_from_q(q))
+    GF(p): A:1,0,0 times 1 with ell = c A:1,0,0 and no cofactor passes
+    for c = 1 only; t and 1 + t fail at the cofactor identity."""
+    ctx = context_for_q(q)
     one, f = BasisSpec.parse("A:0,0,0"), BasisSpec.parse("A:1,0,0")
-    for cidx, verdict in ((1, True), (unit, False), (unit + 1, False)):
-        ell = {f: ctx.S7.from_dict({0: cidx})}
-        assert _verdicts(ctx, ell, f, one) == (verdict, verdict), cidx
+    cert = verify.ReductionCertificate(q, f, one, {f: ctx.S7.one},
+                                       [ctx.S7.zero] * len(RELATION_NAMES))
+    assert _verdicts(ctx, cert) == (True, True)
+    for cidx in (unit, unit + 1):
+        assert _fails_the_identity(ctx, cert,
+                                   {f: ctx.S7.from_dict({0: cidx})}), cidx
 
 
 def test_packed_check_refuses_an_image_outside_the_prime_field(monkeypatch):
+    """A stored value times t is not the image of its pullback, so the
+    certificate fails, without raising."""
     field = ff_from_q(4)
     f = BasisSpec.parse("A:1,0,0")
     cert = reduce_product(field, f, f)
     ctx = _throwaway_context(monkeypatch, field)
     t = ctx.R4.from_dict({0: 2})    # the generator t of GF(4) over GF(2)
     ctx._memo["value", f] = ctx.basis_value(f) * t
-    with pytest.raises(verify.VerifyError, match="outside GF"):
-        verify_certificate(field, cert)
+    assert verify_certificate(field, cert) == \
+        (False, "evaluated ell does not match the product")
 
 
 def _foreign_terms(ctx, cert, shifts):
@@ -1058,83 +1076,73 @@ def test_packed_check_rejects_a_term_of_another_bidegree():
         cert = reduce_product(field, f, g)
         for shift in ("C0", "C1s"):
             ell, _, _ = _foreign_terms(ctx, cert, (shift,))
-            assert _verdicts(ctx, ell, f, g) == (False, False)
+            assert _fails_the_identity(ctx, cert, ell)
 
 
 def test_packed_check_keeps_foreign_bidegrees_apart():
-    """At q=2, c0 + c1 and c0s + c1s both become 1 once x2 = y2 = 1, and
-    packing forgets x2 and y2: the four foreign terms (C0 + C1 + C0s +
-    C1s) gamma b cancel in one bidegree-blind sum, but each lies in a group
-    of its own, which must vanish."""
+    """At q=2, c0 + c1 and c0s + c1s both become 1 once x2 = y2 = 1: the
+    images of the four foreign terms (C0 + C1 + C0s + C1s) gamma b cancel
+    in a sum that forgets x2 and y2, yet the certificate fails at the
+    cofactor identity."""
     field = ff_from_q(2)
     ctx = context_for_q(2)
     f = g = BasisSpec.parse("A:1,1,0")
     cert = reduce_product(field, f, g)
     ell, spec, gamma = _foreign_terms(ctx, cert, ("C0", "C1", "C0s", "C1s"))
-    layout = verify._kron_layout(ctx)
     pullback = ctx.pi(ctx.basis_pullback(spec))
-    blind = 0
+    blind = {}   # (e1, e3) -> coefficient in GF(2)
     for name in ("C0", "C1", "C0s", "C1s"):
-        monomial = ctx.S7.from_dict({gamma + ctx.S7.var(name).leading_key(): 1})
-        (_, image), = verify._packed(ctx.pi(monomial) * pullback, 2,
-                                     layout).values()
-        blind += image
-    assert not any(b % 2 for b in blind.to_bytes(
-        (blind.bit_length() + 15) // 16 * 2, "little")[::2])
-    assert _verdicts(ctx, ell, f, g) == (False, False)
+        image = ctx.pi(ctx.S7.from_dict(
+            {gamma + ctx.S7.var(name).leading_key(): 1})) * pullback
+        for key, c in image.terms.items():
+            e1, _, e3, _ = ctx.R4.unpack(key)
+            blind[e1, e3] = blind.get((e1, e3), 0) ^ c
+    assert blind and not any(blind.values())
+    assert _fails_the_identity(ctx, cert, ell)
 
 
-def test_a_long_ell_takes_the_overflow_path(monkeypatch):
-    """At q=7 a slot of c G P may reach 216 min(|G|, |P|): the 23-term ell
-    of A:6,6,5 squared sums past 2^16 in one group, so its sums are reduced
-    mod p in chunks; the verdicts still agree, and a changed coefficient is
-    still caught."""
+def test_a_long_ell_takes_the_overflow_path():
+    """The 23-term ell of A:6,6,5 squared at q=7 passes, and a changed
+    coefficient fails at the cofactor identity."""
     field = ff_from_q(7)
     ctx = context_for_q(7)
     f = BasisSpec.parse("A:6,6,5")
     cert = reduce_product(field, f, f)
-    flushes, sums = [], []
-    flush, init = verify._SlotSum.flush, verify._SlotSum.__init__
-    monkeypatch.setattr(verify._SlotSum, "flush", lambda self, *a: (
-        flushes.append(1), flush(self, *a))[1])
-    monkeypatch.setattr(verify._SlotSum, "__init__", lambda self: (
-        sums.append(1), init(self))[1])
+    assert sum(len(npoly) for npoly in cert.ell.values()) == 23
     images = {}
-    assert _verdicts(ctx, cert.ell, f, f, images) == (True, True)
-    assert len(flushes) > len(sums)     # flushes beyond one per sum
+    assert _verdicts(ctx, cert, images) == (True, True)
     spec = max(cert.ell, key=lambda s: s.label())
     terms = dict(cert.ell[spec].terms)
     key = max(terms)
     terms[key] = field.add_i(terms[key], 1) or 1
-    ell = _changed(cert.ell, spec, terms)
-    assert _verdicts(ctx, ell, f, f, images) == (False, False)
+    assert _fails_the_identity(ctx, cert, _changed(cert.ell, spec, terms),
+                               images)
 
 
-@pytest.mark.parametrize("q", (2, 3, 4))
-def test_the_default_stride_holds_every_product(q):
-    """No basis value has y-degree above D/2, so the stride D + 1 holds
-    the y-degree of every product of two."""
-    ctx = context_for_q(q)
-    stride, width = verify._kron_layout(ctx)
-    top = max(ctx.r4_bidegree(ctx.basis_value(spec))[1]
-              for spec in ctx.enumerate_basis())
-    assert (2 * top + 1, width) == (stride, 16)
+def test_a_relation_that_does_not_vanish_fails_the_certificate(monkeypatch):
+    """A:0,0,0 * B:1,1,3,1 at q=3 has only zero cofactors, so its cofactor
+    identity holds whatever T1 is; a T1 that pi does not send to 0, put in
+    the memo after a first pass, fails it."""
+    field = ff_from_q(3)
+    cert = reduce_product(field, BasisSpec.parse("A:0,0,0"),
+                          BasisSpec.parse("B:1,1,3,1"))
+    assert not any(cert.cofactors)
+    ctx = _throwaway_context(monkeypatch, field)
+    assert verify_certificate(field, cert)[0]
+    ctx._memo["rel", "T1"] = ctx.relation("T1") + ctx.S7var("U0")
+    assert verify_certificate(field, cert) == \
+        (False, "nonvanishing relations: T1")
 
 
-def test_slot_sums_are_exact_past_the_slot_width():
-    """Random packed sums whose slots pass 2^16 read mod p as the exact
-    slot sums do."""
-    rng = random.Random(3)
-    p, slots, layout = 7, 40, (41, 16)
-    total, exact = verify._SlotSum(), [0] * slots
-    for _ in range(2000):
-        vals = [rng.randrange(256) for _ in range(slots)]
-        exact = [a + b for a, b in zip(exact, vals)]
-        packed = int.from_bytes(np.array(vals, dtype="<u2").tobytes(),
-                                "little")
-        total.add(packed, 255, slots, layout, p)
-    assert max(exact) >= 1 << 16
-    assert total.result(slots, layout, p).tolist() == [e % p for e in exact]
+def test_a_spent_products_budget_times_the_first_item_out(monkeypatch):
+    """The congruence items build their Groebner basis themselves, so a
+    spent budget gives a report, not a raise."""
+    field = ff_from_q(4)
+    _throwaway_context(monkeypatch, field)
+    report = check_products(field, sample="5", deadline=time.monotonic() - 1)
+    assert report.items[0].status == "timeout"
+    assert report.items[1:]
+    assert all(it.status == "skipped" for it in report.items[1:])
 
 
 def _throwaway_context(monkeypatch, field, memo=None):
@@ -1206,8 +1214,9 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
         assert ok, detail
     kinds = {key[0] if isinstance(key, tuple) else key for key in memo.seen}
     assert not kinds & {"fit", "factor", "nimage", "nmonomials", "bidegree",
-                        "gb", "dim", "line", "grid", "clast"}
-    assert {"packed-pi", "packed-pullback", "packed-value"} <= kinds
+                        "gb", "dim", "line", "grid", "clast", "kronecker",
+                        "packed-pi", "packed-pullback", "packed-value"}
+    assert {"relations-vanish", "pullback-value"} <= kinds
     # basis_value is read for the product f*g only
     assert {key[1] for key in memo.seen if key[0] == "value"} \
         == {spec for cert in certs for spec in (cert.f, cert.g)}
@@ -1218,13 +1227,11 @@ def test_verifier_memo_does_not_grow_with_the_pairs(monkeypatch):
     field = ff_from_q(3)
     assert check_products(field, sample="all").overall == "pass"
     ctx = context_for_q(3)
-    images = _memo_keys(ctx, "packed-pi")
-    pullbacks = _memo_keys(ctx, "packed-pullback")
-    values = _memo_keys(ctx, "packed-value")
-    # 1,176 certificates, one entry per N-monomial and basis element met
-    assert len(pullbacks) <= len(ctx.enumerate_basis()) == 48
-    assert len(values) <= 48
-    assert len(images) + len(pullbacks) <= 86
+    # 1,176 certificates, one entry per basis element met and one for the
+    # relations
+    assert len(_memo_keys(ctx, "pullback-value")) \
+        <= len(ctx.enumerate_basis()) == 48
+    assert "relations-vanish" in ctx._memo
 
 
 # ---------------------------------------------------------------------------
