@@ -1,33 +1,30 @@
-"""Exact Gaussian elimination over GF(q).
+"""Exact Gaussian elimination over GF(p).
 
-Every rank and solve is one elimination over the prime field GF(p), on the
-smallest exact form of the matrix.  A matrix of GF(q) indices whose entries
-all lie below p lies over GF(p) itself (index i < p is the element i), and
-is eliminated as it is.  Only a matrix with an entry outside GF(p) is lifted
-to GF(p) by the regular representation: each entry becomes the s x s matrix
-of multiplication by it on the basis 1, t, ..., t^(s-1), so ranks multiply
-by s.  For a matrix A over GF(p) that lift is A (x) I_s up to a permutation,
-so skipping it changes no rank, pivot or solution.  For odd p the
-elimination runs in numpy integer arithmetic mod p on the narrowest signed
-type that holds (p-1)^2 (vectorized, still exact; no floating point
-anywhere).  For p = 2 each row is one Python int, column 0 in the highest
-bit, and the rows are inserted one by one into a greedy XOR basis keyed by
-leading bit; a rank is the size of that basis, taken on the orientation
-with fewer rows.
+Every rank, factorization and solve is one elimination over the prime field
+GF(p).  A rank over GF(q) = GF(p^s) takes a matrix of GF(q) indices as it is
+when all its entries lie below p (index i < p is the element i), and else
+lifts it to GF(p) by the regular representation: each entry becomes the
+s x s matrix of multiplication by it on the basis 1, t, ..., t^(s-1), so
+ranks multiply by s.  For a matrix A over GF(p) that lift is A (x) I_s up to
+a permutation, so skipping it changes no rank.  A factorization or solve is
+over GF(p) only: the verdicts' matrices and right-hand sides all lie there,
+since the seven generators and five relations have integer coefficients,
+and an entry outside GF(p) raises ValueError.  For odd p the elimination
+runs in numpy integer arithmetic mod p on the narrowest signed type that
+holds (p-1)^2 (vectorized, still exact; no floating point anywhere).  For
+p = 2 each row is one Python int, column 0 in the highest bit, and the rows
+are inserted one by one into a greedy XOR basis keyed by leading bit; a rank
+is the size of that basis, taken on the orientation with fewer rows.
 
 A solve factors first and then applies the factorization, so one matrix
 factored once serves any number of right-hand sides: the pivot rows P and
-pivot columns of the eliminated matrix E (the nonzero rows, lifted or not)
-give an invertible square E[P, pivots], whose inverse maps b[P] to the pivot
-entries of the solution.  For p = 2 the pivot rows are the rows that
-entered the XOR basis and the pivot columns its leading bits, the same
-pivot set as reduced row echelon form, since both are fixed by the row
-space.  A right-hand side over GF(p^s) meets a factorization over GF(p) one
-base-p digit plane at a time (the coefficients of 1, t, ...), up to its
-highest plane that is not 0; one within GF(p) is a single plane.  Every
-solution is re-checked against the whole system, in every plane, and that
-check alone decides consistency.  One Factorization serves every GF(p^s),
-s = 1 too.
+pivot columns of the matrix E give an invertible square E[P, pivots], whose
+inverse maps b[P] to the pivot entries of the solution.  For p = 2 the pivot
+rows are the rows that entered the XOR basis and the pivot columns its
+leading bits, the same pivot set as reduced row echelon form, since both are
+fixed by the row space.  A 2-D right-hand side holds one right-hand side per
+column.  Every solution is re-checked against every row, a zero row too,
+and that check alone decides consistency.
 """
 
 from __future__ import annotations
@@ -185,16 +182,24 @@ def rank_field(rows, field):
 
 
 class Factorization(NamedTuple):
-    """A matrix of field indices factored for solving: its nonzero rows,
-    lifted when lifted is True and as they are otherwise (every entry in
-    GF(p)), form a matrix E with pivot columns pivots, and E[rows, pivots]
-    has inverse inv."""
+    """A matrix E over GF(p) factored for solving: E has pivot columns
+    pivots, and E[rows, pivots] has inverse inv."""
 
-    nonzero: np.ndarray
     rows: np.ndarray
     pivots: np.ndarray
     inv: np.ndarray
-    lifted: bool
+
+
+def _over_prime_field(M, p, what):
+    """M as a numpy array, after checking that every entry lies in GF(p):
+    raises ValueError naming the first one that does not."""
+    M = np.asarray(M)
+    outside = np.argwhere((M < 0) | (M >= p))
+    if outside.size:
+        at = tuple(int(i) for i in outside[0])
+        raise ValueError("%s entry %d at %s is not in GF(%d)"
+                         % (what, M[at], at, p))
+    return M
 
 
 def _factor_gf2(L):
@@ -220,18 +225,14 @@ def _factor_gf2(L):
 
 
 def factor_field(rows, field):
-    """Factor a matrix of field indices over any FieldParams: one elimination
-    of its nonzero rows (over GF(p) as they are when every entry lies below
-    p, else of their lift), which also records the original row of each
-    pivot, and one of the small [E[rows, pivots] | I] for the inverse.
-    Over p = 2 both are eliminations on int rows."""
-    rows = np.asarray(rows)
+    """Factor a matrix over GF(p), p = field.p: one elimination, which also
+    records the original row of each pivot, and one of the small
+    [E[rows, pivots] | I] for the inverse.  Over p = 2 both are eliminations
+    on int rows.  Raises ValueError on an entry outside GF(p)."""
     p = field.p
-    nonzero = np.flatnonzero(rows.any(axis=1))
-    lifted = bool(rows.size) and int(rows.max()) >= p
-    E = _lift(rows[nonzero], field) if lifted else rows[nonzero]
+    E = _over_prime_field(rows, p, "matrix")
     if p == 2:
-        return Factorization(nonzero, *_factor_gf2(E), lifted)
+        return Factorization(*_factor_gf2(E))
     # signed, so that a row operation on a uint8 block cannot wrap
     E = E.astype(_int_type((p - 1) ** 2), copy=False)
     aug = E.copy()
@@ -241,63 +242,34 @@ def factor_field(rows, field):
     square = np.hstack([E[np.ix_(order[:r], pivots)],
                         np.eye(r, dtype=E.dtype)])
     _rref(square, p, r)
-    return Factorization(nonzero, order[:r].copy(), pivots,
-                         square[:, r:].copy(), lifted)
-
-
-def _digit_planes(b, p):
-    """The base-p digits of an index vector b, one column per plane up to
-    the highest plane that is not 0."""
-    planes = []
-    while b.any():
-        planes.append(b % p)
-        b = b // p
-    return np.stack(planes, axis=1)
+    return Factorization(order[:r].copy(), pivots, square[:, r:].copy())
 
 
 def solve_factored(fact, rows, rhs, field):
-    """Exact solve of rows x = rhs over any FieldParams given the
-    factorization of rows; returns a list of field indices with free
-    variables 0, or None.
+    """Exact solve of rows x = rhs over GF(p), p = field.p, given the
+    factorization of rows; returns x as a list with free variables 0, or
+    None.  A 2-D rhs is several right-hand sides, one per column; x is then
+    a list of rows, one column per right-hand side, and None unless every
+    column is consistent.
 
-    A zero row of rows needs a zero rhs.  The pivot entries are
-    inv @ b[fact.rows], and the re-check of every row decides consistency.
-    For a lifted factorization b and the re-checked rows are lifted too, and
-    a GF(q) pivot column lifts to s GF(p) pivot columns, so the solution
-    comes out in coefficients of 1, t, ...; the rows are lifted again for
-    the re-check, so no lifted copy outlives the solve.  For one over GF(p)
-    a rhs within GF(p) is solved as it is, and any other one digit plane by
-    digit plane, each plane re-checked: the pivots of the lift are the
-    pivots of rows in every plane, so this is the same solution.
+    The pivot entries are inv @ b[fact.rows], and the re-check of every row
+    decides consistency.  Raises ValueError on an entry of rows or rhs
+    outside GF(p).
     """
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs, dtype=np.uint8)   # indices < q <= 256
-    on_nonzero = rhs[fact.nonzero]
-    if np.count_nonzero(on_nonzero) < np.count_nonzero(rhs):
-        return None
-    p, s = field.p, field.s
-    E = rows[fact.nonzero]
-    if fact.lifted:
-        E = _lift(E, field)
-        b = _lift(on_nonzero[:, None], field)[:, 0]
-    elif s > 1 and on_nonzero.size and on_nonzero.max() >= p:
-        b = _digit_planes(on_nonzero, p)
-    else:
-        b = on_nonzero
+    p = field.p
+    E = _over_prime_field(rows, p, "matrix")
+    b = _over_prime_field(rhs, p, "right-hand side")
     wide = _int_type(E.shape[1] * (p - 1) ** 2 + p)
     b = b.astype(wide)
     x = np.zeros((E.shape[1],) + b.shape[1:], dtype=wide)
     x[fact.pivots] = fact.inv.astype(wide) @ b[fact.rows] % p
     if np.any((E @ x - b) % p):
         return None
-    if fact.lifted:
-        x = x.reshape(rows.shape[1], s)
-    if x.ndim == 2:
-        x = x @ p ** np.arange(x.shape[1])
     return x.tolist()
 
 
 def solve_generic(rows, rhs, field):
-    """Exact solve over any FieldParams; returns a list of field indices
-    with free variables 0, or None."""
+    """Exact solve of rows x = rhs over GF(p), p = field.p; returns a list
+    with free variables 0, or None.  Raises ValueError on an entry outside
+    GF(p)."""
     return solve_factored(factor_field(rows, field), rows, rhs, field)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 import time
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -658,7 +660,7 @@ def _build_clast(ctx, relations, deadline=None):
     relation (distinct leading terms make that match one to one); and
     unless every block of L(0) is square and nonsingular.  Then B_U is
     finite and the basis M is a k[C]-basis of S7/I.  Each block is
-    inverted once, by solves against the identity.  Checks the deadline
+    inverted once, by one solve against the identity.  Checks the deadline
     before each basis pullback and each block."""
     q, fld = ctx.q, ctx.field
     weight = dict(zip(ctx.S7.names, ctx.S7.weights))
@@ -721,14 +723,14 @@ def _build_clast(ctx, relations, deadline=None):
                                  "not square" % (d, len(rows), len(cols)))
         block = np.array([[constant[m].get(key, 0) for key in cols]
                           for m in rows], dtype=np.uint8)
-        fact = linalg.factor_field(block, fld)
-        inverse = [linalg.solve_factored(fact, block, unit, fld)
-                   for unit in np.eye(len(rows), dtype=np.uint8)]
-        if any(x is None for x in inverse):
+        inverse = linalg.solve_factored(
+            linalg.factor_field(block, fld), block,
+            np.eye(len(rows), dtype=np.uint8), fld)
+        if inverse is None:
             raise NotExpressible("the block of L(0) in degree %d is singular"
                                  % d)
-        blocks[d] = cols, [{m: x[c] for m, x in zip(rows, inverse) if x[c]}
-                           for c in range(len(cols))]
+        blocks[d] = cols, [{m: x for m, x in zip(rows, row) if x}
+                           for row in inverse]
     return _CLast(ring, gb, on_basis,
                   {spec: m for m, spec in enumerate(specs)},
                   pullbacks, cofactors, tails, shifts, units, blocks)
@@ -910,6 +912,30 @@ def _sample_count(sample):
     return str(n)
 
 
+class _Pairs(Sequence):
+    """The pairs (specs[i], specs[j]) with i <= j, ordered by i and then j,
+    without building them: pair k is found from k alone, so sampling a few
+    of the n(n+1)/2 pairs holds only the pairs drawn."""
+
+    def __init__(self, specs):
+        self._specs = specs
+        self._len = len(specs) * (len(specs) + 1) // 2
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, k):
+        if not 0 <= k < self._len:
+            raise IndexError("pair index out of range")
+        # the pairs from row i on number m(m+1)/2, m = n - i
+        rest = self._len - k
+        m = (math.isqrt(8 * rest + 1) - 1) // 2
+        if m * (m + 1) // 2 < rest:
+            m += 1
+        i = len(self._specs) - m
+        return self._specs[i], self._specs[i + m * (m + 1) // 2 - rest]
+
+
 def check_products(field, sample="all", seed=0, deadline=None):
     sample = _sample_count(sample)
     ctx = context(field)
@@ -922,8 +948,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
     specs = ctx.enumerate_basis()
     bound = 2 * max(sp.degree(q) for sp in specs)
 
-    pairs = [(specs[i], specs[j]) for i in range(len(specs))
-             for j in range(i, len(specs))]
+    pairs = _Pairs(specs)
     if sample != "all":
         rng = random.Random(seed)
         pairs = rng.sample(pairs, min(int(sample), len(pairs)))

@@ -1,11 +1,13 @@
 """Exact elimination: rank and solve over GF(p) against sympy's DomainMatrix,
-rank_gf2 against the generic elimination, the regular-representation lift
-over GF(p^s) against brute-force enumeration, and the prime-field rule (a
-matrix over GF(p) is eliminated without the lift) against an oracle that
-always lifts."""
+rank_gf2 against the generic elimination, ranks over GF(p^s) (lifted by the
+regular representation) and solves over GF(p) within GF(p^s) against
+brute-force enumeration, the prime-field rule (a matrix over GF(p) is
+eliminated without the lift) against an oracle that always lifts, and the
+refusal of a factorization or solve with an entry outside GF(p)."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -146,13 +148,15 @@ def brute_pivots(field, A):
 EXTENSIONS = (4, 8, 9)
 
 
-def small_systems(field, rng):
+def small_systems(field, rng, values):
+    """Matrices of up to 3 x 3 with entries below values, half of those
+    with more than one row ending in a multiple of the first row."""
     for rows in (1, 2, 3):
         for cols in (1, 2, 3):
-            A = [[rng.randrange(field.q) for _ in range(cols)]
+            A = [[rng.randrange(values) for _ in range(cols)]
                  for _ in range(rows)]
             if rows > 1 and rng.random() < 0.5:
-                c = rng.randrange(1, field.q)
+                c = rng.randrange(1, values)
                 A[-1] = [field.mul_i(c, v) for v in A[0]]
             yield A
 
@@ -162,19 +166,21 @@ def test_rank_field_matches_brute_force(q):
     field = ff_from_q(q)
     rng = random.Random(q)
     for _ in range(4):
-        for A in small_systems(field, rng):
+        for A in small_systems(field, rng, field.q):
             assert linalg.rank_field(A, field) == brute_rank(field, A)
     assert linalg.rank_field([[0, 0], [0, 0]], field) == 0
 
 
 @pytest.mark.parametrize("q", EXTENSIONS)
 def test_solve_generic_matches_brute_force(q):
+    """A and b over GF(p): the solution is one of those found by
+    enumerating all of GF(q)^cols, with every free variable 0."""
     field = ff_from_q(q)
     rng = random.Random(100 + q)
     inconsistent = 0
     for _ in range(3):
-        for A in small_systems(field, rng):
-            b = [rng.randrange(field.q) for _ in A]
+        for A in small_systems(field, rng, field.p):
+            b = [rng.randrange(field.p) for _ in A]
             cols = len(A[0])
             sols = [x for x in itertools.product(range(q), repeat=cols)
                     if all(elements_apply(field, row, x) == v
@@ -220,11 +226,12 @@ def rref_solve(A, b, p):
 
 
 def field_system(field, rng, rows, cols, kind):
-    """A matrix of field indices with some all-zero rows; for kind
-    "deficient" a last nonzero row that repeats a multiple of another, and
-    for kind "low-rank" nonzero rows that are combinations of at most
-    cols // 2 rows, some repeated, so the columns are dependent too."""
-    A = [[rng.randrange(field.q) if rng.random() < 0.6 else 0
+    """A matrix over GF(p) with some all-zero rows; for kind "deficient" a
+    last nonzero row that repeats a multiple of another, and for kind
+    "low-rank" nonzero rows that are combinations of at most cols // 2
+    rows, some repeated, so the columns are dependent too."""
+    p = field.p
+    A = [[rng.randrange(p) if rng.random() < 0.6 else 0
           for _ in range(cols)] for _ in range(rows)]
     if kind == "low-rank":
         base = A[:max(1, cols // 2)]
@@ -234,32 +241,33 @@ def field_system(field, rng, rows, cols, kind):
                 continue
             row = [0] * cols
             for b in base:
-                c = rng.randrange(field.q)
+                c = rng.randrange(p)
                 row = [field.add_i(v, field.mul_i(c, w))
                        for v, w in zip(row, b)]
             A[i] = row
     for i in range(0, rows, 3):
         A[i] = [0] * cols
     if kind == "deficient" and rows > 2:
-        c = rng.randrange(1, field.q)
+        c = rng.randrange(1, p)
         A[-1] = [field.mul_i(c, v) for v in A[1]]
     return A
 
 
 def right_hand_sides(field, rng, A, count):
-    """Consistent ones (A times a random vector), random ones, and one that
-    is nonzero only on an all-zero row of A."""
+    """Over GF(p): consistent ones (A times a random vector), random ones,
+    and one that is nonzero only on an all-zero row of A."""
+    p = field.p
     cols = len(A[0])
     out = []
     for _ in range(count):
-        y = [rng.randrange(field.q) for _ in range(cols)]
+        y = [rng.randrange(p) for _ in range(cols)]
         out.append([elements_apply(field, row, y) for row in A])
-        out.append([rng.randrange(field.q) for _ in A])
+        out.append([rng.randrange(p) for _ in A])
     zero_rows = [i for i, row in enumerate(A) if not any(row)]
     if zero_rows:
-        y = [rng.randrange(field.q) for _ in range(cols)]
+        y = [rng.randrange(p) for _ in range(cols)]
         b = [elements_apply(field, row, y) for row in A]
-        b[zero_rows[-1]] = rng.randrange(1, field.q)
+        b[zero_rows[-1]] = rng.randrange(1, p)
         out.append(b)
     return out
 
@@ -277,6 +285,8 @@ def scratch_solve(A, b, field):
 
 @pytest.mark.parametrize("q", (2, 3, 5, 7, 4, 8, 9))
 def test_one_factorization_solves_every_right_hand_side(q):
+    """Systems over GF(p), at q = 4, 8 and 9 too, against a from-scratch
+    solve of their lift to GF(p) by the regular representation of GF(q)."""
     field = ff_from_q(q)
     rng = random.Random(7000 + q)
     seen = {"none": 0, "zero-row": 0}
@@ -285,8 +295,7 @@ def test_one_factorization_solves_every_right_hand_side(q):
         for kind in ("random", "deficient", "low-rank"):
             A = field_system(field, rng, rows, cols, kind)
             fact = linalg.factor_field(A, field)
-            assert list(fact.nonzero) == [i for i, row in enumerate(A)
-                                          if any(row)]
+            assert all(any(A[i]) for i in fact.rows)
             for b in right_hand_sides(field, rng, A, 4):
                 x = linalg.solve_factored(fact, A, b, field)
                 assert x == scratch_solve(A, b, field)
@@ -300,19 +309,72 @@ def test_one_factorization_solves_every_right_hand_side(q):
     assert seen["none"] and seen["zero-row"]
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 4, 9))
+def test_a_matrix_right_hand_side_equals_the_column_solves(q):
+    """Several right-hand sides at once, one per column of B, give the
+    column-by-column solutions as the columns of X; one inconsistent
+    column makes the whole solve None."""
+    field = ff_from_q(q)
+    rng = random.Random(8200 + q)
+    inconsistent = 0
+    for rows, cols in ((1, 1), (4, 3), (6, 6), (13, 7), (40, 9)):
+        for kind in ("random", "low-rank"):
+            A = field_system(field, rng, rows, cols, kind)
+            fact = linalg.factor_field(A, field)
+            columns = right_hand_sides(field, rng, A, 3)
+            sols = [linalg.solve_factored(fact, A, b, field)
+                    for b in columns]
+            good = [b for b, x in zip(columns, sols) if x is not None]
+            X = linalg.solve_factored(fact, A, np.array(good).T, field)
+            assert X == np.array([x for x in sols if x is not None]).T.tolist()
+            assert X == linalg.solve_generic(A, np.array(good).T, field)
+            for b, x in zip(columns, sols):
+                if x is None:
+                    inconsistent += 1
+                    assert linalg.solve_factored(
+                        fact, A, np.array(good + [b]).T, field) is None
+    assert inconsistent
+
+
+@pytest.mark.parametrize("q", (3, 4, 9))
+def test_entries_outside_the_prime_field_are_refused(q):
+    """factor_field, solve_factored and solve_generic lift nothing: the
+    index p (the element t when q > p, no element at all when q = p) in
+    the matrix or in the right-hand side raises ValueError naming it."""
+    field = ff_from_q(q)
+    p = field.p
+    A = [[1, 0], [0, 1]]
+    fact = linalg.factor_field(A, field)
+    bad = [[1, 0], [p, 1]]
+    in_matrix = re.escape("matrix entry %d at (1, 0) is not in GF(%d)"
+                          % (p, p))
+    with pytest.raises(ValueError, match=in_matrix):
+        linalg.factor_field(bad, field)
+    with pytest.raises(ValueError, match=in_matrix):
+        linalg.solve_factored(fact, bad, [1, 1], field)
+    with pytest.raises(ValueError, match=in_matrix):
+        linalg.solve_generic(bad, [1, 1], field)
+    for rhs, at in (([1, p], "(1,)"), ([[1, 0], [0, p]], "(1, 1)")):
+        in_rhs = re.escape("right-hand side entry %d at %s is not in GF(%d)"
+                           % (p, at, p))
+        with pytest.raises(ValueError, match=in_rhs):
+            linalg.solve_factored(fact, A, rhs, field)
+        with pytest.raises(ValueError, match=in_rhs):
+            linalg.solve_generic(A, rhs, field)
+
+
 @pytest.mark.parametrize("p,A", CASES)
 def test_factor_modp_inverts_the_pivot_square(p, A):
-    """factor_field over GF(p): the lift is the identity, so the
-    factorization of A's nonzero rows is one of A[nonzero] itself."""
+    """factor_field over GF(p): sympy's pivot columns, and A[rows, pivots]
+    times inv is the identity."""
     A = np.array(A) % p
     field = ff_make(p)
     fact = linalg.factor_field(A, field)
-    nonzero = A[fact.nonzero]
     _R, pivots = sympy_rref(A.tolist(), p)
     assert list(fact.pivots) == pivots
     r = len(pivots)
     assert len(set(fact.rows.tolist())) == r
-    square = nonzero[np.ix_(fact.rows, fact.pivots)]
+    square = A[np.ix_(fact.rows, fact.pivots)]
     assert ((square @ fact.inv) % p == np.eye(r, dtype=int)).all()
     rng = random.Random(p * 1000 + A.size)
     for _ in range(4):
@@ -322,14 +384,15 @@ def test_factor_modp_inverts_the_pivot_square(p, A):
 
 def test_inconsistent_only_on_a_zero_row():
     """b agrees with a consistent system except on an all-zero row of A:
-    the factorization drops that row, and the zero-row check must catch it."""
+    no zero row is a pivot row, and the re-check of every row must catch
+    it."""
     for q in (2, 3, 4, 9):
         field = ff_from_q(q)
         A = [[1, 0], [0, 0], [0, 1], [0, 0]]
         fact = linalg.factor_field(A, field)
-        assert list(fact.nonzero) == [0, 2]
+        assert sorted(fact.rows.tolist()) == [0, 2]
         assert linalg.solve_factored(fact, A, [1, 0, 1, 0], field) == [1, 1]
-        for bad in ([1, 1, 1, 0], [1, 0, 1, q - 1]):
+        for bad in ([1, 1, 1, 0], [1, 0, 1, field.p - 1]):
             assert linalg.solve_factored(fact, A, bad, field) is None
             assert linalg.solve_generic(A, bad, field) is None
         assert linalg.solve_modp([[0, 0], [1, 0]], [1, 0], 3) is None
@@ -354,29 +417,23 @@ def lifted_pivots(A, field):
 
 
 def pivots_of_the_lift(fact, field):
-    """The pivot columns of the lift that fact stands for: its own pivots
-    when it was lifted, else each pivot j of the GF(p) matrix as the s
-    columns j*s, ..., j*s + s - 1 of its lift A (x) I_s."""
-    if fact.lifted:
-        return list(fact.pivots)
+    """Each pivot j of the GF(p) matrix as the s columns j*s, ...,
+    j*s + s - 1 of its lift A (x) I_s."""
     return [j * field.s + k for j in fact.pivots for k in range(field.s)]
 
 
 def assert_inverts_the_pivot_square(fact, A, field):
-    E = np.asarray(A)[fact.nonzero].astype(np.int64)
-    if fact.lifted:
-        E = linalg._lift(E, field)
-    square = E[np.ix_(fact.rows, fact.pivots)]
+    square = np.asarray(A, dtype=np.int64)[np.ix_(fact.rows, fact.pivots)]
     r = len(fact.pivots)
     assert ((square @ fact.inv) % field.p == np.eye(r, dtype=int)).all()
 
 
 @st.composite
 def prime_field_systems(draw):
-    """(field, A, planes, bad): a matrix A over GF(p) with some zero rows
+    """(field, A, b, outside): a matrix A over GF(p) with some zero rows
     in GF(q), q = 4, 8 or 9, ending in a repeat of a nonzero row when there
-    is one; the right-hand sides A y_k of s vectors y_k over GF(p), one per
-    base-p digit plane; and a plane and a value outside GF(p) to place."""
+    is one; the right-hand side A y of a vector y over GF(p); and a place
+    and a value outside GF(p) to put in A."""
     field = ff_from_q(draw(st.sampled_from(EXTENSIONS)))
     p = field.p
     rows = draw(st.integers(1, 10))
@@ -389,47 +446,42 @@ def prime_field_systems(draw):
     nonzero = [i for i, row in enumerate(A) if any(row)]
     if nonzero:
         A.append(list(A[draw(st.sampled_from(nonzero))]))
-    ys = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                       min_size=field.s, max_size=field.s))
-    planes = [(np.array(A) @ np.array(y)) % p for y in ys]
-    bad = (draw(st.integers(0, field.s - 1)),
-           (draw(st.integers(0, len(A) - 1)), draw(st.integers(0, cols - 1)),
-            draw(st.integers(p, field.q - 1))))
-    return field, A, planes, bad
+    y = draw(st.lists(entry, min_size=cols, max_size=cols))
+    b = [int(v) for v in (np.array(A) @ np.array(y)) % p]
+    outside = (draw(st.integers(0, len(A) - 1)),
+               draw(st.integers(0, cols - 1)),
+               draw(st.integers(p, field.q - 1)))
+    return field, A, b, outside
 
 
 @settings(max_examples=80, deadline=None)
 @given(prime_field_systems())
 def test_prime_field_rule_matches_the_lift(system):
     """rank_field, factor_field and solve_factored on a matrix over GF(p)
-    skip the lift and agree with the oracle that takes it: right-hand sides
-    within GF(p), in every digit plane, and inconsistent ones, on a
-    repeated row or on a zero row; and a matrix with one entry outside
-    GF(p) is lifted and agrees too."""
-    field, A, planes, (plane, (i, j, v)) = system
-    p, q = field.p, field.q
+    skip the lift and agree with the oracle that takes it, on a consistent
+    right-hand side and on inconsistent ones, on a repeated row or on a
+    zero row.  A matrix with one entry outside GF(p) has the rank of its
+    lift, and factor_field refuses it."""
+    field, A, inside, (i, j, v) = system
+    p = field.p
     fact = linalg.factor_field(A, field)
-    assert not fact.lifted
     assert linalg.rank_field(A, field) == lifted_rank(A, field) \
         == len(fact.pivots)
     assert pivots_of_the_lift(fact, field) == lifted_pivots(A, field)
     assert_inverts_the_pivot_square(fact, A, field)
 
-    inside = [int(v) for v in planes[0]]
-    every = [int(v) for v in sum(p ** k * b for k, b in enumerate(planes))]
-    for b in (inside, every):
-        x = linalg.solve_factored(fact, A, b, field)
-        assert x == scratch_solve(A, b, field)
-        assert [elements_apply(field, row, x) for row in A] == b
+    x = linalg.solve_factored(fact, A, inside, field)
+    assert x == scratch_solve(A, inside, field)
+    assert [elements_apply(field, row, x) for row in A] == inside
     bad = []
     if any(A[-1]):
-        b = list(every)
-        b[-1] = field.add_i(b[-1], p ** plane)  # the repeat disagrees
+        b = list(inside)
+        b[-1] = field.add_i(b[-1], 1)  # the repeat disagrees
         bad.append(b)
     zero = [r for r, row in enumerate(A) if not any(row)]
     if zero:
         b = list(inside)
-        b[zero[0]] = p ** plane
+        b[zero[0]] = 1
         bad.append(b)
     for b in bad:
         assert linalg.solve_factored(fact, A, b, field) is None
@@ -437,14 +489,10 @@ def test_prime_field_rule_matches_the_lift(system):
 
     outside = [list(row) for row in A]
     outside[i][j] = v
-    fact = linalg.factor_field(outside, field)
-    assert fact.lifted and v >= p and v < q
+    assert p <= v < field.q
     assert linalg.rank_field(outside, field) == lifted_rank(outside, field)
-    assert pivots_of_the_lift(fact, field) == lifted_pivots(outside, field)
-    assert_inverts_the_pivot_square(fact, outside, field)
-    for b in [inside, every] + bad:
-        assert linalg.solve_factored(fact, outside, b, field) \
-            == scratch_solve(outside, b, field)
+    with pytest.raises(ValueError):
+        linalg.factor_field(outside, field)
 
 
 @pytest.mark.parametrize("q", (3, 9))
@@ -452,17 +500,14 @@ def test_uint8_block_factors_like_an_int_matrix(q):
     """A read-only uint8 block, as the module fit passes, goes straight to
     factor_field: over odd p its row operations must not wrap."""
     field = ff_from_q(q)
-    p = field.p
     rng = random.Random(9100 + q)
     for rows, cols in ((5, 3), (12, 8), (40, 9), (90, 14)):
         for kind in ("random", "low-rank"):
-            A = [[v % p for v in row]
-                 for row in field_system(field, rng, rows, cols, kind)]
+            A = field_system(field, rng, rows, cols, kind)
             block = np.array(A, dtype=np.uint8)
             block.flags.writeable = False
             fact = linalg.factor_field(block, field)
             wide = linalg.factor_field(np.array(A, dtype=np.int64), field)
-            assert not fact.lifted
             assert pivots_of_the_lift(fact, field) == lifted_pivots(A, field)
             for got, want in zip(fact, wide):
                 assert np.array_equal(got, want)

@@ -677,99 +677,6 @@ def test_fit_block_labels_match_a_brute_force_enumeration():
                 == labels
 
 
-def _polynomial_fit_block(ctx, degree, dx, dy):
-    """The test oracle: the fit block with each column the polynomial
-    product of an N-monomial image and a basis value, read off with
-    _block_vector."""
-    q = ctx.q
-    w1, w2 = q * q - 1, q * q - q
-
-    def splits(r):
-        return [(a, (r - a * w1) // w2) for a in range(r // w1 + 1)
-                if (r - a * w1) % w2 == 0]
-
-    images = {}
-    labels = []
-    cols = []
-    for spec in ctx.enumerate_basis():
-        if spec.degree(q) > degree:
-            continue
-        value = ctx.basis_value(spec)
-        vx, vy = ctx.r4_bidegree(value)
-        for a, b in splits(dx - vx):
-            for c, e in splits(dy - vy):
-                mono = (a, b, c, e)
-                if mono not in images:
-                    images[mono] = ctx.c(0) ** a * ctx.c(1) ** b \
-                        * ctx.cs(0) ** c * ctx.cs(1) ** e
-                labels.append((spec, mono))
-                cols.append(verify._block_vector(images[mono] * value, dx, dy))
-    return tuple(labels), np.array(cols, dtype=np.uint8).T
-
-
-def _check_against_the_polynomial_oracle(ctx, pairs):
-    for degree, dx, dy in _block_keys(ctx, pairs):
-        labels, block = verify._build_fit_block(ctx, degree, dx, dy, None)
-        want_labels, want = _polynomial_fit_block(ctx, degree, dx, dy)
-        assert labels == want_labels
-        assert block.dtype == want.dtype == np.uint8
-        assert block.shape == want.shape
-        assert block.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("q,sample", ((2, "all"), (3, "all"), (4, "300"),
-                                      (5, "20")),
-                         ids=("q=2-all", "q=3-all", "q=4-300", "q=5-20"))
-def test_fit_blocks_equal_the_polynomial_product_oracle(q, sample):
-    ctx = InvariantContext(ff_from_q(q))
-    _check_against_the_polynomial_oracle(ctx, _sampled_pairs(ctx, sample))
-
-
-def _line_pairs(q):
-    """Pairs whose blocks take the lines of C0, C1 (u1^(q-1) times u1 and
-    times um1*u1) and of C0s, C1s (um1^(q-1) times um1): at q = 8 and 9
-    blocks of at most 1,577 cells, quick to build both ways."""
-    return [(BasisSpec.parse(f), BasisSpec.parse(g)) for f, g in (
-        ("A:0,%d,0" % (q - 1), "A:0,1,0"), ("A:%d,0,0" % (q - 1), "A:1,0,0"),
-        ("A:0,%d,0" % (q - 1), "A:1,1,0"))]
-
-
-@pytest.mark.parametrize("q", (4, 8, 9))
-def test_fit_blocks_of_every_line_equal_the_oracle(q):
-    ctx = InvariantContext(ff_from_q(q))
-    pairs = _line_pairs(q)
-    monos = {mono for key in _block_keys(ctx, pairs)
-             for _spec, mono in verify._build_fit_block(ctx, *key, None)[0]}
-    assert {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)} <= monos
-    _check_against_the_polynomial_oracle(ctx, pairs)
-
-
-@pytest.mark.parametrize("q", (4, 8, 9))
-def test_values_outside_the_prime_field_use_every_digit_plane(q):
-    """Every basis value lies over GF(p), so its grid has one digit plane.
-    The values in the blocks of _line_pairs, scaled by t^(s-1) + 1, take
-    all s planes, at p = 2 and 3, and their blocks still match the
-    oracle."""
-    field = ff_from_q(q)
-    ctx = InvariantContext(field)
-    pairs = _line_pairs(q)
-    specs = {spec for key in _block_keys(ctx, pairs)
-             for spec, _mono in verify._build_fit_block(
-                 InvariantContext(field), *key, None)[0]}
-    scale = field.t ** (field.s - 1) + 1
-    for spec in specs:
-        ctx._memo["value", spec] = ctx.basis_value(spec) * scale
-    _check_against_the_polynomial_oracle(ctx, pairs)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("q", (8, 9))
-def test_sampled_fit_blocks_equal_the_oracle_over_extension_fields(q):
-    """20-pair samples at q = 8 and 9."""
-    ctx = InvariantContext(ff_from_q(q))
-    _check_against_the_polynomial_oracle(ctx, _sampled_pairs(ctx, "20"))
-
-
 @pytest.mark.parametrize("q,pairs", (
     (2, (("A:1,1,0", "A:1,1,0"), ("A:0,0,0", "B:0,0,1,0"))),
     (3, (("A:2,1,1", "B:1,1,3,1"), ("Cs:1,0,0", "A:0,1,0"))),
@@ -807,7 +714,7 @@ def test_target_outside_the_span_fails_on_cold_and_warm_blocks():
     with pytest.raises(verify.NotExpressible, match="outside the module"):
         verify._fit_in_module(ctx, off, degree)    # on the warm block
     assert np.array_equal(ctx._memo["fit", degree, dx, dy][1], block)
-    # and over GF(4), through the lifted solve
+    # and over GF(4), whose blocks lie over GF(2)
     ctx4 = InvariantContext(ff_from_q(4))
     target, degree, off = _fit_case(ctx4, "B:1,2,3,1", "Cs:1,2,1")
     with pytest.raises(verify.NotExpressible):
@@ -862,6 +769,41 @@ def test_products_normalise_the_sample_count():
     assert report.params == {"sample": "3", "seed": 1}
     assert report.to_json(False) == \
         check_products(ff_from_q(2), sample="03", seed=1).to_json(False)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_lazy_pairs_sample_like_the_pair_list(q):
+    """check_products's pairs, found from their index, are the list of all
+    n(n+1)/2 pairs in order, and random.sample draws the same pairs from
+    both."""
+    ctx = context_for_q(q)
+    pairs = verify._Pairs(ctx.enumerate_basis())
+    listed = _sampled_pairs(ctx, "all")
+    assert len(pairs) == len(listed)
+    assert list(pairs) == listed
+    with pytest.raises(IndexError):
+        pairs[len(listed)]
+    for seed in range(3):
+        for k in (1, 20, 300, 1000):
+            k = min(k, len(listed))
+            assert random.Random(seed).sample(pairs, k) \
+                == _sampled_pairs(ctx, str(k), seed)
+
+
+def test_sampling_the_pairs_at_q9_holds_only_the_sample():
+    """At q=9 the 5,760 basis specs make 16,591,680 pairs, about 1.2 GB as
+    a list; the lazy sequence and a sample of 100 stay under 1 MB."""
+    specs = context_for_q(9).enumerate_basis()
+    tracemalloc.start()
+    try:
+        pairs = verify._Pairs(specs)
+        sample = random.Random(0).sample(pairs, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == len(specs) * (len(specs) + 1) // 2 == 16_591_680
+    assert len(set(sample)) == 100
+    assert peak < 1 << 20
 
 
 @pytest.mark.slow
@@ -982,7 +924,7 @@ def _verifier_agrees_on_correct_certificates(q, sample):
 @pytest.mark.parametrize("q,sample,count", ((2, "all", 21), (3, "all", 1176),
                                             (4, "300", 300)),
                          ids=("q=2-all", "q=3-all", "q=4-300"))
-def test_packed_check_agrees_with_the_term_dict_oracle(q, sample, count):
+def test_verifier_agrees_with_the_term_dict_oracle(q, sample, count):
     """verify_certificate passes every certificate reduce_product makes,
     and the term-dict evaluation of each ell is the product."""
     assert _verifier_agrees_on_correct_certificates(q, sample) == count
@@ -990,7 +932,7 @@ def test_packed_check_agrees_with_the_term_dict_oracle(q, sample, count):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", (5, 7, 8, 9))
-def test_packed_check_agrees_with_the_term_dict_oracle_at_large_q(q):
+def test_verifier_agrees_with_the_term_dict_oracle_at_large_q(q):
     assert _verifier_agrees_on_correct_certificates(q, "200") == 200
 
 
@@ -1012,7 +954,7 @@ def _fails_the_identity(ctx, cert, ell, images=None):
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
-def test_packed_check_rejects_a_changed_coefficient(q):
+def test_identity_rejects_a_changed_coefficient(q):
     field = ff_from_q(q)
     ctx = context_for_q(q)
     for f, g in _sampled_pairs(ctx, "20", seed=q):
@@ -1027,7 +969,7 @@ def test_packed_check_rejects_a_changed_coefficient(q):
 
 
 @pytest.mark.parametrize("q,unit", ((4, 2), (9, 3)))
-def test_packed_check_splits_coefficients_into_digit_planes(q, unit):
+def test_identity_rejects_coefficients_outside_the_prime_field(q, unit):
     """Coefficients t and 1 + t (indices unit and unit + 1) lie outside
     GF(p): A:1,0,0 times 1 with ell = c A:1,0,0 and no cofactor passes
     for c = 1 only; t and 1 + t fail at the cofactor identity."""
@@ -1041,7 +983,7 @@ def test_packed_check_splits_coefficients_into_digit_planes(q, unit):
                                    {f: ctx.S7.from_dict({0: cidx})}), cidx
 
 
-def test_packed_check_refuses_an_image_outside_the_prime_field(monkeypatch):
+def test_a_value_times_t_fails_the_pullback_value_check(monkeypatch):
     """A stored value times t is not the image of its pullback, so the
     certificate fails, without raising."""
     field = ff_from_q(4)
@@ -1069,7 +1011,7 @@ def _foreign_terms(ctx, cert, shifts):
     return _changed(cert.ell, spec, terms), spec, gamma
 
 
-def test_packed_check_rejects_a_term_of_another_bidegree():
+def test_identity_rejects_a_term_of_another_bidegree():
     field = ff_from_q(3)
     ctx = context_for_q(3)
     for f, g in _sampled_pairs(ctx, "10", seed=5):
@@ -1079,7 +1021,7 @@ def test_packed_check_rejects_a_term_of_another_bidegree():
             assert _fails_the_identity(ctx, cert, ell)
 
 
-def test_packed_check_keeps_foreign_bidegrees_apart():
+def test_identity_rejects_foreign_terms_that_cancel_without_x2_y2():
     """At q=2, c0 + c1 and c0s + c1s both become 1 once x2 = y2 = 1: the
     images of the four foreign terms (C0 + C1 + C0s + C1s) gamma b cancel
     in a sum that forgets x2 and y2, yet the certificate fails at the
@@ -1101,7 +1043,7 @@ def test_packed_check_keeps_foreign_bidegrees_apart():
     assert _fails_the_identity(ctx, cert, ell)
 
 
-def test_a_long_ell_takes_the_overflow_path():
+def test_identity_rejects_a_changed_coefficient_of_a_long_ell():
     """The 23-term ell of A:6,6,5 squared at q=7 passes, and a changed
     coefficient fails at the cofactor identity."""
     field = ff_from_q(7)
@@ -1431,6 +1373,31 @@ def test_a_non_square_or_singular_block_is_refused():
     ctx._memo["pullback", g] = ctx.basis_pullback(f)
     with pytest.raises(verify.NotExpressible, match="degree 4 is singular"):
         verify._build_clast(ctx, ctx.ideal_generators())
+
+
+def test_each_block_of_l0_is_inverted_by_one_solve(monkeypatch):
+    """_build_clast at q=4 factors each of the 47 blocks of L(0) once and
+    solves it once, against the whole identity."""
+    calls = []
+    factor, solve = linalg.factor_field, linalg.solve_factored
+
+    def counting_factor(block, field):
+        calls.append(("factor", block.shape))
+        return factor(block, field)
+
+    def counting_solve(fact, block, rhs, field):
+        calls.append(("solve", block.shape))
+        assert np.array_equal(rhs, np.eye(len(block)))
+        return solve(fact, block, rhs, field)
+
+    monkeypatch.setattr(linalg, "factor_field", counting_factor)
+    monkeypatch.setattr(linalg, "solve_factored", counting_solve)
+    ctx = InvariantContext(ff_from_q(4))
+    cl = verify._build_clast(ctx, ctx.ideal_generators())
+    assert len(cl.blocks) == 47
+    assert calls == [(kind, (len(cols), len(cols)))
+                     for cols, _inverse in cl.blocks.values()
+                     for kind in ("factor", "solve")]
 
 
 def test_a_failed_clast_build_fails_the_products_items(monkeypatch):
