@@ -1,6 +1,7 @@
 """Golden digests of the byte-stable report of every suite at q=2 and q=3,
-and of the q=4 products sample, the one report that certifies products over
-an extension field.
+and of the products samples at q = 4, 5 and 7: the q=4 one certifies
+products over an extension field, and q = 5 and 7 pin the product
+congruence and the C-last certificates at larger q.
 
 The non-volatile report JSON is the regression oracle for refactors: any
 change in a verdict, a detail string or a parameter changes its SHA-256.
@@ -58,6 +59,10 @@ DIGESTS = {
         "832440681666be3beb0be4dbea48bdd3f6ef4ce900ae4493f46b506c61e56f30",
     (4, "products"):
         "f12650677da54c5e22c52b1f1e6931ce53c19cfc7b954ebc76c57fb942be34d8",
+    (5, "products"):
+        "f223ebf8e008cf157d907caa68f774165823efcd5b20dd80b6bc0ea49596efc6",
+    (7, "products"):
+        "f796f93c7539fb82ca272bb04601ed0ee4149d7358eaec1d8a5cf0222de05fbd",
 }
 
 

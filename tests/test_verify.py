@@ -849,6 +849,136 @@ def test_products_pass_their_budget_to_the_clast_build(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the A-family product congruence, one normal form per exponent-sum class
+
+
+def _congruence_basis(ctx):
+    """The truncated basis check_products reduces its congruences by."""
+    bound = 2 * max(sp.degree(ctx.q) for sp in ctx.enumerate_basis())
+    return verify._cached_gb(ctx, bound)
+
+
+def _per_pair_congruence(ctx, basis):
+    """The test oracle: the product congruence checked pair by pair, both
+    sides from the x_pullback memo, as the item checked it before it went
+    one exponent-sum class at a time."""
+    q = ctx.q
+    U0q = ctx.S7var("U0") ** q
+    C0, C1, C0s, C1s = (ctx.S7var(nm) for nm in ("C0", "C1", "C0s", "C1s"))
+    carry_i = (ctx.S7.one, C1s * U0q - C0s * ctx.S7var("U1"))
+    carry_j = (ctx.S7.one, C1 * U0q - C0 * ctx.S7var("Um1"))
+    carry_t = (ctx.S7.one, C0 * C0s)
+    a_specs = [sp for sp in ctx.enumerate_basis() if sp.kind == "A"]
+    checked = 0
+    for na, f in enumerate(a_specs):
+        for g in a_specs[na:]:
+            li, i3 = divmod(f.i + g.i, q)
+            lj, j3 = divmod(f.j + g.j, q)
+            lt, t3 = divmod(f.t + g.t, q - 1)
+            lhs = ctx.x_pullback(f.i, f.j, f.t) * ctx.x_pullback(g.i, g.j, g.t)
+            rhs = carry_i[li] * carry_j[lj] * carry_t[lt] \
+                * ctx.x_pullback(i3, j3, t3)
+            red = groebner.normal_form(lhs - rhs, basis)
+            if red:
+                return False, "pair %s * %s: nonzero normal form %s" \
+                    % (f.label(), g.label(), verify._clip(red))
+            checked += 1
+    return True, "congruence holds for all %d pairs" % checked
+
+
+@pytest.mark.parametrize("q,pairs", [(2, 10), (3, 171), (4, 1176)])
+def test_product_congruence_agrees_with_the_per_pair_oracle(q, pairs):
+    ctx = InvariantContext(ff_from_q(q))
+    basis = _congruence_basis(ctx)
+    expected = (True, "congruence holds for all %d pairs" % pairs)
+    assert _per_pair_congruence(ctx, basis) == expected
+    assert verify._product_congruence(ctx, basis) == expected
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_a_corrupted_pullback_fails_the_item_and_the_oracle(monkeypatch, q):
+    """x_pullback(1, 0, 1) plus U0 in the memo: the class of A:1,0,1, first
+    reached with A:0,0,0, fails, and so does some pair of the oracle."""
+    field = ff_from_q(q)
+    ctx = _throwaway_context(monkeypatch, field)
+    basis = _congruence_basis(ctx)
+    ctx._memo["x_pullback", 1, 0, 1] = ctx.x_pullback(1, 0, 1) \
+        + ctx.S7var("U0")
+    ok, detail = verify._product_congruence(ctx, basis)
+    assert not ok
+    assert detail.startswith("pair A:0,0,0 * A:1,0,1: nonzero normal form ")
+    assert not _per_pair_congruence(ctx, basis)[0]
+    report = check_products(field, sample="1")
+    item = report.items[-1]
+    assert (item.name, item.status, item.detail) == \
+        ("congruence:products", "fail", detail)
+
+
+@pytest.mark.parametrize("q,classes", [(3, 75), (4, 245)])
+def test_product_congruence_reduces_once_per_class(monkeypatch, q, classes):
+    ctx = InvariantContext(ff_from_q(q))
+    basis = _congruence_basis(ctx)
+    calls = []
+    reduce = verify.normal_form
+
+    def spy(f, gb, track=False):
+        calls.append(f)
+        return reduce(f, gb, track)
+
+    monkeypatch.setattr(verify, "normal_form", spy)
+    assert verify._product_congruence(ctx, basis)[0]
+    assert len(calls) == classes
+
+
+def test_product_congruence_checks_the_deadline_once_per_class(monkeypatch):
+    ctx = InvariantContext(ff_from_q(3))
+    basis = _congruence_basis(ctx)
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    assert verify._product_congruence(ctx, basis, deadline=1.0)[0]
+    assert clock.reads == 75
+    for k in (1, 38, 75):
+        clock = ExpiringClock(k)
+        monkeypatch.setattr(groebner.time, "monotonic", clock)
+        with pytest.raises(TimeoutExceeded):
+            verify._product_congruence(ctx, basis, deadline=1.0)
+        assert clock.reads == k
+
+
+def test_products_budget_runs_out_inside_the_product_congruence(monkeypatch):
+    """The budget expires 20 clock reads after the exponent-carry item, a
+    few classes into congruence:products: the item times out.  It is the
+    suite's last item, so no item is left to skip."""
+    monkeypatch.setattr(gens, "_CONTEXTS", {})
+    clock = ExpiringClock()
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    decompose = verify._carry_decomposition
+
+    def then_expire(q):
+        bad = decompose(q)
+        clock.limit = clock.reads + 20
+        return bad
+
+    monkeypatch.setattr(verify, "_carry_decomposition", then_expire)
+    rep = check_products(ff_from_q(3), sample="1", deadline=1.0)
+    *before, item = rep.items
+    assert all(it.status == "pass" for it in before)
+    assert (item.name, item.status, item.detail) == \
+        ("congruence:products", "timeout",
+         "computation exceeded its time budget")
+    assert rep.timed_out
+
+
+@pytest.mark.slow
+def test_products_q11_sample():
+    report = check_products(ff_from_q(11), sample="20", seed=0)
+    assert report.overall == "pass"
+    item = report.items[-1]
+    assert (item.name, item.detail) == \
+        ("congruence:products", "congruence holds for all 732655 pairs")
+
+
+# ---------------------------------------------------------------------------
 # the verifier's evaluation of ell
 
 
