@@ -395,9 +395,6 @@ class Polynomial:
             raise PolyError("zero polynomial has no leading term")
         return max(self.terms, key=self.ring.okey)
 
-    def leading_monomial(self):
-        return self.ring.unpack(self.leading_key())
-
     def leading_coeff(self):
         return self.ring.field.from_index(self.terms[self.leading_key()])
 

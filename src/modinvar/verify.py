@@ -944,51 +944,47 @@ def _product_congruence(ctx, basis, deadline=None):
             = carry_i^li * carry_j^lj * carry_t^lt * x_pullback(I', J', T')
 
     where (li, I') = divmod(I, q), (lj, J') = divmod(J, q) and
-    (lt, T') = divmod(T, q - 1).  The right side depends on the pair only
-    through (I, J, T), so one normal form per exponent-sum class is
-    checked, with Um1^I * U1^J * W^T on the left.  The class of each
-    A-spec's own exponents has all carries 1: its check proves x_pullback of
-    the spec congruent to Um1^i * U1^j * W^t.  Congruence modulo the
-    relations respects products, so the left side of every pair is
-    congruent to its class's, and every pair's congruence follows.  A failure names the first pair of the first
-    failing class, in pair order."""
-    q = ctx.q
-    a_specs = [sp for sp in ctx.enumerate_basis() if sp.kind == "A"]
-    triples = [(sp.i, sp.j, sp.t) for sp in a_specs]
-    # first pair (na, nb), na <= nb, of each class, in order of appearance
-    classes = {}
-    for na, (i, j, t) in enumerate(triples):
-        for nb in range(na, len(triples)):
-            i2, j2, t2 = triples[nb]
-            classes.setdefault((i + i2, j + j2, t + t2), (na, nb))
-    lost = [sp.label() for sp, key in zip(a_specs, triples)
-            if key not in classes]
-    if lost:
-        return False, "no class holds the exponents of %s" % lost[:4]
+    (lt, T') = divmod(T, q - 1).  The carries are what T1s, T1 and T00 make
+    of Um1^q, U1^q and W^(q-1): C1s*U0^q - C0s*U1, C1*U0^q - C0*Um1 and
+    C0*C0s.
 
+    No pair is visited.  One normal form per A-spec, in basis order, proves
+    x_pullback(i, j, t) congruent to Um1^i * U1^j * W^t, and one per carry
+    proves Um1^q, U1^q and W^(q-1) congruent to their carries:
+    q^2 (q-1) + 3 in all.  Every pair follows, since congruence modulo the
+    relations respects products: its left side is congruent to
+    Um1^I * U1^J * W^T = (Um1^q)^li * (U1^q)^lj * (W^(q-1))^lt
+    * Um1^I' * U1^J' * W^T', so to the carries times x_pullback(I', J', T'),
+    as (I', J', T') is an A-spec.  congruence:exponent-carry checks that
+    every sum splits so.  A failing spec is named as its pair with A:0,0,0,
+    a failing carry by its power."""
+    q = ctx.q
     U0, U1, Um1 = ctx.S7var("U0"), ctx.S7var("U1"), ctx.S7var("Um1")
     C0, C1, C0s, C1s = (ctx.S7var(nm) for nm in ("C0", "C1", "C0s", "C1s"))
-    U0q = U0 ** q
-    one = ctx.S7.one
-    # each carry factor is raised to li, lj, lt in {0, 1}: two values
-    carry_i = (one, C1s * U0q - C0s * U1)
-    carry_j = (one, C1 * U0q - C0 * Um1)
-    carry_t = (one, C0 * C0s)
-    um1_pow = [Um1 ** e for e in range(2 * q - 1)]
-    u1_pow = [U1 ** e for e in range(2 * q - 1)]
-    w_pow = [ctx.w_poly() ** e for e in range(2 * q - 3)]
-    for (I, J, T), (na, nb) in classes.items():
+    um1_pow = [Um1 ** e for e in range(q + 1)]
+    u1_pow = [U1 ** e for e in range(q + 1)]
+    w_pow = [ctx.w_poly() ** e for e in range(q)]
+
+    def reduce(f):
         check_deadline(deadline)
-        li, i3 = divmod(I, q)
-        lj, j3 = divmod(J, q)
-        lt, t3 = divmod(T, q - 1)
-        lhs = um1_pow[I] * u1_pow[J] * w_pow[T]
-        rhs = carry_i[li] * carry_j[lj] * carry_t[lt] \
-            * ctx.x_pullback(i3, j3, t3)
-        red = normal_form(lhs - rhs, basis)
+        return normal_form(f, basis)
+
+    a_specs = [sp for sp in ctx.enumerate_basis() if sp.kind == "A"]
+    for sp in a_specs:
+        red = reduce(um1_pow[sp.i] * u1_pow[sp.j] * w_pow[sp.t]
+                     - ctx.x_pullback(sp.i, sp.j, sp.t))
         if red:
             return False, "pair %s * %s: nonzero normal form %s" \
-                % (a_specs[na].label(), a_specs[nb].label(), _clip(red))
+                % (a_specs[0].label(), sp.label(), _clip(red))
+    U0q = U0 ** q
+    for power, lhs, carry in (
+            ("Um1^%d" % q, um1_pow[q], C1s * U0q - C0s * U1),
+            ("U1^%d" % q, u1_pow[q], C1 * U0q - C0 * Um1),
+            ("W^%d" % (q - 1), w_pow[q - 1], C0 * C0s)):
+        red = reduce(lhs - carry)
+        if red:
+            return False, "carry %s: nonzero normal form %s" \
+                % (power, _clip(red))
     n = len(a_specs)
     return True, "congruence holds for all %d pairs" % (n * (n + 1) // 2)
 

@@ -849,7 +849,7 @@ def test_products_pass_their_budget_to_the_clast_build(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the A-family product congruence, one normal form per exponent-sum class
+# the A-family product congruence, one normal form per A-spec and carry
 
 
 def _congruence_basis(ctx):
@@ -914,8 +914,27 @@ def test_a_corrupted_pullback_fails_the_item_and_the_oracle(monkeypatch, q):
         ("congruence:products", "fail", detail)
 
 
-@pytest.mark.parametrize("q,classes", [(3, 75), (4, 245)])
-def test_product_congruence_reduces_once_per_class(monkeypatch, q, classes):
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("dropped", ["T1s", "T1", "T00"])
+def test_a_basis_without_a_carry_relation_fails_that_carry(q, dropped):
+    """Without T1s, T1 or T00 every spec still passes, being an identity,
+    but the carry that relation gives does not, and some pair of the oracle
+    fails too."""
+    ctx = InvariantContext(ff_from_q(q))
+    bound = 2 * max(sp.degree(q) for sp in ctx.enumerate_basis())
+    basis = groebner.buchberger(
+        [ctx.relation(n) for n in RELATION_NAMES if n != dropped],
+        bound=bound, track=False)
+    power = {"T1s": "Um1^%d" % q, "T1": "U1^%d" % q,
+             "T00": "W^%d" % (q - 1)}[dropped]
+    ok, detail = verify._product_congruence(ctx, basis)
+    assert not ok
+    assert detail.startswith("carry %s: nonzero normal form " % power)
+    assert not _per_pair_congruence(ctx, basis)[0]
+
+
+def _counted_congruence(monkeypatch, q):
+    """_product_congruence at q, and the number of normal forms it took."""
     ctx = InvariantContext(ff_from_q(q))
     basis = _congruence_basis(ctx)
     calls = []
@@ -926,18 +945,33 @@ def test_product_congruence_reduces_once_per_class(monkeypatch, q, classes):
         return reduce(f, gb, track)
 
     monkeypatch.setattr(verify, "normal_form", spy)
-    assert verify._product_congruence(ctx, basis)[0]
-    assert len(calls) == classes
+    return verify._product_congruence(ctx, basis), len(calls)
 
 
-def test_product_congruence_checks_the_deadline_once_per_class(monkeypatch):
+@pytest.mark.parametrize("q,reductions", [(3, 21), (4, 51)])
+def test_product_congruence_reduces_once_per_spec_and_carry(
+        monkeypatch, q, reductions):
+    """q^2 (q-1) A-specs and three carries."""
+    (ok, _), calls = _counted_congruence(monkeypatch, q)
+    assert ok
+    assert calls == reductions == q * q * (q - 1) + 3
+
+
+def test_product_congruence_at_q16(monkeypatch):
+    """7,374,720 pairs at q=16, proved by 3,843 normal forms."""
+    assert _counted_congruence(monkeypatch, 16) == \
+        ((True, "congruence holds for all 7374720 pairs"), 3843)
+
+
+def test_product_congruence_checks_the_deadline_before_each_normal_form(
+        monkeypatch):
     ctx = InvariantContext(ff_from_q(3))
     basis = _congruence_basis(ctx)
     clock = ExpiringClock()
     monkeypatch.setattr(groebner.time, "monotonic", clock)
     assert verify._product_congruence(ctx, basis, deadline=1.0)[0]
-    assert clock.reads == 75
-    for k in (1, 38, 75):
+    assert clock.reads == 21
+    for k in (1, 11, 21):
         clock = ExpiringClock(k)
         monkeypatch.setattr(groebner.time, "monotonic", clock)
         with pytest.raises(TimeoutExceeded):
@@ -946,9 +980,9 @@ def test_product_congruence_checks_the_deadline_once_per_class(monkeypatch):
 
 
 def test_products_budget_runs_out_inside_the_product_congruence(monkeypatch):
-    """The budget expires 20 clock reads after the exponent-carry item, a
-    few classes into congruence:products: the item times out.  It is the
-    suite's last item, so no item is left to skip."""
+    """The budget expires 20 clock reads after the exponent-carry item, at
+    the 17th of the 21 normal forms of congruence:products: the item times
+    out.  It is the suite's last item, so no item is left to skip."""
     monkeypatch.setattr(gens, "_CONTEXTS", {})
     clock = ExpiringClock()
     monkeypatch.setattr(groebner.time, "monotonic", clock)
