@@ -194,12 +194,46 @@ def is_invariant(f, elements, deadline=None):
     return True, None
 
 
+# per prime p: the binomial table C(j, i) mod p and the same table signed by
+# (-1)^(i+j), read-only, grown to the largest degree asked for
+_BINOMIALS = {}
+
+
+def _binomial_tables(p, n):
+    """(binom, signed) for i, j <= n: binom[i, j] = C(j, i) mod p and
+    signed[i, j] = (-1)^(i+j) C(j, i) mod p, as read-only leading slices of
+    the one pair of tables held for p, in the oracle's narrow type.  A
+    larger n grows the held pair, keeping its columns and adding the new
+    ones by Pascal's rule."""
+    held = _BINOMIALS.get(p)
+    if held is None or held[0].shape[0] <= n:
+        import numpy as np
+
+        from . import linalg
+
+        binom = np.zeros((n + 1, n + 1),
+                         dtype=linalg._int_type(2 * (p - 1) ** 2 + 1))
+        binom[0] = 1
+        start = 1
+        if held is not None:
+            start = held[0].shape[0]
+            binom[:start, :start] = held[0]
+        for j in range(start, n + 1):
+            binom[1:, j] = (binom[1:, j - 1] + binom[:-1, j - 1]) % p
+        odd = np.add.outer(np.arange(n + 1), np.arange(n + 1)) % 2
+        signed = np.where(odd, -binom, binom)
+        binom.flags.writeable = signed.flags.writeable = False
+        held = _BINOMIALS[p] = (binom, signed)
+    return tuple(t[:n + 1, :n + 1] for t in held)
+
+
 def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     """dim of the GL2-invariants of x-degree a and y-degree b.
 
     The action maps x-monomials to x-polynomials and y-monomials to
     y-polynomials, so each bidegree block is an independent kernel problem
-    on the monomials x1^e1 x2^(a-e1) y1^e3 y2^(b-e3).
+    on the monomials x1^e1 x2^(a-e1) y1^e3 y2^(b-e3).  A block with a
+    negative degree is empty.
 
     GL2 is generated by the torus element D = diag(zeta, 1), the swap W and
     the transvection T = [[1,1],[0,1]] (generating_set_gl2).  Scalars act by
@@ -208,14 +242,28 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     with e1 = e3 mod q-1; W maps (e1, e3) to (a-e1, b-e3), so the fixed
     space of both is spanned by W-orbit sums of those.  Only T is imposed by
     rank: T x1 = x1 - x2, T y2 = y1 + y2 and x2, y1 are fixed, so T has
-    integer entries and its rank over GF(p) is its rank over GF(q).  The
-    binomials, T and T - I are built in the narrowest signed integer type
-    that holds 2(p-1)^2 + 1, the largest entry of an orbit-sum column: int8
-    for every p up to 7.
+    integer entries and its rank over GF(p) is its rank over GF(q).
+
+    T is kron(tx, ty), and both factors are slices of two tables that
+    depend on p alone, built once per process and grown to the largest
+    degree asked for (_binomial_tables): tx is a leading block of the
+    signed binomials, ty one of the unsigned, with both axes reversed.  The
+    tables, T and T - I are in the narrowest signed integer type that holds
+    2(p-1)^2 + 1, the largest entry of an orbit-sum column: int8 for every
+    p up to 7.  The columns of every orbit's representative and of every
+    mate apart from it come from one product of the two factors; the
+    identity is subtracted from all of them at once, each mate column is
+    added into its representative's, and the representative columns are
+    copied out compact for the rank.
 
     use_full_group instead stacks g - I for every g in GL2(F_q) and takes
     the rank over GF(q): the exhaustive cross-check of the above.
     """
+    if use_full_group:
+        return _full_group_dimension(field, a, b)
+    q, p = field.q, field.p
+    if a < 0 or b < 0 or (a - b) % (q - 1):
+        return 0
     # imported on first use: importing numpy before the rest of the package
     # is compiled adds about 2 MB to the peak memory of every process that
     # imports modinvar
@@ -223,48 +271,29 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
 
     from . import linalg
 
-    if use_full_group:
-        return _full_group_dimension(field, a, b)
-    q, p = field.q, field.p
-    if (a - b) % (q - 1):
-        return 0
-    # one column per swap orbit {(e1, e3), (a-e1, b-e3)} of torus-fixed
-    # monomials, as (representative, mate) in block order e1*(b+1) + e3
-    reps, mates = [], []
-    for e1 in range(a + 1):
-        for e3 in range(e1 % (q - 1), b + 1, q - 1):
-            mate = (a - e1, b - e3)
-            if (e1, e3) <= mate:
-                reps.append((e1, e3))
-                mates.append(mate)
-    # binom[i, j] = C(i, j) mod p
-    n = max(a, b)
-    binom = np.zeros((n + 1, n + 1),
-                     dtype=linalg._int_type(2 * (p - 1) ** 2 + 1))
-    binom[:, 0] = 1
-    for i in range(1, n + 1):
-        binom[i, 1:] = (binom[i - 1, 1:] + binom[i - 1, :-1]) % p
+    # the monomial (e1, e3) is row e1*(b+1) + e3 of the block, and its swap
+    # mate (a-e1, b-e3) is row size-1 minus that.  One column per swap
+    # orbit of torus-fixed monomials, at the representative (e1, e3) <= its
+    # mate, in block order.
+    size = (a + 1) * (b + 1)
+    e1, e3 = np.divmod(np.arange(size), b + 1)
+    reps = np.flatnonzero(((e1 - e3) % (q - 1) == 0)
+                          & ((2 * e1 < a) | ((2 * e1 == a) & (2 * e3 <= b))))
+    mates = size - 1 - reps
+    paired = np.flatnonzero(reps != mates)
+    rows = np.concatenate((reps, mates[paired]))
+    binom, signed = _binomial_tables(p, max(a, b))
     # tx[i, e1]: coefficient of x1^i x2^(a-i) in (x1 - x2)^e1 x2^(a-e1)
-    tx = binom[:a + 1, :a + 1].T.copy()
-    odd = np.add.outer(np.arange(a + 1), np.arange(a + 1)) % 2 == 1
-    tx[odd] = -tx[odd]
+    tx = signed[:a + 1, :a + 1]
     # ty[f3, e3]: coefficient of y1^f3 y2^(b-f3) in y1^e3 (y1 + y2)^(b-e3)
-    ty = binom[:b + 1, :b + 1].T[::-1, ::-1]
-
-    def t_columns(monomials):
-        # columns of T = kron(tx, ty) at these monomials, minus identity
-        e1s = [m[0] for m in monomials]
-        e3s = [m[1] for m in monomials]
-        cols = (tx[:, None, e1s] * ty[None, :, e3s]).reshape(-1, len(e1s))
-        cols[[e1 * (b + 1) + e3 for e1, e3 in monomials],
-             np.arange(len(e1s))] -= 1
-        return cols
-
-    mat = t_columns(reps)
-    pair = [k for k, (r, m) in enumerate(zip(reps, mates)) if r != m]
-    if pair:
-        mat[:, pair] += t_columns([mates[k] for k in pair])
-    return len(reps) - linalg.rank_modp(mat, p)
+    ty = binom[:b + 1, :b + 1][::-1, ::-1]
+    cols = (tx[:, None, e1[rows]] * ty[None, :, e3[rows]]).reshape(size, -1)
+    cols[rows, np.arange(rows.size)] -= 1
+    cols[:, paired] += cols[:, reps.size:]
+    # a compact copy frees the mate columns before the rank: on the largest
+    # q=9 blocks they are as large again as the matrix it ranks
+    cols = cols[:, :reps.size].copy()
+    return reps.size - linalg.rank_modp(cols, p)
 
 
 def _full_group_dimension(field, a, b):

@@ -1,8 +1,18 @@
 """Group enumeration, the diagonal action, and the two ring endomorphisms."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import modinvar
 from modinvar import action, groebner, linalg
 from modinvar.action import (
     Mat2,
@@ -289,12 +299,136 @@ def test_narrow_oracle_type_holds_its_bound():
 
 @pytest.mark.parametrize("q,blocks", (
     (5, ((0, 0), (1, 1), (2, 2), (3, 3), (0, 4), (4, 0), (1, 2))),
-    (7, ((1, 1), (2, 2), (0, 6), (2, 3)))))
+    (7, ((1, 1), (2, 2), (0, 6), (2, 3))),
+    (8, ((1, 1), (2, 2), (0, 7))),
+    (9, ((1, 1), (2, 2), (0, 8)))))
 def test_oracle_matches_full_group_at_larger_p(q, blocks):
     F = ff_from_q(q)
     for a, b in blocks:
         assert invariant_bidegree_dimension(F, a, b) == \
             invariant_bidegree_dimension(F, a, b, use_full_group=True)
+
+
+@pytest.mark.parametrize("q", (3, 4))
+def test_negative_bidegree_is_empty(q, monkeypatch):
+    """A block with a negative degree has no monomials: both paths give 0,
+    and the oracle returns before it touches a binomial table."""
+    monkeypatch.setattr(action, "_BINOMIALS", {})
+    F = ff_from_q(q)
+    for a, b in ((-1, 2), (2, -1), (-1, -1), (-3, 0)):
+        assert invariant_bidegree_dimension(F, a, b) == 0
+        assert invariant_bidegree_dimension(
+            F, a, b, use_full_group=True) == 0
+    assert invariant_dimension(F, -2) == 0
+    assert action._BINOMIALS == {}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_binomial_tables_hold_the_binomials(p, monkeypatch):
+    """binom[i, j] = C(j, i) mod p and signed[i, j] is that times
+    (-1)^(i+j), in the oracle's type, read-only; near 2p, where the
+    binomials mod p take every value, and after growing to 40."""
+    monkeypatch.setattr(action, "_BINOMIALS", {})
+    for n in (2 * p + 2, 40):
+        binom, signed = action._binomial_tables(p, n)
+        want = np.array([[math.comb(j, i) % p for j in range(n + 1)]
+                         for i in range(n + 1)])
+        sign = np.array([[(-1) ** (i + j) for j in range(n + 1)]
+                         for i in range(n + 1)])
+        assert np.array_equal(binom, want)
+        assert np.array_equal(signed, sign * want)
+        assert binom.dtype == signed.dtype == \
+            linalg._int_type(2 * (p - 1) ** 2 + 1)
+        for t in (binom, signed, *action._BINOMIALS[p]):
+            with pytest.raises(ValueError):
+                t[0, 0] = 0
+            with pytest.raises(ValueError):
+                t[n, n] += 1
+
+
+def test_binomial_tables_one_per_prime(monkeypatch):
+    """A smaller n gets the leading slice of the table a larger n grew,
+    and only one pair of tables is held per prime."""
+    monkeypatch.setattr(action, "_BINOMIALS", {})
+    big = action._binomial_tables(5, 60)
+    small = action._binomial_tables(5, 10)
+    for b, s in zip(big, small):
+        assert b.shape == (61, 61) and s.shape == (11, 11)
+        assert np.shares_memory(b, s)
+        assert np.array_equal(s, b[:11, :11])
+    assert list(action._BINOMIALS) == [5]
+    assert all(t.shape == (61, 61) for t in action._BINOMIALS[5])
+
+
+FRESH_DIMS = """\
+import sys
+from modinvar.action import invariant_dimension
+from modinvar.gf import ff_from_q
+q, top = int(sys.argv[1]), int(sys.argv[2])
+print([invariant_dimension(ff_from_q(q), d) for d in range(top + 1)])
+"""
+
+
+def test_fields_of_one_prime_share_its_tables(monkeypatch):
+    """q = 2, 4, 8 and then q = 3, 9, each run degree by degree in turn in
+    one process, grow and share the tables of p = 2 and 3, and still give
+    the dimensions that a fresh process gives for each q alone (DIMS_Q4 at
+    q = 4)."""
+    tops = {2: 24, 4: 40, 8: 40, 3: 24, 9: 40}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modinvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = {q: subprocess.Popen([sys.executable, "-c", FRESH_DIMS, str(q),
+                                  str(top)],
+                                 stdout=subprocess.PIPE, text=True, env=env)
+             for q, top in tops.items() if q != 4}
+    monkeypatch.setattr(action, "_BINOMIALS", {})
+    dims = {q: [] for q in tops}
+    try:
+        for family in ((2, 4, 8), (3, 9)):
+            for d in range(max(tops[q] for q in family) + 1):
+                for q in family:
+                    if d <= tops[q]:
+                        dims[q].append(invariant_dimension(ff_from_q(q), d))
+    finally:
+        outs = {q: proc.communicate(timeout=60)[0]
+                for q, proc in fresh.items()}
+    assert dims[4] == DIMS_Q4
+    for q, proc in fresh.items():
+        assert proc.returncode == 0
+        assert dims[q] == json.loads(outs[q]), q
+    assert sorted(action._BINOMIALS) == [2, 3]
+
+
+@st.composite
+def congruent_blocks(draw):
+    """(p, a, b) with p in 2, 3, 5, 7 and a = b mod p-1, a, b <= 30."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    a = draw(st.integers(0, 30))
+    r = a % (p - 1)
+    b = r + (p - 1) * draw(st.integers(0, (30 - r) // (p - 1)))
+    return p, a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(congruent_blocks())
+def test_oracle_matrix_is_the_int64_construction(block):
+    """The matrix the oracle ranks is the int64 construction's, entry for
+    entry and column for column, on every block it ranks."""
+    p, a, b = block
+    seen = []
+
+    def capture(mat, prime):
+        seen.append(mat)
+        return 0
+
+    with mock.patch.object(linalg, "rank_modp", capture):
+        invariant_bidegree_dimension(ff_make(p), a, b)
+    want, cols = int64_orbit_matrix(ff_make(p), a, b)
+    (mat,) = seen
+    assert mat.shape == (want.shape[0], cols)
+    assert mat.dtype == linalg._int_type(2 * (p - 1) ** 2 + 1)
+    assert np.array_equal(mat, want), (a, b)
 
 
 class ExpiringClock:
