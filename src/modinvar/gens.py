@@ -5,8 +5,8 @@ Everything lives in one cached per-field context so repeated CLI calls and
 test cases share the (sometimes expensive) constructions: each context keeps
 one memo, read through InvariantContext.memo.  It holds the generator
 families, the relations, the basis list, and the value and pullback of every
-basis element asked for, each built once; verify adds its Groebner bases,
-invariant dimensions, the product certificates' data in the C-last ring, the
+basis element asked for, each built once; verify adds invariant
+dimensions, the product certificates' data in the C-last ring, the
 reference module fit's blocks with their factorizations, and the certificate
 verifier's checks that pi sends the relations to 0 ("relations-vanish") and
 each pullback to its basis value ("pullback-value"), each kept beside the

@@ -166,7 +166,10 @@ def default_max_degree(q):
 
 
 def _check_max_degree(max_degree):
-    """A degree bound must be nonnegative and fit in a packed key."""
+    """A degree bound must be an int, nonnegative and fit in a packed key."""
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool):
+        raise VerifyError("max_degree must be an integer, got %r"
+                          % (max_degree,))
     if max_degree < 0:
         raise VerifyError("max_degree must be nonnegative")
     if max_degree > EXP_CAP:
@@ -179,23 +182,11 @@ def _check_max_degree(max_degree):
 
 
 def _exact_gb(ctx, bound, deadline=None):
-    """The Gröbner basis of the relation ideal truncated at exactly bound.
-    Report items print its size and pair count, so they must not see a
-    basis built earlier in the process for another bound."""
-    bases = ctx.memo("gb", dict)
-    gb = bases.get(bound)
-    if gb is None:
-        gb = bases[bound] = buchberger(ctx.ideal_generators(), bound=bound,
-                                       deadline=deadline)
-    return gb
-
-
-def _cached_gb(ctx, bound, deadline=None):
-    """A held basis truncated at bound or higher, else one built at bound:
-    remainders of polynomials of degree <= bound do not depend on which."""
-    bases = ctx.memo("gb", dict)
-    top = max(bases, default=-1)
-    return bases[top] if top >= bound else _exact_gb(ctx, bound, deadline)
+    """The Gröbner basis of the relation ideal truncated at exactly bound,
+    built on every call.  The five relations are already a Gröbner basis,
+    so it is those five: 0.4-1.5 ms at every (q, bound) from (2, 24) to
+    (16, 510) on a 2-CPU VM, too little to keep."""
+    return buchberger(ctx.ideal_generators(), bound=bound, deadline=deadline)
 
 
 def _groebner_item(ctx, bound, deadline, state):
@@ -736,6 +727,12 @@ def _build_clast(ctx, relations, deadline=None):
                   pullbacks, cofactors, tails, shifts, units, blocks)
 
 
+def _clast(ctx, deadline=None):
+    """ctx's C-last data (_CLast), kept in its memo under "clast"."""
+    return ctx.memo("clast", lambda: _build_clast(
+        ctx, ctx.ideal_generators(), deadline))
+
+
 def reduce_product(field, spec_f, spec_g, deadline=None):
     """Certificate that the product of two basis elements lies in the free
     module modulo the relation ideal: an N-combination ell plus cofactors
@@ -754,8 +751,7 @@ def reduce_product(field, spec_f, spec_g, deadline=None):
     spec_f.validate(q)
     spec_g.validate(q)
     degree = spec_f.degree(q) + spec_g.degree(q)
-    cl = ctx.memo("clast", lambda: _build_clast(
-        ctx, ctx.ideal_generators(), deadline))
+    cl = _clast(ctx, deadline)
     ring, units, fld = cl.ring, cl.units, ctx.field
     product = cl.pullbacks[cl.index[spec_f]] * cl.pullbacks[cl.index[spec_g]]
     rem, cof = normal_form(product, cl.gb, track=True)
@@ -873,8 +869,9 @@ def verify_certificate(field, cert):
         % sum(len(p) for p in cert.ell.values())
 
 
-def _congruence(lhs, rhs, gb):
-    red = normal_form(lhs - rhs, gb)
+def _congruence(lhs, rhs, basis):
+    """Whether lhs - rhs reduces to 0 modulo basis, in basis's ring."""
+    red = normal_form((lhs - rhs).remap(basis.ring), basis)
     if not red:
         return True, "congruence holds"
     return False, "nonzero normal form: %s" % _clip(red)
@@ -937,7 +934,8 @@ class _Pairs(Sequence):
 
 
 def _product_congruence(ctx, basis, deadline=None):
-    """The A-family product rule with exponent carries, modulo basis: for
+    """The A-family product rule with exponent carries, modulo basis (a
+    Gröbner basis of the relations, in S7 or in the C-last ring): for
     every pair of A-specs (i, j, t), (i', j', t'), with (I, J, T) their sum,
 
         x_pullback(i, j, t) * x_pullback(i', j', t')
@@ -967,7 +965,7 @@ def _product_congruence(ctx, basis, deadline=None):
 
     def reduce(f):
         check_deadline(deadline)
-        return normal_form(f, basis)
+        return normal_form(f.remap(basis.ring), basis)
 
     a_specs = [sp for sp in ctx.enumerate_basis() if sp.kind == "A"]
     for sp in a_specs:
@@ -991,6 +989,9 @@ def _product_congruence(ctx, basis, deadline=None):
 
 def check_products(field, sample="all", seed=0, deadline=None):
     sample = _sample_count(sample)
+    # random.Random(None) would seed from system entropy
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise VerifyError("seed must be an integer, got %r" % (seed,))
     ctx = context(field)
     q = ctx.q
     params = {"sample": sample}
@@ -998,10 +999,7 @@ def check_products(field, sample="all", seed=0, deadline=None):
         params["seed"] = seed
     rec = _Recorder(deadline)
 
-    specs = ctx.enumerate_basis()
-    bound = 2 * max(sp.degree(q) for sp in specs)
-
-    pairs = _Pairs(specs)
+    pairs = _Pairs(ctx.enumerate_basis())
     if sample != "all":
         rng = random.Random(seed)
         pairs = rng.sample(pairs, min(int(sample), len(pairs)))
@@ -1016,9 +1014,9 @@ def check_products(field, sample="all", seed=0, deadline=None):
     U1 = ctx.S7var("U1")
     Um1 = ctx.S7var("Um1")
 
-    # built by the first congruence item that runs, under the item's budget
+    # the C-last basis of the certificates, built by the first item to run
     def gb():
-        return _cached_gb(ctx, bound, deadline)
+        return _clast(ctx, deadline).gb
 
     rec.run("congruence:base", lambda: _congruence(
         Um1 ** (q - 1) * U0,
@@ -1173,7 +1171,7 @@ def negative_controls(field, max_degree=None, deadline=None):
     rec.run("noninvariant-witness", noninvariant)
 
     def nonmember():
-        gb = _cached_gb(ctx, max_degree, deadline)
+        gb = _exact_gb(ctx, max_degree, deadline)
         red = normal_form(ctx.S7var("U0"), gb)
         if red:
             return True, "U0 has nonzero normal form as it must"

@@ -360,18 +360,6 @@ def test_default_max_degree():
             <= default_max_degree(q)
 
 
-def test_groebner_memo_recomputes_only_for_a_higher_bound():
-    from modinvar.verify import _cached_gb
-
-    ctx = InvariantContext(ff_from_q(2))
-    gb = _cached_gb(ctx, 10)
-    assert _cached_gb(ctx, 8) is gb
-    assert _cached_gb(ctx, 10) is gb
-    higher = _cached_gb(ctx, 12)
-    assert higher is not gb and higher.bound == 12
-    assert _cached_gb(ctx, 10) is higher
-
-
 def _digest(report):
     text = report.to_json(include_volatile=False)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -391,32 +379,29 @@ def test_reports_print_the_basis_of_the_bound_asked_for(monkeypatch):
 
 
 def test_products_builds_one_basis(monkeypatch):
-    builds = []
+    """The certificates and the congruence items share the C-last basis:
+    a products run calls Buchberger once, in the C-last ring."""
+    rings = []
+    build = groebner.buchberger
 
-    def counting(*args, **kwargs):
-        builds.append(kwargs.get("bound"))
-        return groebner.buchberger(*args, **kwargs)
+    def counting(polys, *args, **kwargs):
+        rings.append(polys[0].ring.names)
+        return build(polys, *args, **kwargs)
 
     monkeypatch.setattr(gens, "_CONTEXTS", {})
     monkeypatch.setattr(verify, "buchberger", counting)
-    field = ff_from_q(3)
-    assert check_products(field, sample="5", seed=2).overall == "pass"
-    assert len(builds) == 1
-    # a held basis of a higher bound serves products without a new build
-    monkeypatch.setattr(gens, "_CONTEXTS", {})
-    verify._exact_gb(context_for_q(3), builds[0] + 4)
-    assert check_products(field, sample="5", seed=2).overall == "pass"
-    assert len(builds) == 2
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    report = check_products(ff_from_q(3), sample="5", seed=2)
+    assert report.overall == "pass"
+    assert rings == [verify._CLAST_NAMES]
 
 
-def test_exact_basis_is_kept_per_bound():
+def test_exact_basis_has_the_bound_asked_for():
     ctx = InvariantContext(ff_from_q(2))
     at10 = verify._exact_gb(ctx, 10)
     at12 = verify._exact_gb(ctx, 12)
     assert at10.bound == 10 and at12.bound == 12
-    assert verify._exact_gb(ctx, 10) is at10
     assert verify._exact_gb(ctx, 8).bound == 8
-    assert verify._cached_gb(ctx, 9) is at12
 
 
 def test_timed_out_dimension_is_not_memoized(monkeypatch):
@@ -521,6 +506,14 @@ def test_degree_bound_must_fit_a_packed_key(suite):
     with pytest.raises(verify.VerifyError, match="nonnegative"):
         suite(ff_from_q(2), -1)
     assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("bound", (True, False, 2.5, "3"))
+@pytest.mark.parametrize("suite", (check_hilbert, check_kernel,
+                                   negative_controls))
+def test_degree_bound_must_be_an_int(suite, bound):
+    with pytest.raises(verify.VerifyError, match="must be an integer"):
+        suite(ff_from_q(2), bound)
 
 
 def test_kernel_budget_runs_out_inside_standard_monomials(monkeypatch):
@@ -764,6 +757,15 @@ def test_products_reject_a_bad_sample(sample):
         check_products(ff_from_q(2), sample=sample)
 
 
+@pytest.mark.parametrize("seed", (None, "x", 1.5, True, False))
+@pytest.mark.parametrize("sample", ("3", "all"))
+def test_products_reject_a_bad_seed(sample, seed):
+    """A seed of None would draw from system entropy while the report
+    recorded a reproducible sample."""
+    with pytest.raises(verify.VerifyError, match="seed"):
+        check_products(ff_from_q(2), sample=sample, seed=seed)
+
+
 def test_products_normalise_the_sample_count():
     report = check_products(ff_from_q(2), sample=3, seed=1)
     assert report.params == {"sample": "3", "seed": 1}
@@ -853,9 +855,11 @@ def test_products_pass_their_budget_to_the_clast_build(monkeypatch):
 
 
 def _congruence_basis(ctx):
-    """The truncated basis check_products reduces its congruences by."""
+    """The S7 basis truncated at twice the highest basis degree: the
+    congruence tests' basis in the order of S7, beside the suite's C-last
+    one."""
     bound = 2 * max(sp.degree(ctx.q) for sp in ctx.enumerate_basis())
-    return verify._cached_gb(ctx, bound)
+    return verify._exact_gb(ctx, bound)
 
 
 def _per_pair_congruence(ctx, basis):
@@ -911,7 +915,8 @@ def test_a_corrupted_pullback_fails_the_item_and_the_oracle(monkeypatch, q):
     report = check_products(field, sample="1")
     item = report.items[-1]
     assert (item.name, item.status, item.detail) == \
-        ("congruence:products", "fail", detail)
+        ("congruence:products", "fail",
+         verify._product_congruence(ctx, verify._clast(ctx).gb)[1])
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -933,10 +938,11 @@ def test_a_basis_without_a_carry_relation_fails_that_carry(q, dropped):
     assert not _per_pair_congruence(ctx, basis)[0]
 
 
-def _counted_congruence(monkeypatch, q):
-    """_product_congruence at q, and the number of normal forms it took."""
+def _counted_congruence(monkeypatch, q, clast=False):
+    """_product_congruence at q, modulo the S7 basis or, with clast, the
+    C-last one, and the number of normal forms it took."""
     ctx = InvariantContext(ff_from_q(q))
-    basis = _congruence_basis(ctx)
+    basis = verify._clast(ctx).gb if clast else _congruence_basis(ctx)
     calls = []
     reduce = verify.normal_form
 
@@ -955,6 +961,17 @@ def test_product_congruence_reduces_once_per_spec_and_carry(
     (ok, _), calls = _counted_congruence(monkeypatch, q)
     assert ok
     assert calls == reductions == q * q * (q - 1) + 3
+
+
+@pytest.mark.parametrize("q,pairs,reductions", [(3, 171, 21), (4, 1176, 51)])
+def test_product_congruence_modulo_the_clast_basis(
+        monkeypatch, q, pairs, reductions):
+    """check_products reduces modulo the C-last basis: the same detail and
+    the same number of normal forms as modulo the S7 basis."""
+    expected = ((True, "congruence holds for all %d pairs" % pairs),
+                reductions)
+    assert _counted_congruence(monkeypatch, q, clast=True) == expected
+    assert _counted_congruence(monkeypatch, q) == expected
 
 
 def test_product_congruence_at_q16(monkeypatch):
@@ -1305,7 +1322,7 @@ def test_verifier_reads_nothing_of_the_construction(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the verifier called a construction function")
 
-    for name in ("normal_form", "buchberger", "_cached_gb", "_exact_gb",
+    for name in ("normal_form", "buchberger", "_clast", "_exact_gb",
                  "_fit_in_module", "_build_fit_block", "reduce_product",
                  "_build_clast", "_u_basis"):
         monkeypatch.setattr(verify, name, forbidden)
@@ -1480,8 +1497,6 @@ def test_a_deadline_passing_in_the_build_times_the_item_out(monkeypatch):
     entry is kept."""
     field = ff_from_q(2)
     ctx = _throwaway_context(monkeypatch, field)
-    max_deg = max(spec.degree(2) for spec in ctx.enumerate_basis())
-    verify._exact_gb(ctx, 2 * max_deg)
     build = verify._build_clast
 
     def late(ctx, relations, deadline=None):

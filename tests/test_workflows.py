@@ -1,0 +1,38 @@
+"""The CI workflows against the README that describes them."""
+
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _slow_workflow_paths():
+    """The entries of the `paths:` list of the slow workflow, read as text:
+    the `- "..."` lines indented deeper than `paths:` itself."""
+    lines = (ROOT / ".github" / "workflows" / "slow.yml").read_text() \
+        .splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.strip() == "paths:")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    paths = []
+    for line in lines[start + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        entry = line.strip()
+        if entry.startswith("- "):
+            paths.append(entry[2:].strip().strip("\"'"))
+    return paths
+
+
+def _readme_section(title):
+    text = (ROOT / "README.md").read_text()
+    start = text.index("\n## %s\n" % title)
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_readme_names_every_path_of_the_slow_workflow():
+    paths = _slow_workflow_paths()
+    assert "src/modinvar/verify.py" in paths
+    assert ".github/workflows/slow.yml" in paths
+    tests = _readme_section("Tests")
+    assert [p for p in paths if "`%s`" % p not in tests] == []
