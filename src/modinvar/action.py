@@ -244,14 +244,16 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     rank: T x1 = x1 - x2, T y2 = y1 + y2 and x2, y1 are fixed, so T has
     integer entries and its rank over GF(p) is its rank over GF(q).
 
-    T is kron(tx, ty), and both factors are slices of two tables that
-    depend on p alone, built once per process and grown to the largest
-    degree asked for (_binomial_tables): tx is a leading block of the
-    signed binomials, ty one of the unsigned, with both axes reversed.  The
-    tables, T and T - I are in the narrowest signed integer type that holds
-    2(p-1)^2 + 1, the largest entry of an orbit-sum column: int8 for every
-    p up to 7.  The columns of every orbit's representative and of every
-    mate apart from it come from one product of the two factors; the
+    T is kron(tx, ty).  For p = 2 the columns are GF(2) bit columns built
+    as Python ints and ranked by linalg's XOR basis, with no table
+    (_gf2_bidegree_dimension).  For odd p both factors are slices of two
+    tables that depend on p alone, built once per process and grown to the
+    largest degree asked for (_binomial_tables): tx is a leading block of
+    the signed binomials, ty one of the unsigned, with both axes reversed.
+    The tables, T and T - I are in the narrowest signed integer type that
+    holds 2(p-1)^2 + 1, the largest entry of an orbit-sum column: int8 for
+    every p up to 7.  The columns of every orbit's representative and of
+    every mate apart from it come from one product of the two factors; the
     identity is subtracted from all of them at once, each mate column is
     added into its representative's, and the representative columns are
     copied out compact for the rank.
@@ -264,6 +266,8 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     q, p = field.q, field.p
     if a < 0 or b < 0 or (a - b) % (q - 1):
         return 0
+    if p == 2:
+        return _gf2_bidegree_dimension(q, a, b)
     # imported on first use: importing numpy before the rest of the package
     # is compiled adds about 2 MB to the peak memory of every process that
     # imports modinvar
@@ -294,6 +298,49 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     # q=9 blocks they are as large again as the matrix it ranks
     cols = cols[:, :reps.size].copy()
     return reps.size - linalg.rank_modp(cols, p)
+
+
+def _gf2_bidegree_dimension(q, a, b):
+    """invariant_bidegree_dimension over GF(q), q a power of 2, on GF(2)
+    bit columns: the same orbit representatives, mates and (T - I)
+    columns, each column one Python int with row e1*(b+1) + e3 at that bit,
+    ranked by the XOR basis of linalg.
+
+    By Lucas' theorem C(n, i) is odd iff i & n == i: over GF(2),
+    (1 + z)^n is the product of 1 + z^k over the bits k of n.  So the tx
+    column of e1 is X(e1), the sum of 2^(i*(b+1)) over i & e1 == i, and the
+    ty column of e3 is Y(e3), the sum of 2^f3 over (b-f3) & (b-e3) == b-f3.
+    With k the lowest bit of e1, X(e1) is X(e1 - k) ORed with itself
+    shifted up k*(b+1) bits; with k the lowest bit of b - e3, Y(e3) is
+    Y(e3 + k) ORed with itself shifted down k bits.  Y(e3) is below
+    2^(b+1), so the product X(e1)*Y(e3) has no carries and is their
+    Kronecker product: the T column of (e1, e3)."""
+    from . import linalg
+
+    width = b + 1
+    xcol = [1]
+    for e1 in range(1, a + 1):
+        rest = xcol[e1 & (e1 - 1)]
+        xcol.append(rest | rest << ((e1 & -e1) * width))
+    ydown = [1 << b]     # Y(b - m) at m
+    for m in range(1, width):
+        rest = ydown[m & (m - 1)]
+        ydown.append(rest | rest >> (m & -m))
+
+    # one column per swap orbit of torus-fixed monomials, at the
+    # representative (e1, e3) <= its mate (a-e1, b-e3), plus the mate's
+    cols = []
+    for e1 in range(a // 2 + 1):
+        x, xmate, row = xcol[e1], xcol[a - e1], e1 * width
+        mate = (a - e1) * width + b
+        for e3 in range(e1 % (q - 1), width, q - 1):
+            col = (x * ydown[b - e3]) ^ (1 << (row + e3))
+            if 2 * e1 == a and 2 * e3 >= b:
+                if 2 * e3 == b:
+                    cols.append(col)
+                break
+            cols.append(col ^ (xmate * ydown[e3]) ^ (1 << (mate - e3)))
+    return len(cols) - len(linalg._xor_basis(cols, len(cols))[0])
 
 
 def _full_group_dimension(field, a, b):

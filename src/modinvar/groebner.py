@@ -12,7 +12,8 @@ import heapq
 import time
 
 from . import _kernels as K
-from .mpoly import EXP_CAP, Polynomial, RingMismatch, iadd_product
+from .mpoly import EXP_CAP, ExponentOverflow, Polynomial, RingMismatch, \
+    iadd_product
 
 
 class GroebnerError(Exception):
@@ -345,32 +346,38 @@ def in_ideal(f, gb):
 
 def standard_monomial_count(gb, d):
     """Number of monomials of weighted degree d outside the leading-term
-    ideal; equals dim of degree-d part of ring/ideal for homogeneous ideals."""
+    ideal; equals dim of degree-d part of ring/ideal for homogeneous ideals.
+
+    The recursion fixes one exponent after another and carries the packed
+    key, adding a variable's unit key per step, so no leaf packs a tuple.
+    A prefix that a leading term divides ends its branch: every monomial
+    that extends it, or raises its last exponent, is divisible too."""
     if gb.bound is not None and d > gb.bound:
         raise DegreeBoundExceeded(
             "degree %d beyond the computed bound %d" % (d, gb.bound))
+    if d < 0:
+        return 0
+    if d > EXP_CAP:
+        raise ExponentOverflow("weighted degree %d out of range" % d)
     ring = gb.ring
     weights = ring.weights
     nv = ring.n
+    units = [ring.pack(tuple(int(i == j) for j in range(nv)))
+             for i in range(nv)]
     first_divisor = gb.index.first_divisor
     count = 0
-    exps = [0] * nv
 
-    def rec(pos, rem):
+    def rec(pos, rem, key):
         nonlocal count
+        w, unit = weights[pos], units[pos]
         if pos == nv - 1:
-            w = weights[pos]
-            if rem % w:
-                return
-            exps[pos] = rem // w
-            if first_divisor(ring.pack(tuple(exps))) < 0:
+            if not rem % w and first_divisor(key + rem // w * unit) < 0:
                 count += 1
             return
-        w = weights[pos]
-        for e in range(rem // w + 1):
-            exps[pos] = e
-            rec(pos + 1, rem - e * w)
-        exps[pos] = 0
+        while rem >= 0 and first_divisor(key) < 0:
+            rec(pos + 1, rem, key)
+            rem -= w
+            key += unit
 
-    rec(0, d)
+    rec(0, d, 0)
     return count

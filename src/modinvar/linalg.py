@@ -13,8 +13,12 @@ and an entry outside GF(p) raises ValueError.  For odd p the elimination
 runs in numpy integer arithmetic mod p on the narrowest signed type that
 holds (p-1)^2 (vectorized, still exact; no floating point anywhere).  For
 p = 2 each row is one Python int, column 0 in the highest bit, and the rows
-are inserted one by one into a greedy XOR basis keyed by leading bit; a rank
-is the size of that basis, taken on the orientation with fewer rows.
+are inserted one by one (_xor_insert) into a greedy XOR basis keyed by
+leading bit; a rank is the size of that basis, taken on the orientation
+with fewer rows.  The dimension oracle and the standard-monomial walk build
+their characteristic-2 rows as such ints from the start and insert them
+directly, with no numpy matrix: any int rows do, whatever their bit layout,
+since a rank does not depend on the order of the columns.
 
 A solve factors first and then applies the factorization, so one matrix
 factored once serves any number of right-hand sides: the pivot rows P and
@@ -99,24 +103,31 @@ def _bit_matrix(rows, width):
     return np.unpackbits(packed, axis=1)
 
 
+def _xor_insert(basis, row):
+    """Reduce the int row by the XOR basis {leading bit_length: row} and
+    insert what is left under its leading bit.  Returns whether it entered:
+    a row that reduces to 0 is dropped."""
+    while row:
+        lead = row.bit_length()
+        pivot = basis.get(lead)
+        if pivot is None:
+            basis[lead] = row
+            return True
+        row ^= pivot
+    return False
+
+
 def _xor_basis(rows, cols):
-    """Eliminate over GF(2) on int rows: insert each row, reduced by the
-    basis rows before it, under its leading bit, until cols rows are in.
-    Returns the basis {leading bit_length: row} and the indices of the
-    rows that entered it."""
+    """Eliminate over GF(2) on int rows: insert each row (_xor_insert) until
+    cols rows are in.  Returns the basis {leading bit_length: row} and the
+    indices of the rows that entered it."""
     basis = {}
     entered = []
     for i, row in enumerate(rows):
         if len(basis) == cols:
             break
-        while row:
-            lead = row.bit_length()
-            pivot = basis.get(lead)
-            if pivot is None:
-                basis[lead] = row
-                entered.append(i)
-                break
-            row ^= pivot
+        if _xor_insert(basis, row):
+            entered.append(i)
     return basis, entered
 
 

@@ -392,46 +392,87 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     standard-monomials item compares against, uses gb.index instead, so
     the two counts rest on two divisibility tests.
 
-    Each bidegree block keeps its block vectors (_block_vector) as the rows
-    of one uint8 matrix, appended to a bytearray: one byte per entry and no
-    object per row.  A block's matrix is released once its rank is taken;
-    rank_field eliminates it over GF(p) as it is whenever every entry lies
-    there, as every image of the seven generators does.
+    Over characteristic 2, when every image of the seven generators has
+    all its coefficients 1 (as the generators' integer coefficients give),
+    an image is a GF(2) bit row: one Python int with the monomial
+    x1^e1 x2^(a-e1) y1^e3 y2^(b-e3) at bit e1*(bound+1) + e3 (e3 <= bound,
+    so no two monomials share a bit).  A product with a generator's image
+    is the XOR of the prefix shifted by each of the image's terms, and each
+    standard monomial's row goes straight into the XOR basis of its
+    bidegree block (linalg._xor_insert); a row that reduces to 0 is
+    dropped, so the walk keeps no more rows than the ranks.
+
+    Otherwise the image is a polynomial, and each bidegree block keeps its
+    block vectors (_block_vector) as the rows of one uint8 matrix, appended
+    to a bytearray: one byte per entry and no object per row.  A block's
+    matrix is released once its rank is taken; rank_field eliminates it
+    over GF(p) as it is whenever every entry lies there, as every image of
+    the seven generators does.
     """
     S = ctx.S7
     n = S.n
     images = [ctx.pi_images()[name] for name in S7_NAMES]
     bidegs = ctx.bidegrees
     units = [S.pack(tuple(int(i == j) for j in range(n))) for i in range(n)]
-
     counts = [0] * (bound + 1)
-    buckets = {}
+    ranks = [0] * (bound + 1)
 
-    def walk(pos, key, poly, a, b):
+    bits = ctx.field.p == 2 and all(set(img.terms.values()) == {1}
+                                    for img in images)
+    if bits:
+        sh1 = CHUNK * (ctx.R4.n - 1)   # x1, the first variable
+        sh3 = CHUNK * (ctx.R4.n - 3)   # y1, the third
+        shifts = [[((key >> sh1) & MASK) * (bound + 1) + ((key >> sh3) & MASK)
+                   for key in img.terms] for img in images]
+        bases = {}
+
+        def times(row, pos):
+            out = 0
+            for shift in shifts[pos]:
+                out ^= row << shift
+            return out
+
+        def leaf(row, a, b):
+            if linalg._xor_insert(bases.setdefault((a, b), {}), row):
+                ranks[a + b] += 1
+
+        one = 1
+    else:
+        buckets = {}
+
+        def times(poly, pos):
+            return poly * images[pos]
+
+        def leaf(poly, a, b):
+            buckets.setdefault((a, b), bytearray()).extend(
+                _block_vector(poly, a, b))
+
+        one = ctx.R4.one
+
+    def walk(pos, key, image, a, b):
         check_deadline(deadline)
         if pos == n:
             counts[a + b] += 1
-            buckets.setdefault((a, b), bytearray()).extend(
-                _block_vector(poly, a, b))
+            leaf(image, a, b)
             return
         da, db = bidegs[pos]
         while not any(S.key_divides(lt, key) for lt in gb.lt_keys):
-            walk(pos + 1, key, poly, a, b)
+            walk(pos + 1, key, image, a, b)
             a += da
             b += db
             if a + b > bound:
                 break
             key += units[pos]
-            poly = poly * images[pos]
+            image = times(image, pos)
 
-    walk(0, 0, ctx.R4.one, 0, 0)
+    walk(0, 0, one, 0, 0)
 
-    ranks = [0] * (bound + 1)
-    for a, b in sorted(buckets):
-        check_deadline(deadline)
-        rows = np.frombuffer(buckets.pop((a, b)), dtype=np.uint8)
-        ranks[a + b] += linalg.rank_field(rows.reshape(-1, (a + 1) * (b + 1)),
-                                          ctx.field)
+    if not bits:
+        for a, b in sorted(buckets):
+            check_deadline(deadline)
+            rows = np.frombuffer(buckets.pop((a, b)), dtype=np.uint8)
+            ranks[a + b] += linalg.rank_field(
+                rows.reshape(-1, (a + 1) * (b + 1)), ctx.field)
     return counts, ranks
 
 
@@ -728,9 +769,19 @@ def _build_clast(ctx, relations, deadline=None):
 
 
 def _clast(ctx, deadline=None):
-    """ctx's C-last data (_CLast), kept in its memo under "clast"."""
-    return ctx.memo("clast", lambda: _build_clast(
-        ctx, ctx.ideal_generators(), deadline))
+    """ctx's C-last data (_CLast), kept in its memo under "clast".  A
+    refusal is kept too: the message of a NotExpressible build goes under
+    "clast-refusal", and every later call raises it again without building.
+    A timeout keeps nothing."""
+    refusal = ctx.memo("clast-refusal", list)
+    if refusal:
+        raise NotExpressible(refusal[0])
+    try:
+        return ctx.memo("clast", lambda: _build_clast(
+            ctx, ctx.ideal_generators(), deadline))
+    except NotExpressible as exc:
+        refusal.append(str(exc))
+        raise
 
 
 def reduce_product(field, spec_f, spec_g, deadline=None):

@@ -210,6 +210,20 @@ def test_oracle_matches_full_group_on_every_block(q, top):
     assert killed or q == 2
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("q,top", ((4, 12), (8, 4)))
+def test_bit_column_oracle_matches_full_group_on_every_block(q, top):
+    """Over characteristic 2 the oracle ranks GF(2) bit columns: on every
+    block up to the top degree it agrees with the exhaustive oracle, which
+    stacks g - I over all of GL2(F_q) and ranks it over GF(q)."""
+    F = ff_from_q(q)
+    for d in range(top + 1):
+        for a in range(d + 1):
+            assert invariant_bidegree_dimension(F, a, d - a) == \
+                invariant_bidegree_dimension(F, a, d - a,
+                                             use_full_group=True), (a, d - a)
+
+
 def int64_orbit_matrix(field, a, b):
     """The oracle: the (T - I) orbit-sum matrix of the (a, b) block as
     invariant_bidegree_dimension built it in int64, unreduced, and its
@@ -247,22 +261,54 @@ def int64_orbit_matrix(field, a, b):
     return mat, len(reps)
 
 
+def decoded_bit_columns(cols, size):
+    """The 0/1 matrix, size rows, whose column j is the GF(2) bit column
+    cols[j]: row k is bit k."""
+    return np.array([[(col >> k) & 1 for col in cols] for k in range(size)],
+                    dtype=np.int64).reshape(size, len(cols))
+
+
+def capture_oracle_matrices(p, seen, real=True):
+    """(name, stand-in) for the linalg function that ranks the oracle's
+    matrix at p: rank_modp at odd p, _xor_basis of the int bit columns at
+    p = 2.  The stand-in records the matrix in seen and returns what the
+    function returns, or with real=False an empty rank."""
+    name = "_xor_basis" if p == 2 else "rank_modp"
+    rank = getattr(linalg, name)
+    empty = ({}, []) if p == 2 else 0
+
+    def capture(mat, arg):
+        seen.append(mat)
+        return rank(mat, arg) if real else empty
+    return name, capture
+
+
+def assert_oracle_matrix(p, mat, want, cols):
+    """mat, as captured by capture_oracle_matrices, is the int64
+    construction want with cols columns: entry for entry in the narrow type
+    at odd p, and column by column mod 2 at p = 2."""
+    if p == 2:
+        assert len(mat) == cols
+        bits = decoded_bit_columns(mat, want.shape[0])
+        for j in range(cols):
+            assert np.array_equal(bits[:, j], want[:, j] % 2), j
+        return
+    assert mat.shape == (want.shape[0], cols)
+    assert mat.dtype == linalg._int_type(2 * (p - 1) ** 2 + 1)
+    assert np.array_equal(mat, want)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_narrow_oracle_matches_the_int64_construction(p, monkeypatch):
     """At every supported p the oracle builds the same (T - I) matrix as the
-    int64 construction, in the narrow type, and so the same dimension: on
-    the small bidegrees and on those near 2p, where the binomials mod p run
-    through every value up to p - 1, so the entries reach (p-1)^2, within
-    the bound 2(p-1)^2 + 1."""
+    int64 construction, in the narrow type (as GF(2) bit columns at p = 2),
+    and so the same dimension: on the small bidegrees and on those near 2p,
+    where the binomials mod p run through every value up to p - 1, so the
+    entries reach (p-1)^2, within the bound 2(p-1)^2 + 1."""
     field = ff_make(p)
     seen = []
     rank_modp = linalg.rank_modp
-
-    def capture(mat, prime):
-        seen.append(mat)
-        return rank_modp(mat, prime)
-
-    monkeypatch.setattr(linalg, "rank_modp", capture)
+    monkeypatch.setattr(linalg, *capture_oracle_matrices(p, seen))
     near = range(2 * p - 2, 2 * p + 2)
     blocks = [(a, b) for a in range(7) for b in range(7)]
     blocks += [(a, b) for a in near for b in near]
@@ -274,11 +320,10 @@ def test_narrow_oracle_matches_the_int64_construction(p, monkeypatch):
         if (a - b) % (p - 1):
             assert dim == 0 and not seen
             continue
-        want, cols = int64_orbit_matrix(field, a, b)
-        assert dim == cols - rank_modp(want % p, p), (a, b)
         (mat,) = seen
-        assert mat.dtype == linalg._int_type(bound)
-        assert np.array_equal(mat, want), (a, b)
+        want, cols = int64_orbit_matrix(field, a, b)
+        assert_oracle_matrix(p, mat, want, cols)
+        assert dim == cols - rank_modp(want % p, p), (a, b)
         largest = max(largest, int(np.abs(want).max()))
     assert (p - 1) ** 2 <= largest <= bound
 
@@ -371,9 +416,9 @@ print([invariant_dimension(ff_from_q(q), d) for d in range(top + 1)])
 
 def test_fields_of_one_prime_share_its_tables(monkeypatch):
     """q = 2, 4, 8 and then q = 3, 9, each run degree by degree in turn in
-    one process, grow and share the tables of p = 2 and 3, and still give
-    the dimensions that a fresh process gives for each q alone (DIMS_Q4 at
-    q = 4)."""
+    one process, grow and share the tables of p = 3 (p = 2 holds none), and
+    still give the dimensions that a fresh process gives for each q alone
+    (DIMS_Q4 at q = 4)."""
     tops = {2: 24, 4: 40, 8: 40, 3: 24, 9: 40}
     src = os.path.dirname(os.path.dirname(os.path.abspath(modinvar.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -397,7 +442,8 @@ def test_fields_of_one_prime_share_its_tables(monkeypatch):
     for q, proc in fresh.items():
         assert proc.returncode == 0
         assert dims[q] == json.loads(outs[q]), q
-    assert sorted(action._BINOMIALS) == [2, 3]
+    # p = 2 reads its binomials' parities off the bits: no table
+    assert sorted(action._BINOMIALS) == [3]
 
 
 @st.composite
@@ -414,21 +460,16 @@ def congruent_blocks(draw):
 @given(congruent_blocks())
 def test_oracle_matrix_is_the_int64_construction(block):
     """The matrix the oracle ranks is the int64 construction's, entry for
-    entry and column for column, on every block it ranks."""
+    entry and column for column (mod 2, on bit columns, at p = 2), on every
+    block it ranks."""
     p, a, b = block
     seen = []
-
-    def capture(mat, prime):
-        seen.append(mat)
-        return 0
-
-    with mock.patch.object(linalg, "rank_modp", capture):
+    with mock.patch.object(linalg,
+                           *capture_oracle_matrices(p, seen, False)):
         invariant_bidegree_dimension(ff_make(p), a, b)
     want, cols = int64_orbit_matrix(ff_make(p), a, b)
     (mat,) = seen
-    assert mat.shape == (want.shape[0], cols)
-    assert mat.dtype == linalg._int_type(2 * (p - 1) ** 2 + 1)
-    assert np.array_equal(mat, want), (a, b)
+    assert_oracle_matrix(p, mat, want, cols)
 
 
 class ExpiringClock:

@@ -6,8 +6,8 @@ congruence and the C-last certificates at larger q.
 The non-volatile report JSON is the regression oracle for refactors: any
 change in a verdict, a detail string or a parameter changes its SHA-256.
 Hilbert, kernel and controls run at the CLI default degree.  Each suite
-runs on a fresh context, as in a new process: a context that already holds
-a Gröbner basis for a higher bound reports that basis instead.
+runs on a fresh context, as in a new process, so no memo left by an earlier
+suite (dimensions, basis values, the C-last data) can feed its report.
 """
 
 import hashlib

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import json
 import random
+import sys
 import time
 import tracemalloc
 
@@ -15,7 +16,7 @@ from test_action import ExpiringClock
 from test_report_digests import DIGESTS
 
 from modinvar import _kernels as K
-from modinvar import gens, groebner, linalg, verify
+from modinvar import action, gens, groebner, linalg, verify
 from modinvar.gens import (
     RELATION_NAMES,
     BasisSpec,
@@ -443,11 +444,12 @@ def test_standard_monomials_check_the_deadline(monkeypatch):
 
 
 def test_standard_image_ranks_keep_one_byte_per_entry(monkeypatch):
-    """The walk keeps its block vectors at one byte per entry: under
-    tracemalloc its peak stays within 2 bytes per stored entry and a fixed
-    slack (Python lists of indices take about 8 bytes per entry)."""
-    ctx = InvariantContext(ff_from_q(2))
-    gb = verify._exact_gb(ctx, 26)
+    """On the polynomial path (odd p) the walk keeps its block vectors at
+    one byte per entry: under tracemalloc its peak stays within 2 bytes per
+    stored entry and a fixed slack (Python lists of indices take about 8
+    bytes per entry)."""
+    ctx = InvariantContext(ff_from_q(3))
+    gb = verify._exact_gb(ctx, 36)
     ctx.pi_images()
     stored = []
     rank_field = linalg.rank_field
@@ -459,7 +461,7 @@ def test_standard_image_ranks_keep_one_byte_per_entry(monkeypatch):
     monkeypatch.setattr(verify.linalg, "rank_field", counting_rank)
     tracemalloc.start()
     try:
-        verify._standard_image_ranks(ctx, gb, 26)
+        verify._standard_image_ranks(ctx, gb, 36)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,12 +469,90 @@ def test_standard_image_ranks_keep_one_byte_per_entry(monkeypatch):
     assert peak <= 2 * sum(stored) + 256 * 1024
 
 
+def test_gf2_walk_keeps_only_its_basis_rows(monkeypatch):
+    """Over characteristic 2 the walk keeps no block vectors: each standard
+    monomial's bit row goes into its block's XOR basis or is dropped, so
+    the rows kept are as many as the ranks (here all of them: the images
+    are independent), and under tracemalloc the peak stays within twice
+    their size and a fixed slack."""
+    ctx = InvariantContext(ff_from_q(2))
+    gb = verify._exact_gb(ctx, 26)
+    ctx.pi_images()
+    bases = {}
+    xor_insert = linalg._xor_insert
+
+    def keeping_insert(basis, row):
+        bases[id(basis)] = basis
+        return xor_insert(basis, row)
+
+    def forbidden(*args):
+        raise AssertionError("a block vector was built")
+
+    monkeypatch.setattr(verify.linalg, "_xor_insert", keeping_insert)
+    monkeypatch.setattr(verify, "_block_vector", forbidden)
+    tracemalloc.start()
+    try:
+        counts, ranks = verify._standard_image_ranks(ctx, gb, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = [row for basis in bases.values() for row in basis.values()]
+    assert len(rows) == sum(ranks) == sum(counts)
+    kept = sum(sys.getsizeof(row) for row in rows)
+    assert peak <= 2 * kept + 256 * 1024
+
+
+def test_an_image_outside_gf2_takes_the_polynomial_path(monkeypatch):
+    """A GF(4) image with the coefficient t sends the walk down the
+    polynomial path.  Scaling U0's image by the unit t scales rows of every
+    block and changes no count or rank, so both paths give the same."""
+    ctx = InvariantContext(ff_from_q(4))
+    gb = verify._exact_gb(ctx, 30)
+    want = verify._standard_image_ranks(ctx, gb, 30)
+    images = ctx.pi_images()
+    t = ctx.field.from_index(2)
+    scaled = dict(images, U0=images["U0"] * t)
+    monkeypatch.setattr(ctx, "pi_images", lambda: scaled)
+    built = []
+    block_vector = verify._block_vector
+
+    def counting_vector(poly, a, b):
+        built.append((a, b))
+        return block_vector(poly, a, b)
+
+    monkeypatch.setattr(verify, "_block_vector", counting_vector)
+    assert verify._standard_image_ranks(ctx, gb, 30) == want
+    assert len(built) == sum(want[0])
+
+
+def test_gf4_kernel_needs_no_numpy_rank_table_or_block_vector(monkeypatch):
+    """check_kernel(GF(4), 40) passes with every numpy rank, the binomial
+    tables and the block vectors out of reach: the oracle and the walk both
+    work on GF(2) bit rows."""
+    field = ff_from_q(4)
+    _throwaway_context(monkeypatch, field)
+
+    def forbidden(*args):
+        raise AssertionError("reached a numpy rank, table or block vector")
+
+    for name in ("rank_field", "rank_modp", "rank_gf2"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    monkeypatch.setattr(action, "_binomial_tables", forbidden)
+    monkeypatch.setattr(verify, "_block_vector", forbidden)
+    report = check_kernel(field, 40)
+    assert report.overall == "pass", [it.detail for it in report.items
+                                      if it.status != "pass"]
+
+
 # SHA-256 of json.dumps([counts, ranks]) of the standard-monomial walk,
-# frozen from the walk over unpacked exponent tuples
+# frozen from the walk over unpacked exponent tuples; (8, 60) and (2, 60)
+# from the polynomial walk, before characteristic 2 moved to bit rows
 WALK_DIGESTS = {
     (2, 24): "19f13e3cd066df5a3fe4702ca3d49be7b9ee85ef4a28d050bf5682f1b6179b7f",
     (3, 40): "5eba9e71ac9f1f84f5b813f44a6bbe9552728d8036318f93b4c9cbb23e3765a5",
     (4, 40): "9563e3f3ae20d37839153b52168e3c64befbe32aa29e176b1d59324e3071b671",
+    (8, 60): "1a5cf6fbf8e10af34cd27108fd5ed135afc2ab56d0b3acced4713d151d6dd415",
+    (2, 60): "17529ec1753cf795af3bb9b2fa486b2d1c4b0083aaad922e5a7b639fd24cc883",
 }
 
 
@@ -1508,6 +1588,32 @@ def test_a_deadline_passing_in_the_build_times_the_item_out(monkeypatch):
     statuses = [it.status for it in report.items]
     assert statuses[0] == "timeout"
     assert set(statuses[1:]) == {"skipped"}
+    assert "clast" not in ctx._memo
+
+
+def test_a_refused_clast_build_runs_once(monkeypatch):
+    """T10 replaced by 0 at q=3: the C-last build refuses once, and every
+    item that needs it fails with that same refusal, raised again from the
+    memo without a second build."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["rel", "T10"] = ctx.S7.zero
+    builds = []
+    build = verify._build_clast
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_build_clast", counting_build)
+    report = check_products(field, sample="4")
+    assert len(builds) == 1
+    refused = [it for it in report.items
+               if it.detail.startswith("NotExpressible: the relations in the "
+                                       "C-last order have leading terms")]
+    assert len(refused) == 7
+    assert {it.status for it in refused} == {"fail"}
+    assert len({it.detail for it in refused}) == 1
     assert "clast" not in ctx._memo
 
 
