@@ -340,7 +340,7 @@ def _gf2_bidegree_dimension(q, a, b):
                     cols.append(col)
                 break
             cols.append(col ^ (xmate * ydown[e3]) ^ (1 << (mate - e3)))
-    return len(cols) - len(linalg._xor_basis(cols, len(cols))[0])
+    return len(cols) - len(linalg._xor_basis(cols, len(cols)))
 
 
 def _full_group_dimension(field, a, b):

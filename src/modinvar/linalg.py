@@ -1,34 +1,35 @@
 """Exact Gaussian elimination over GF(p).
 
-Every rank, factorization and solve is one elimination over the prime field
-GF(p).  A rank over GF(q) = GF(p^s) takes a matrix of GF(q) indices as it is
-when all its entries lie below p (index i < p is the element i), and else
-lifts it to GF(p) by the regular representation: each entry becomes the
-s x s matrix of multiplication by it on the basis 1, t, ..., t^(s-1), so
-ranks multiply by s.  For a matrix A over GF(p) that lift is A (x) I_s up to
-a permutation, so skipping it changes no rank.  A factorization or solve is
-over GF(p) only: the verdicts' matrices and right-hand sides all lie there,
-since the seven generators and five relations have integer coefficients,
-and an entry outside GF(p) raises ValueError.  For odd p the elimination
-runs in numpy integer arithmetic mod p on the narrowest signed type that
-holds (p-1)^2 (vectorized, still exact; no floating point anywhere).  For
-p = 2 each row is one Python int, column 0 in the highest bit, and the rows
-are inserted one by one (_xor_insert) into a greedy XOR basis keyed by
-leading bit; a rank is the size of that basis, taken on the orientation
-with fewer rows.  The dimension oracle and the standard-monomial walk build
-their characteristic-2 rows as such ints from the start and insert them
-directly, with no numpy matrix: any int rows do, whatever their bit layout,
-since a rank does not depend on the order of the columns.
+Every rank, factorization, solve and inverse is one elimination over the
+prime field GF(p).  A rank over GF(q) = GF(p^s) takes a matrix of GF(q)
+indices as it is when all its entries lie below p (index i < p is the
+element i), and else lifts it to GF(p) by the regular representation: each
+entry becomes the s x s matrix of multiplication by it on the basis 1, t,
+..., t^(s-1), so ranks multiply by s.  For a matrix A over GF(p) that lift
+is A (x) I_s up to a permutation, so skipping it changes no rank.  A
+factorization, solve or inverse is over GF(p) only: the verdicts' matrices
+and right-hand sides all lie there, since the seven generators and five
+relations have integer coefficients, and an entry outside GF(p) raises
+ValueError.  Each runs _rref, numpy integer arithmetic mod p on the
+narrowest signed type that holds (p-1)^2 (vectorized, still exact; no
+floating point anywhere), for every p, 2 included.
+
+A rank over p = 2 is the one other elimination: each row is one Python
+int, column 0 in the highest bit, and the rows are inserted one by one
+(_xor_insert) into a greedy XOR basis keyed by leading bit; the rank is the
+size of that basis, taken on the orientation with fewer rows.  The
+dimension oracle and the standard-monomial walk build their
+characteristic-2 rows as such ints from the start and insert them directly,
+with no numpy matrix: any int rows do, whatever their bit layout, since a
+rank does not depend on the order of the columns.
 
 A solve factors first and then applies the factorization, so one matrix
 factored once serves any number of right-hand sides: the pivot rows P and
 pivot columns of the matrix E give an invertible square E[P, pivots], whose
-inverse maps b[P] to the pivot entries of the solution.  For p = 2 the pivot
-rows are the rows that entered the XOR basis and the pivot columns its
-leading bits, the same pivot set as reduced row echelon form, since both are
-fixed by the row space.  A 2-D right-hand side holds one right-hand side per
-column.  Every solution is re-checked against every row, a zero row too,
-and that check alone decides consistency.
+inverse maps b[P] to the pivot entries of the solution.  A 2-D right-hand
+side holds one right-hand side per column.  Every solution is re-checked
+against every row, a zero row too, and that check alone decides
+consistency; an inverse is likewise re-checked by one product.
 """
 
 from __future__ import annotations
@@ -95,14 +96,6 @@ def _bit_rows(A):
              for i in range(0, len(data), n)], 8 * n)
 
 
-def _bit_matrix(rows, width):
-    """The 0/1 matrix, width columns, of rows as returned by _bit_rows."""
-    data = b"".join(row.to_bytes(width // 8, "big") for row in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows),
-                                                         width // 8)
-    return np.unpackbits(packed, axis=1)
-
-
 def _xor_insert(basis, row):
     """Reduce the int row by the XOR basis {leading bit_length: row} and
     insert what is left under its leading bit.  Returns whether it entered:
@@ -119,16 +112,13 @@ def _xor_insert(basis, row):
 
 def _xor_basis(rows, cols):
     """Eliminate over GF(2) on int rows: insert each row (_xor_insert) until
-    cols rows are in.  Returns the basis {leading bit_length: row} and the
-    indices of the rows that entered it."""
+    cols rows are in.  Returns the basis {leading bit_length: row}."""
     basis = {}
-    entered = []
-    for i, row in enumerate(rows):
+    for row in rows:
         if len(basis) == cols:
             break
-        if _xor_insert(basis, row):
-            entered.append(i)
-    return basis, entered
+        _xor_insert(basis, row)
+    return basis
 
 
 def rank_gf2(A):
@@ -137,7 +127,7 @@ def rank_gf2(A):
     A = np.asarray(A, dtype=np.uint8)
     if A.shape[0] > A.shape[1]:
         A = A.T
-    return len(_xor_basis(_bit_rows(A)[0], A.shape[1])[0])
+    return len(_xor_basis(_bit_rows(A)[0], A.shape[1]))
 
 
 def rank_modp(A, p):
@@ -213,47 +203,38 @@ def _over_prime_field(M, p, what):
     return M
 
 
-def _factor_gf2(L):
-    """Pivot rows, pivot columns and inverse of L[rows, pivots] for a 0/1
-    matrix L: the rows that entered its XOR basis, the basis's leading bits,
-    and Gauss-Jordan on the int rows of [L[rows, pivots] | I]."""
-    bits, width = _bit_rows(L)
-    basis, entered = _xor_basis(bits, L.shape[1])
-    rows = np.array(entered, dtype=np.intp)
-    pivots = np.array(sorted(width - lead for lead in basis), dtype=np.intp)
-    r = rows.size
-    square, width = _bit_rows(np.hstack([L[np.ix_(rows, pivots)],
-                                         np.eye(r, dtype=L.dtype)]))
-    for j in range(r):
-        bit = 1 << (width - 1 - j)
-        k = next(i for i in range(j, r) if square[i] & bit)
-        square[j], square[k] = square[k], square[j]
-        for i in range(r):
-            if i != j and square[i] & bit:
-                square[i] ^= square[j]
-    return rows, pivots, _bit_matrix(square, width)[:, r:2 * r].astype(
-        L.dtype)
+def inverse_field(M, field):
+    """The inverse over GF(p), p = field.p, of a square matrix M, from one
+    elimination of [M | I], or None unless M times it is I mod p: that
+    re-check alone decides, as in solve_factored.  Raises ValueError on an
+    entry outside GF(p)."""
+    p = field.p
+    M = _over_prime_field(M, p, "matrix")
+    n = M.shape[0]
+    # signed, so that a row operation on a uint8 block cannot wrap
+    narrow = _int_type((p - 1) ** 2)
+    aug = np.hstack([M.astype(narrow), np.eye(n, dtype=narrow)])
+    _rref(aug, p, n)
+    inv = aug[:, n:]
+    wide = _int_type(n * (p - 1) ** 2)
+    if np.any(M.astype(wide) @ inv.astype(wide) % p != np.eye(n, dtype=wide)):
+        return None
+    return inv
 
 
 def factor_field(rows, field):
     """Factor a matrix over GF(p), p = field.p: one elimination, which also
-    records the original row of each pivot, and one of the small
-    [E[rows, pivots] | I] for the inverse.  Over p = 2 both are eliminations
-    on int rows.  Raises ValueError on an entry outside GF(p)."""
+    records the original row of each pivot, and inverse_field of the pivot
+    square E[rows, pivots].  Raises ValueError on an entry outside
+    GF(p)."""
     p = field.p
     E = _over_prime_field(rows, p, "matrix")
-    if p == 2:
-        return Factorization(*_factor_gf2(E))
-    # signed, so that a row operation on a uint8 block cannot wrap
-    E = E.astype(_int_type((p - 1) ** 2), copy=False)
-    aug = E.copy()
+    aug = E.astype(_int_type((p - 1) ** 2))
     order = np.arange(E.shape[0])
     pivots = np.array(_rref(aug, p, E.shape[1], order), dtype=np.intp)
-    r = pivots.size
-    square = np.hstack([E[np.ix_(order[:r], pivots)],
-                        np.eye(r, dtype=E.dtype)])
-    _rref(square, p, r)
-    return Factorization(order[:r].copy(), pivots, square[:, r:].copy())
+    rows = order[:pivots.size].copy()
+    return Factorization(rows, pivots,
+                         inverse_field(E[np.ix_(rows, pivots)], field))
 
 
 def solve_factored(fact, rows, rhs, field):

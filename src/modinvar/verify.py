@@ -691,9 +691,10 @@ def _build_clast(ctx, relations, deadline=None):
     terms, and each element of the reduced basis is a constant times one
     relation (distinct leading terms make that match one to one); and
     unless every block of L(0) is square and nonsingular.  Then B_U is
-    finite and the basis M is a k[C]-basis of S7/I.  Each block is
-    inverted once, by one solve against the identity.  Checks the deadline
-    before each basis pullback and each block."""
+    finite and the basis M is a k[C]-basis of S7/I.  Each block B is
+    inverted once, by one elimination of [B | I] (linalg.inverse_field),
+    and each row of its inverse is kept as Python ints.  Checks the
+    deadline before each basis pullback and each block."""
     q, fld = ctx.q, ctx.field
     weight = dict(zip(ctx.S7.names, ctx.S7.weights))
     ring = PolyRing(fld, _CLAST_NAMES,
@@ -755,14 +756,13 @@ def _build_clast(ctx, relations, deadline=None):
                                  "not square" % (d, len(rows), len(cols)))
         block = np.array([[constant[m].get(key, 0) for key in cols]
                           for m in rows], dtype=np.uint8)
-        inverse = linalg.solve_factored(
-            linalg.factor_field(block, fld), block,
-            np.eye(len(rows), dtype=np.uint8), fld)
+        inverse = linalg.inverse_field(block, fld)
         if inverse is None:
             raise NotExpressible("the block of L(0) in degree %d is singular"
                                  % d)
+        # Python ints: a numpy scalar would wrap in the kernels' index sums
         blocks[d] = cols, [{m: x for m, x in zip(rows, row) if x}
-                           for row in inverse]
+                           for row in inverse.tolist()]
     return _CLast(ring, gb, on_basis,
                   {spec: m for m, spec in enumerate(specs)},
                   pullbacks, cofactors, tails, shifts, units, blocks)

@@ -275,7 +275,7 @@ def capture_oracle_matrices(p, seen, real=True):
     function returns, or with real=False an empty rank."""
     name = "_xor_basis" if p == 2 else "rank_modp"
     rank = getattr(linalg, name)
-    empty = ({}, []) if p == 2 else 0
+    empty = {} if p == 2 else 0
 
     def capture(mat, arg):
         seen.append(mat)

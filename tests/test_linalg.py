@@ -1,9 +1,10 @@
-"""Exact elimination: rank and solve over GF(p) against sympy's DomainMatrix,
-rank_gf2 against the generic elimination, ranks over GF(p^s) (lifted by the
-regular representation) and solves over GF(p) within GF(p^s) against
-brute-force enumeration, the prime-field rule (a matrix over GF(p) is
-eliminated without the lift) against an oracle that always lifts, and the
-refusal of a factorization or solve with an entry outside GF(p)."""
+"""Exact elimination: rank, solve and inverse over GF(p) against sympy's
+DomainMatrix, rank_gf2 against the generic elimination, ranks over GF(p^s)
+(lifted by the regular representation) and solves over GF(p) within GF(p^s)
+against brute-force enumeration, the prime-field rule (a matrix over GF(p)
+is eliminated without the lift) against an oracle that always lifts, and
+the refusal of a factorization, solve or inverse with an entry outside
+GF(p)."""
 
 import itertools
 import random
@@ -382,6 +383,45 @@ def test_factor_modp_inverts_the_pivot_square(p, A):
         assert linalg.solve_factored(fact, A, b, field) == rref_solve(A, b, p)
 
 
+def sympy_inverse(A, p):
+    """sympy's inverse of the square A over GF(p), or None if singular."""
+    K = GF(p)
+    dm = DomainMatrix([[K(int(v)) for v in row] for row in A],
+                      (len(A), len(A)), K)
+    if dm.rank() < len(A):
+        return None
+    return [[int(K.to_sympy(v)) % p for v in row]
+            for row in dm.inv().to_list()]
+
+
+@pytest.mark.parametrize("p,A", [(p, A) for p, A in CASES
+                                 if len(A) == len(A[0])])
+def test_inverse_field_matches_sympy(p, A):
+    """inverse_field over GF(p) on every square case: sympy's inverse, or
+    None on a singular matrix; a read-only uint8 copy gives the same."""
+    field = ff_make(p)
+    want = sympy_inverse(A, p)
+    block = np.array(A, dtype=np.uint8)
+    block.flags.writeable = False
+    for M in (A, block):
+        inv = linalg.inverse_field(M, field)
+        if want is None:
+            assert inv is None
+        else:
+            assert inv.tolist() == want
+    assert block.tolist() == A
+
+
+def test_inverse_field_refuses_an_entry_outside_the_prime_field():
+    for p in (2, 3, 5, 7):
+        field = ff_make(p)
+        with pytest.raises(ValueError, match=re.escape(
+                "matrix entry %d at (0, 1) is not in GF(%d)" % (p, p))):
+            linalg.inverse_field([[1, p], [0, 1]], field)
+        with pytest.raises(ValueError, match="matrix entry -1 at"):
+            linalg.inverse_field([[-1]], field)
+
+
 def test_inconsistent_only_on_a_zero_row():
     """b agrees with a consistent system except on an all-zero row of A:
     no zero row is a pivot row, and the re-check of every row must catch
@@ -495,10 +535,10 @@ def test_prime_field_rule_matches_the_lift(system):
         linalg.factor_field(outside, field)
 
 
-@pytest.mark.parametrize("q", (3, 9))
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
 def test_uint8_block_factors_like_an_int_matrix(q):
     """A read-only uint8 block, as the module fit passes, goes straight to
-    factor_field: over odd p its row operations must not wrap."""
+    factor_field: its row operations must not wrap."""
     field = ff_from_q(q)
     rng = random.Random(9100 + q)
     for rows, cols in ((5, 3), (12, 8), (40, 9), (90, 14)):

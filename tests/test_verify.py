@@ -1660,29 +1660,41 @@ def test_a_non_square_or_singular_block_is_refused():
         verify._build_clast(ctx, ctx.ideal_generators())
 
 
-def test_each_block_of_l0_is_inverted_by_one_solve(monkeypatch):
-    """_build_clast at q=4 factors each of the 47 blocks of L(0) once and
-    solves it once, against the whole identity."""
+def test_each_block_of_l0_is_inverted_by_one_elimination(monkeypatch):
+    """_build_clast at q=4 inverts each of the 47 blocks of L(0) by one
+    inverse_field call, and factors and solves nothing."""
     calls = []
-    factor, solve = linalg.factor_field, linalg.solve_factored
+    invert = linalg.inverse_field
 
-    def counting_factor(block, field):
-        calls.append(("factor", block.shape))
-        return factor(block, field)
+    def counting_invert(block, field):
+        calls.append(block.shape)
+        return invert(block, field)
 
-    def counting_solve(fact, block, rhs, field):
-        calls.append(("solve", block.shape))
-        assert np.array_equal(rhs, np.eye(len(block)))
-        return solve(fact, block, rhs, field)
+    def refused(*args):
+        raise AssertionError("L(0) is inverted without a factorization")
 
-    monkeypatch.setattr(linalg, "factor_field", counting_factor)
-    monkeypatch.setattr(linalg, "solve_factored", counting_solve)
+    monkeypatch.setattr(linalg, "inverse_field", counting_invert)
+    monkeypatch.setattr(linalg, "factor_field", refused)
+    monkeypatch.setattr(linalg, "solve_factored", refused)
     ctx = InvariantContext(ff_from_q(4))
     cl = verify._build_clast(ctx, ctx.ideal_generators())
     assert len(cl.blocks) == 47
-    assert calls == [(kind, (len(cols), len(cols)))
-                     for cols, _inverse in cl.blocks.values()
-                     for kind in ("factor", "solve")]
+    assert calls == [(len(cols), len(cols))
+                     for cols, _inverse in cl.blocks.values()]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_clast_inverse_rows_hold_python_ints(q):
+    """Every coefficient of every inverted L(0) block is a Python int: a
+    numpy int8 would wrap in the kernels' index arithmetic c*q + v at
+    q = 16."""
+    ctx = InvariantContext(ff_from_q(q))
+    cl = verify._build_clast(ctx, ctx.ideal_generators())
+    coefficients = [x for _cols, inverse in cl.blocks.values()
+                    for row in inverse for x in row.values()]
+    assert coefficients
+    assert {type(x) for x in coefficients} == {int}
+    assert all(0 < x < ctx.field.p for x in coefficients)
 
 
 def test_a_failed_clast_build_fails_the_products_items(monkeypatch):
@@ -1699,3 +1711,52 @@ def test_a_failed_clast_build_fails_the_products_items(monkeypatch):
         assert item.detail.startswith("NotExpressible: the relations in the "
                                       "C-last order have leading terms")
     assert "clast" not in ctx._memo
+
+
+# ---------------------------------------------------------------------------
+# failing inputs: each suite, run on a corrupted context, fails the one item
+# that guards what was corrupted, and no other
+
+
+def _failed_items(report):
+    return [(it.name, it.detail) for it in report.items
+            if it.status != "pass"]
+
+
+def test_a_changed_generator_fails_its_identity(monkeypatch):
+    """u_2 + x1 in the memo: T0 = c0 u0 - c1 u1 + u2 is off by x1."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["u", 2] = ctx.u(2) + ctx.R4.var("x1")
+    assert _failed_items(check_relations(field)) == \
+        [("T0", "nonzero difference: x1")]
+
+
+def test_a_wrong_census_fails_the_census(monkeypatch):
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    census = ctx.census()
+    monkeypatch.setattr(ctx, "census", lambda: dict(census, total=3))
+    assert _failed_items(check_hilbert(field, 6)) == \
+        [("census", "basis count 3 but group order 48")]
+
+
+def test_a_nonvanishing_relation_fails_relations_in_kernel(monkeypatch):
+    """T1 + C1 U0^3 at q=3: pi of it is not 0."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["rel", "T1"] = ctx.relation("T1") \
+        + ctx.S7var("C1") * ctx.S7var("U0") ** 3
+    assert _failed_items(check_kernel(field, 8)) == \
+        [("relations-in-kernel", "nonvanishing relations: T1")]
+
+
+def test_a_changed_pullback_fails_the_base_congruence(monkeypatch):
+    """z_pullback + U0 at q=2: the base congruence is off by U0."""
+    field = ff_from_q(2)
+    ctx = _throwaway_context(monkeypatch, field)
+    z_pullback, U0 = ctx.z_pullback, ctx.S7var("U0")
+    monkeypatch.setattr(ctx, "z_pullback",
+                        lambda s, k, t: z_pullback(s, k, t) + U0)
+    assert _failed_items(check_products(field)) == \
+        [("congruence:base", "nonzero normal form: U0")]
