@@ -1,15 +1,18 @@
 """Buchberger's algorithm over the packed-monomial rings.
 
 Supports degree-truncated runs (sound for weighted-homogeneous inputs: the
-truncated basis decides membership in every weighted degree up to the bound)
-and representation tracking, where each basis element carries its expression
-as a combination of the original generators.
+truncated basis decides membership in every weighted degree up to the bound),
+representation tracking, where each basis element carries its expression
+as a combination of the original generators, and Hilbert-driven runs, which
+skip the S-pairs of every degree whose standard monomials already number
+what the ideal leaves.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from operator import mul
 
 from . import _kernels as K
 from .mpoly import EXP_CAP, ExponentOverflow, Polynomial, RingMismatch, \
@@ -43,10 +46,10 @@ class GroebnerBasis:
     """
 
     __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "reps",
-                 "bound", "inputs", "pairs_processed")
+                 "bound", "inputs", "pairs_processed", "pairs_skipped")
 
     def __init__(self, ring, basis, monic, reps, bound, inputs,
-                 pairs_processed):
+                 pairs_processed, pairs_skipped):
         self.ring = ring
         self.basis = basis
         self.monic = monic
@@ -56,6 +59,8 @@ class GroebnerBasis:
         self.bound = bound
         self.inputs = inputs
         self.pairs_processed = pairs_processed
+        # S-pairs a Hilbert-driven run left unreduced
+        self.pairs_skipped = pairs_skipped
 
     def __len__(self):
         return len(self.basis)
@@ -181,12 +186,307 @@ class _CriticalPairs:
         return None
 
 
-def buchberger(gens, bound=None, track=False, deadline=None):
+# float64 adds integers exactly while every partial sum stays below 2^53
+_EXACT = float(1 << 52)
+# a HilbertCount box grows by this many degrees beyond the one asked for:
+# the lcm degrees of successive S-pairs climb a few at a time
+_SLACK = 8
+
+
+def _times_one_minus(poly, d):
+    """poly * (1 - t^d) as a fresh numerator, for a packed degree d."""
+    out = dict(poly)
+    _iadd_shifted(out, poly, d, -1)
+    return out
+
+
+def _iadd_shifted(acc, poly, d, scale):
+    """acc += scale * t^d * poly, in place, for numerators acc and poly."""
+    for k, c in poly.items():
+        k += d
+        v = acc.get(k, 0) + scale * c
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+
+
+class HilbertCount:
+    """Standard monomials of a growing monomial ideal M, counted by degree.
+
+    grading gives each variable of ring a degree: a tuple of r nonnegative
+    ints, not all 0, so that each degree holds finitely many monomials.  If
+    P(c) is their number in degree c, M leaves sum_g K_M[g] * P(c - g)
+    standard monomials of degree c, where K_M, the numerator, is the
+    Hilbert series of ring/M times prod_v (1 - t^deg v).  add(key) puts one
+    more monomial m into M and updates K_M by
+    K_(M+m) = K_M - t^deg m * K_(M:m), the numerator of the colon ideal
+    coming from Bigatti's pivot recursion (Bigatti, JPAA 119, 1997).
+    excess(c) is the count in degree c less the one that the numerator
+    `target` gives, which is 0 unless it is set before the first count.
+
+    Monomials are re-packed as in _CriticalPairs, the first variable in the
+    highest chunk, each chunk wide enough for any degree and topped by a
+    guard bit; a degree packs its components into chunks of the same width,
+    the first lowest, and a numerator is a dict {packed degree: int}.  P and
+    K_M - target are also held dense, in float64, over the box of the
+    degrees asked for so far; float64 adds integers exactly below 2^53, and
+    a count that might not stay there is None.
+    """
+
+    def __init__(self, ring, grading, deadline=None):
+        n = ring.n
+        grading = tuple(tuple(d) for d in grading)
+        if len(grading) != n:
+            raise GroebnerError("the grading has %d degrees for %d variables"
+                                % (len(grading), n))
+        r = len(grading[0])
+        for d in grading:
+            if not r or len(d) != r or not any(d) or any(
+                    not isinstance(e, int) or isinstance(e, bool) or e < 0
+                    for e in d):
+                raise GroebnerError("each degree must be %d nonnegative "
+                                    "ints, not all 0; got %r" % (r, d))
+        width = (n * EXP_CAP * max(map(max, grading))).bit_length() + 1
+        self.ring = ring
+        self.grading = grading
+        self.width = width
+        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
+        self.fill = self.guard - sum(1 << (width * v) for v in range(n))
+        self.emask = (1 << (width - 1)) - 1
+        self.weighers = [sum(d[i] << (width * v)
+                             for v, d in enumerate(grading))
+                         for i in range(r)]
+        self.wshift = width * (n - 1)
+        self.wmask = (1 << width) - 1
+        self.dguard = sum(1 << (width * i + width - 1) for i in range(r))
+        self.units = [self.degree_key(d) for d in grading]
+        self.target = {}
+        self.deadline = deadline
+        self.gens = []
+        self.numerator = {0: 1}
+        self.shifts = [width * i for i in range(r)]
+        self.box = (0,) * r
+        self.counts = self.dense = None
+        self.last = 0
+
+    def _pack(self, key):
+        b = 0
+        for e in self.ring.unpack(key):
+            b = (b << self.width) | e
+        return b
+
+    def _degree(self, b):
+        d = 0
+        for i, w in enumerate(self.weighers):
+            d |= ((b * w >> self.wshift) & self.wmask) << (self.width * i)
+        return d
+
+    def degree(self, exps):
+        """The packed degree of the monomial with exponents exps."""
+        return sum(map(mul, exps, self.units))
+
+    def degree_key(self, c):
+        """The packed form of the degree tuple c."""
+        return sum(a << (self.width * i) for i, a in enumerate(c))
+
+    def degree_tuple(self, d):
+        """The degree tuple of the packed degree d."""
+        return tuple([(d >> s) & self.wmask for s in self.shifts])
+
+    def _iadd_dense(self, poly, d, scale):
+        """dense += scale * t^d * poly, over the terms in the box."""
+        dense, shifts, wmask = self.dense, self.shifts, self.wmask
+        g, last = self.dguard, self.last | self.dguard
+        for k, c in poly.items():
+            k += d
+            if (last - k) & g == g:
+                dense[tuple([(k >> s) & wmask for s in shifts])] += scale * c
+
+    def degree_divides(self, c, e):
+        """True when e - c is a degree: every component of c is at most
+        e's (packed degrees)."""
+        g = self.dguard
+        return ((e | g) - c) & g == g
+
+    def add(self, key):
+        """Put the monomial `key` (the ring's packed key) into M; returns
+        its packed degree."""
+        check_deadline(self.deadline)
+        m = self._pack(key)
+        guard, top = self.guard, self.width - 1
+        # chunkwise saturating g - m: the guard bits flag the chunks where
+        # g >= m, and only those keep their difference
+        colon = [(d := (g | guard) - m) & ((s := d & guard) - (s >> top))
+                 for g in self.gens]
+        self.gens.append(m)
+        d = self._degree(m)
+        k = self._numerator(self._minimal(colon))
+        _iadd_shifted(self.numerator, k, d, -1)
+        if self.dense is not None:
+            self._iadd_dense(k, d, -1)
+        return d
+
+    def excess(self, c):
+        """The standard monomials of packed degree c under M less those
+        under the target, or None where float64 might not count exactly."""
+        i = self.degree_tuple(c)
+        if any(a >= b for a, b in zip(i, self.box)):
+            self._grow(i)
+        k = self.dense[tuple(slice(0, a + 1) for a in i)]
+        p = self.counts[tuple(slice(a, None, -1) for a in i)]
+        # each count was summed from smaller ones, so a count below 2^52 is
+        # exact, and so is this sum while its terms' sizes add up to less
+        if float((abs(k) * p).sum()) >= _EXACT:
+            return None
+        return int((k * p).sum())
+
+    def _grow(self, c):
+        """Rebuild the dense tables over a box that holds the degree c."""
+        # imported on first use, as in action
+        import numpy as np
+
+        box = tuple(b if a < b else a + 1 + _SLACK
+                    for b, a in zip(self.box, c))
+        # P = 1 / prod_v (1 - t^deg v), each factor as
+        # prod_j (1 + t^(2^j deg v)): one shifted add per j
+        counts = np.zeros(box)
+        counts[(0,) * len(box)] = 1
+        for d in self.grading:
+            top = min((b - 1) // e for b, e in zip(box, d) if e)
+            s = 1
+            while s <= top:
+                counts[tuple(slice(s * e, None) for e in d)] += \
+                    counts[tuple(slice(0, b - s * e) for b, e in zip(box, d))]
+                s *= 2
+        self.box, self.counts, self.dense = box, counts, np.zeros(box)
+        self.last = self.degree_key([b - 1 for b in box])
+        self._iadd_dense(self.numerator, 0, 1)
+        self._iadd_dense(self.target, 0, -1)
+
+    def _minimal(self, gens):
+        """The minimal generators among gens: a divisor packs to a smaller
+        int, so each is tested against the smaller ones kept."""
+        guard = self.guard
+        kept = []
+        for g in sorted(set(gens)):
+            gg = g | guard
+            for k in kept:
+                if (gg - k) & guard == guard:
+                    break
+            else:
+                kept.append(g)
+        return kept
+
+    def _numerator(self, gens):
+        """K of the ideal that the minimal generators gens generate.
+
+        A generator that shares no variable with another one splits off as
+        a factor 1 - t^deg.  Among the rest, the pivot p is x^e, x the
+        variable in most of them and e the lower median of its positive
+        exponents, and K(I) = K(I + (p)) + t^deg p * K(I : p).  p lies
+        outside I and both ideals are larger than I, so the recursion ends.
+        """
+        guard, fill = self.guard, self.fill
+        sups = [(g + fill) & guard for g in gens]
+        once = twice = 0
+        for s in sups:
+            twice |= once & s
+            once |= s
+        out = {0: 1}
+        rest, rsups = [], []
+        for g, s in zip(gens, sups):
+            if s & twice:
+                rest.append(g)
+                rsups.append(s)
+            else:
+                out = _times_one_minus(out, self._degree(g))
+        if not rest:
+            return out
+        most, bit = 0, 0
+        while twice:
+            low = twice & -twice
+            twice ^= low
+            k = sum(1 for s in rsups if s & low)
+            if k > most:
+                most, bit = k, low
+        shift = bit.bit_length() - self.width
+        emask = self.emask
+        exps = sorted(g >> shift & emask for g, s in zip(rest, rsups)
+                      if s & bit)
+        e = exps[(len(exps) - 1) // 2]
+        p = e << shift
+        plus = [g for g in rest if g >> shift & emask < e]
+        plus.append(p)
+        colon = [g - (min(g >> shift & emask, e) << shift) for g in rest]
+        k = self._numerator(plus)
+        _iadd_shifted(k, self._numerator(self._minimal(colon)),
+                      self._degree(p), 1)
+        if len(out) == 1:
+            return k
+        prod = {}
+        for d, c in out.items():
+            _iadd_shifted(prod, k, d, c)
+        return prod
+
+
+def _graph_numerator(hilbert, inputs):
+    """prod_g (1 - t^deg g) over the inputs g, the numerator of the ideal
+    they generate, once they are checked to be homogeneous for the grading
+    and in graph form: each input has a term c*v whose variable v occurs in
+    no other term of any input.  Each such v is then the rest of its input
+    over -c, so the ring modulo the ideal is the polynomial ring in the
+    other variables."""
+    ring = hilbert.ring
+    exps = [[ring.unpack(k) for k in g.terms] for g in inputs]
+    uses = [0] * ring.n
+    for es in exps:
+        for e in es:
+            for v, a in enumerate(e):
+                if a:
+                    uses[v] += 1
+    numerator = {0: 1}
+    for t, (g, es) in enumerate(zip(inputs, exps)):
+        if not g:
+            raise GroebnerError("generator %d is 0, not in graph form" % t)
+        degrees = set(map(hilbert.degree, es))
+        if len(degrees) != 1:
+            raise GroebnerError("generator %d is not homogeneous for the "
+                                "grading" % t)
+        if not any(sum(e) == 1 and uses[e.index(1)] == 1 for e in es):
+            raise GroebnerError(
+                "generator %d is not in graph form: it has no term c*v whose "
+                "variable v occurs in no other term of any generator" % t)
+        numerator = _times_one_minus(numerator, degrees.pop())
+    return numerator
+
+
+def _check_bound(bound):
+    """A degree bound is None or an int from 0 to EXP_CAP, as in verify."""
+    if bound is not None and (not isinstance(bound, int)
+                              or isinstance(bound, bool)
+                              or not 0 <= bound <= EXP_CAP):
+        raise GroebnerError("bound must be None or an int from 0 to %d, "
+                            "got %r" % (EXP_CAP, bound))
+
+
+def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     """Truncated Groebner basis of the ideal generated by gens.
 
     With bound set, every generator must be homogeneous for the ring's
     weights, and only S-pairs of lcm weight <= bound are processed.
+
+    grading, one degree per variable as HilbertCount takes it, makes the
+    run Hilbert-driven (Traverso, JSC 22, 1996).  The generators must then
+    be homogeneous for it and in graph form (see _graph_numerator), which
+    fixes the numerator K_J of the ideal J.  Before it reduces an S-pair
+    whose lcm has degree c, the run compares the standard monomials of
+    degree c under the current leading terms with dim (R/J)_c, and skips
+    the pair when they are equal: LT(G) lies in LT(J), so the two then
+    agree in degree c, and every element of J of degree c reduces to 0.
+    The result is the same reduced basis as without the grading.
     """
+    _check_bound(bound)
     inputs = [g for g in gens]
     if not inputs:
         raise GroebnerError("no generators")
@@ -197,6 +497,10 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         if bound is not None and g and not g.is_homogeneous():
             raise InhomogeneousWithTruncation(
                 "degree truncation needs weighted-homogeneous generators")
+    hilbert = None
+    if grading is not None:
+        hilbert = HilbertCount(ring, grading, deadline=deadline)
+        hilbert.target = _graph_numerator(hilbert, inputs)
     fld = ring.field
     minus = fld.neg_flat[1]
 
@@ -206,6 +510,12 @@ def buchberger(gens, bound=None, track=False, deadline=None):
     reps = [] if track else None
     zero = ring.zero
     pairs = _CriticalPairs(ring, bound, deadline)
+    # the deficit of each degree met among the pairs of the current lcm
+    # weight: its standard monomials beyond dim (R/J) of that degree, or
+    # None where it could not be counted exactly
+    deficits = {}
+    level = -1
+    skipped = 0
 
     def nf(f):
         return K.normal_form_terms(f, monic, fld, track)
@@ -224,6 +534,16 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         monic.add(k, t)
         if track:
             reps.append(rep)
+        if hilbert is not None:
+            # k was standard: its own degree loses exactly one standard
+            # monomial, and a degree above it an unknown number
+            c = hilbert.add(k)
+            for e in list(deficits):
+                if e == c:
+                    if deficits[e] is not None:
+                        deficits[e] -= 1
+                elif hilbert.degree_divides(c, e):
+                    del deficits[e]
         pairs.add(k)
 
     def unit_rep(t):
@@ -245,8 +565,24 @@ def buchberger(gens, bound=None, track=False, deadline=None):
         if ij is None:
             break
         i, j = ij
-        klcm = ring.pack(tuple(map(max, ring.unpack(lt_keys[i]),
-                                   ring.unpack(lt_keys[j]))))
+        exps = tuple(map(max, ring.unpack(lt_keys[i]),
+                         ring.unpack(lt_keys[j])))
+        klcm = ring.pack(exps)
+        if hilbert is not None:
+            if ring.key_wdeg(klcm) != level:
+                level = ring.key_wdeg(klcm)
+                deficits.clear()
+            c = hilbert.degree(exps)
+            if c not in deficits:
+                left = deficits[c] = hilbert.excess(c)
+                if left is not None and left < 0:
+                    raise GroebnerError(
+                        "the leading terms leave fewer standard monomials "
+                        "than the ideal in degree %r"
+                        % (hilbert.degree_tuple(c),))
+            if deficits[c] == 0:
+                skipped += 1
+                continue
         si = klcm - lt_keys[i]
         sj = klcm - lt_keys[j]
         r_terms, cof = nf((i, j, si, sj))
@@ -260,9 +596,13 @@ def buchberger(gens, bound=None, track=False, deadline=None):
                         cof, reps, minus)
         add_element(Polynomial(ring, r_terms), rep)
 
+    if hilbert is not None and bound is None \
+            and hilbert.numerator != hilbert.target:
+        raise GroebnerError("the finished basis leaves another Hilbert "
+                            "series than the graph ideal")
     basis, monic, reps = _inter_reduce(ring, basis, monic, reps, deadline)
     return GroebnerBasis(ring, basis, monic, reps, bound, inputs,
-                         pairs.created)
+                         pairs.created, skipped)
 
 
 def _inter_reduce(ring, basis, work, reps, deadline):

@@ -28,7 +28,7 @@ from ._version import __version__
 from .action import R4_NAMES, enumerate_gl2, enumerate_sl2, \
     involution_star, invariant_dimension, is_invariant
 from .gens import BasisSpec, RELATION_NAMES, S7_NAMES, \
-    context, identity_indices, s7_weights
+    context, identity_indices, s7_bidegrees, s7_weights
 from .groebner import TimeoutExceeded, buchberger, check_deadline, \
     normal_form, standard_monomial_count
 from .mpoly import CHUNK, EXP_CAP, MASK, Polynomial, PolyRing, \
@@ -1107,14 +1107,24 @@ def _elimination_generators(ctx):
     return [R11.var(nm) - images[nm].remap(R11) for nm in S7_NAMES]
 
 
+def _elimination_grading(q):
+    """The (x-degree, y-degree) of each variable of the elimination ring.
+    Each generator V - image(V) is bihomogeneous, and V occurs nowhere
+    else, so R11 modulo them is F_q[x1, x2, y1, y2], of dimension
+    (a+1)(b+1) in bidegree (a, b), whatever the relations are."""
+    return ((1, 0), (1, 0), (0, 1), (0, 1)) + s7_bidegrees(q)
+
+
 def elimination_crosscheck(field, deadline=None):
     """Independent, all-degrees computation of the evaluation kernel.
 
     Works in the combined 11-variable ring under a lex order that places the
     four base variables above the seven abstract ones: the pure abstract
     part of a full lex basis of <V - image(V)> generates the whole kernel,
-    with no degree bound. The suite passes when its reduced basis equals the
-    reduced basis of the five known relations.
+    with no degree bound. The lex basis is Hilbert-driven by the bigrading,
+    which skips the S-pairs of each bidegree once it is complete. The suite
+    passes when its reduced basis equals the reduced basis of the five
+    known relations.
     """
     ctx = context(field)
     q = ctx.q
@@ -1122,7 +1132,8 @@ def elimination_crosscheck(field, deadline=None):
     state = {}
 
     def lex_elimination():
-        gb = buchberger(_elimination_generators(ctx), deadline=deadline)
+        gb = buchberger(_elimination_generators(ctx), deadline=deadline,
+                        grading=_elimination_grading(q))
         R11 = gb.ring
         pure = [f for f in gb.basis
                 if not any(any(R11.unpack(k)[:4]) for k in f.terms)]

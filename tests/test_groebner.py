@@ -1,18 +1,24 @@
-"""Buchberger completion, division with cofactors, standard monomials."""
+"""Buchberger completion, division with cofactors, standard monomials, and
+the Hilbert-driven runs with their standard-monomial count."""
 
 import itertools
+import math
 import random
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_action import ExpiringClock
 
-from modinvar import groebner
+from modinvar import groebner, verify
 from modinvar.gf import ff_make
 from modinvar.gens import context_for_q
 from modinvar.groebner import (
     DegreeBoundExceeded,
+    GroebnerError,
+    HilbertCount,
     InhomogeneousWithTruncation,
     TimeoutExceeded,
     buchberger,
@@ -21,7 +27,7 @@ from modinvar.groebner import (
     normal_form,
     standard_monomial_count,
 )
-from modinvar.mpoly import PolyRing
+from modinvar.mpoly import EXP_CAP, PolyRing
 
 
 def textbook_ring():
@@ -269,3 +275,164 @@ def test_standard_counts_order_independent():
     for d in range(15):
         assert standard_monomial_count(gb1, d) == \
             standard_monomial_count(gb2, d)
+
+
+@pytest.mark.parametrize("bound", (True, False, 2.5, "3", -1, EXP_CAP + 1))
+def test_bound_must_be_an_int_a_packed_key_holds(bound):
+    R = textbook_ring()
+    with pytest.raises(GroebnerError, match="bound must be"):
+        buchberger([R.parse("x^2 + y^2")], bound=bound)
+
+
+def test_bound_may_be_zero_or_the_largest_packed_degree():
+    R = textbook_ring()
+    gens = [R.parse("x^2 + y^2"), R.parse("x*y")]
+    assert buchberger(gens, bound=0).bound == 0
+    assert buchberger(gens, bound=EXP_CAP).bound == EXP_CAP
+
+
+# --- the standard-monomial count of a growing monomial ideal
+
+
+def degrees_up_to(box):
+    return itertools.product(*(range(b + 1) for b in box))
+
+
+def brute_counts(R, grading, gens, box):
+    """{degree: standard monomials of that degree}, for every degree up to
+    box, by enumerating the exponents up to the box."""
+    out = dict.fromkeys(degrees_up_to(box), 0)
+    for e in itertools.product(range(max(box) + 1), repeat=R.n):
+        deg = tuple(sum(a * d[i] for a, d in zip(e, grading))
+                    for i in range(len(box)))
+        k = R.pack(e)
+        if deg in out and not any(R.key_divides(g, k) for g in gens):
+            out[deg] += 1
+    return out
+
+
+def counts(hc, box):
+    return {c: hc.excess(hc.degree_key(c)) for c in degrees_up_to(box)}
+
+
+positive_bidegree = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+    any)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(positive_bidegree, min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+             .filter(any), max_size=6))))
+def test_incremental_count_equals_enumeration(case):
+    grading, exps = case
+    R = PolyRing(ff_make(2), "abcd"[:len(grading)], order="lex")
+    hc = HilbertCount(R, grading)
+    box = (4, 4)
+    added = []
+    for e in exps:
+        added.append(R.pack(tuple(e)))
+        hc.add(added[-1])
+        assert counts(hc, box) == brute_counts(R, grading, added, box)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_count_of_a_truncated_basis_equals_standard_monomial_count(q):
+    ctx = context_for_q(q)
+    bound = verify.default_max_degree(q)
+    gb = verify._exact_gb(ctx, bound)
+    hc = HilbertCount(gb.ring, [(w,) for w in gb.ring.weights])
+    for k in gb.lt_keys:
+        hc.add(k)
+    assert [hc.excess(hc.degree_key((d,))) for d in range(bound + 1)] == \
+        [standard_monomial_count(gb, d) for d in range(bound + 1)]
+
+
+def test_a_count_beyond_exact_float_range_is_none():
+    # C(d + 10, 10) monomials of degree d in 11 variables: 286 at d = 3,
+    # about 3e26 at d = 2000, beyond the integers float64 holds exactly
+    R = PolyRing(ff_make(2), ["v%d" % i for i in range(11)])
+    hc = HilbertCount(R, [(1,)] * 11)
+    assert hc.excess(hc.degree_key((3,))) == math.comb(13, 10)
+    assert hc.excess(hc.degree_key((2000,))) is None
+    assert hc.excess(hc.degree_key((20,))) == math.comb(30, 10)
+
+
+def graph_ring():
+    # base variables a, b, c of bidegrees (1,0), (1,0), (0,1); u and v are
+    # given by bihomogeneous polynomials in them
+    return PolyRing(ff_make(3), ("u", "v", "a", "b", "c"), order="lex")
+
+
+GRAPH_GRADING = ((2, 1), (1, 2), (1, 0), (1, 0), (0, 1))
+
+
+def test_graph_ideal_is_driven_to_the_plain_basis():
+    R = graph_ring()
+    gens = [R.parse("u - a^2*c - a*b*c"), R.parse("v + b*c^2")]
+    plain = buchberger(gens)
+    driven = buchberger(gens, grading=GRAPH_GRADING)
+    assert driven.basis == plain.basis
+    assert plain.pairs_skipped == 0
+
+
+@pytest.mark.parametrize("order", ("grevlex", "grlex", "lex"))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_random_graph_ideals_are_driven_to_the_plain_basis(p, order):
+    # the graph variables u, v, w come last, so that the leading terms lie
+    # in the base variables a, b, c and the S-pairs have work to do
+    rng = random.Random(300 + p + len(order))
+    names = ("a", "b", "c", "u", "v", "w")
+    skipped = 0
+    for _ in range(6):
+        degrees = [(rng.randint(1, 3), rng.randint(0, 2)) for _ in range(3)]
+        grading = ((1, 0), (1, 0), (0, 1)) + tuple(degrees)
+        R = PolyRing(ff_make(p), names, order=order,
+                     weights=[a + b for a, b in grading])
+        gens = []
+        for nm, deg in zip(names[3:], degrees):
+            mons = [e for e in itertools.product(range(4), repeat=3)
+                    if (e[0] + e[1], e[2]) == deg]
+            picked = rng.sample(mons, min(len(mons), rng.randint(1, 3)))
+            f = R.from_pairs((e + (0, 0, 0), rng.randrange(1, p))
+                             for e in picked)
+            gens.append(R.var(nm) - f)
+        plain = buchberger(gens)
+        driven = buchberger(gens, grading=grading)
+        assert driven.basis == plain.basis, gens
+        assert buchberger(gens, bound=5, grading=grading).basis == \
+            buchberger(gens, bound=5).basis
+        skipped += driven.pairs_skipped
+    assert skipped
+
+
+def test_grading_needs_homogeneous_inputs():
+    R = graph_ring()
+    with pytest.raises(GroebnerError, match="not homogeneous"):
+        buchberger([R.parse("u - a^2*c - a*b")], grading=GRAPH_GRADING)
+
+
+@pytest.mark.parametrize("texts", (
+    ("u - a^2*c", "u - b^2*c"),       # u occurs in two generators
+    ("u*a - a^3*c",),                 # u only in a product
+    ("a*b*c - b^2*c",),               # no variable term at all
+    ("u^2 - a^4*c^2",),               # u squared
+    ("0",),
+))
+def test_grading_needs_graph_form(texts):
+    R = graph_ring()
+    with pytest.raises(GroebnerError, match="graph form|is 0"):
+        buchberger([R.parse(t) for t in texts], grading=GRAPH_GRADING)
+
+
+@pytest.mark.parametrize("grading", (
+    ((1, 0),) * 4,                              # one degree short
+    ((1, 0),) * 4 + ((0, 0),),                  # a zero degree
+    ((1, 0),) * 4 + ((-1, 1),),                 # a negative component
+    ((1, 0),) * 4 + ((True, 1),),               # a bool
+    ((1, 0),) * 4 + ((1,),),                    # components of two lengths
+))
+def test_grading_must_give_each_variable_a_positive_degree(grading):
+    R = graph_ring()
+    with pytest.raises(GroebnerError):
+        buchberger([R.parse("u - a^2*c")], grading=grading)

@@ -19,6 +19,7 @@ from modinvar import _kernels as K
 from modinvar import action, gens, groebner, linalg, verify
 from modinvar.gens import (
     RELATION_NAMES,
+    S7_NAMES,
     BasisSpec,
     InvariantContext,
     context_for_q,
@@ -294,6 +295,85 @@ def test_elimination_crosscheck_q5():
     rep = elimination_crosscheck(ff_from_q(5))
     assert rep.overall == "pass", [it.detail for it in rep.items]
     assert rep.items[0].detail == "basis size 1413, eliminated 6"
+
+
+# S-pairs the bigrading skips in the lex elimination, and the S-pairs the
+# plain run reduces
+SKIPPED_PAIRS = {2: (152, 212), 3: (931, 1168), 4: (2474, 3032),
+                 5: (9992, 12180)}
+
+
+def _reductions(monkeypatch):
+    """A list that records each S-pair reduction of buchberger."""
+    seen = []
+    kernel = K.normal_form_terms
+
+    def spy(f, basis, field, track):
+        if type(f) is tuple:
+            seen.append(f)
+        return kernel(f, basis, field, track)
+
+    monkeypatch.setattr(K, "normal_form_terms", spy)
+    return seen
+
+
+def _assert_driven_basis_is_plain(q, monkeypatch):
+    gens_ = verify._elimination_generators(context_for_q(q))
+    seen = _reductions(monkeypatch)
+    plain = groebner.buchberger(gens_)
+    reduced = len(seen)
+    driven = groebner.buchberger(
+        gens_, grading=verify._elimination_grading(q))
+    assert driven.basis == plain.basis
+    assert plain.pairs_skipped == 0
+    assert (driven.pairs_skipped, reduced) == SKIPPED_PAIRS[q]
+    assert len(seen) - reduced == reduced - driven.pairs_skipped
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_hilbert_driven_elimination_basis_is_the_plain_one(q, monkeypatch):
+    _assert_driven_basis_is_plain(q, monkeypatch)
+
+
+@pytest.mark.slow
+def test_hilbert_driven_elimination_basis_is_the_plain_one_q5(monkeypatch):
+    _assert_driven_basis_is_plain(5, monkeypatch)
+
+
+def test_elimination_grading_is_the_bidegree_of_each_variable():
+    for q in (2, 3, 4, 5):
+        ctx = context_for_q(q)
+        R11 = verify._elimination_generators(ctx)[0].ring
+        grading = verify._elimination_grading(q)
+        assert [a + b for a, b in grading] == list(R11.weights)
+        for name, (a, b) in zip(S7_NAMES, grading[4:]):
+            e = ctx.R4.unpack(next(iter(ctx.pi_images()[name].terms)))
+            assert (e[0] + e[1], e[2] + e[3]) == (a, b)
+
+
+def test_elimination_with_a_wrong_relation_fails_ideal_equality(monkeypatch):
+    field = ff_from_q(2)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["rel", "T10"] = ctx.relation("T1")
+    rep = elimination_crosscheck(field)
+    assert [(it.name, it.status, it.detail) for it in rep.items] == [
+        ("lex-elimination", "pass", "basis size 43, eliminated 6"),
+        ("ideal-equality", "fail",
+         "reduced bases differ; kernel-only 1, relations-only 3")]
+
+
+def test_elimination_of_one_generator_eliminates_nothing(monkeypatch):
+    # C0 - c0 alone is a graph ideal too, so the run is still driven
+    field = ff_from_q(2)
+    _throwaway_context(monkeypatch, field)
+    whole = verify._elimination_generators
+    monkeypatch.setattr(verify, "_elimination_generators",
+                        lambda ctx: whole(ctx)[:1])
+    rep = elimination_crosscheck(field)
+    assert [(it.name, it.status, it.detail) for it in rep.items] == [
+        ("lex-elimination", "fail",
+         "no eliminated elements in a 1-element basis"),
+        ("ideal-equality", "fail", "no eliminated ideal to compare")]
 
 
 @pytest.mark.parametrize("q", (2, 3))
