@@ -46,7 +46,8 @@ class GroebnerBasis:
     """
 
     __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "reps",
-                 "bound", "inputs", "pairs_processed", "pairs_skipped")
+                 "bound", "inputs", "pairs_processed", "pairs_skipped",
+                 "_counts")
 
     def __init__(self, ring, basis, monic, reps, bound, inputs,
                  pairs_processed, pairs_skipped):
@@ -61,9 +62,21 @@ class GroebnerBasis:
         self.pairs_processed = pairs_processed
         # S-pairs a Hilbert-driven run left unreduced
         self.pairs_skipped = pairs_skipped
+        self._counts = None
 
     def __len__(self):
         return len(self.basis)
+
+    def standard_counts(self):
+        """The HilbertCount of the leading terms under the ring's weights,
+        built on first use and kept."""
+        if self._counts is None:
+            counts = HilbertCount(self.ring,
+                                  [(w,) for w in self.ring.weights])
+            for k in self.lt_keys:
+                counts.add(k)
+            self._counts = counts
+        return self._counts
 
 
 def check_deadline(deadline):
@@ -71,12 +84,37 @@ def check_deadline(deadline):
         raise TimeoutExceeded("computation exceeded its time budget")
 
 
-class _CriticalPairs:
+class _WideKeys:
+    """The ring's keys re-packed one exponent per chunk, the first variable
+    in the highest chunk, each chunk topped by a guard bit.  A chunk is
+    wide enough that the product with degrees of at most `top` per
+    variable, packed the same way, leaves the weighted degree in chunk
+    n - 1 (shift wshift, mask wmask).  (b + fill) & guard marks the
+    variables that b uses."""
+
+    def __init__(self, ring, top):
+        n = ring.n
+        # room below each guard bit for any weighted partial sum
+        width = (n * EXP_CAP * top).bit_length() + 1
+        self.ring = ring
+        self.width = width
+        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
+        self.fill = self.guard - sum(1 << (width * v) for v in range(n))
+        self.wshift = width * (n - 1)
+        self.wmask = (1 << width) - 1
+
+    def _pack(self, key):
+        b = 0
+        for e in self.ring.unpack(key):
+            b = (b << self.width) | e
+        return b
+
+
+class _CriticalPairs(_WideKeys):
     """Pending S-pairs, updated by the Gebauer-Moeller criteria whenever an
     element is added (Gebauer and Moeller, JSC 6, 1988).
 
-    Leading exponents are re-packed into chunks wide enough that one product
-    with the packed weights leaves the weighted degree in a middle chunk.  A
+    Leading exponents are re-packed as _WideKeys lays them out.  A
     pair's lcm is then a chunkwise max, its weight one multiplication, "m
     divides L" the guard test ((L | guard) - m) & guard == guard, and two
     leading terms are coprime when their support masks share no bit.
@@ -87,17 +125,9 @@ class _CriticalPairs:
     """
 
     def __init__(self, ring, bound, deadline):
-        n = ring.n
-        # room below each guard bit for any weighted partial sum
-        width = (n * EXP_CAP * max(ring.weights)).bit_length() + 1
-        self.width = width
-        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
-        self.fill = self.guard - sum(1 << (width * v) for v in range(n))
-        self.weigher = sum(w << (width * v)
+        super().__init__(ring, max(ring.weights))
+        self.weigher = sum(w << (self.width * v)
                            for v, w in enumerate(ring.weights))
-        self.wshift = width * (n - 1)
-        self.wmask = (1 << width) - 1
-        self.ring = ring
         self.bound = bound
         self.deadline = deadline
         self.lts = []
@@ -115,9 +145,7 @@ class _CriticalPairs:
         wshift, wmask, bound = self.wshift, self.wmask, self.bound
         lts, sups = self.lts, self.supports
         t = len(lts)
-        b = 0
-        for e in self.ring.unpack(key):
-            b = (b << width) | e
+        b = self._pack(key)
         st = (b + self.fill) & guard
         top = width - 1
 
@@ -186,8 +214,6 @@ class _CriticalPairs:
         return None
 
 
-# float64 adds integers exactly while every partial sum stays below 2^53
-_EXACT = float(1 << 52)
 # a HilbertCount box grows by this many degrees beyond the one asked for:
 # the lcm degrees of successive S-pairs climb a few at a time
 _SLACK = 8
@@ -211,7 +237,7 @@ def _iadd_shifted(acc, poly, d, scale):
             del acc[k]
 
 
-class HilbertCount:
+class HilbertCount(_WideKeys):
     """Standard monomials of a growing monomial ideal M, counted by degree.
 
     grading gives each variable of ring a degree: a tuple of r nonnegative
@@ -225,13 +251,11 @@ class HilbertCount:
     excess(c) is the count in degree c less the one that the numerator
     `target` gives, which is 0 unless it is set before the first count.
 
-    Monomials are re-packed as in _CriticalPairs, the first variable in the
-    highest chunk, each chunk wide enough for any degree and topped by a
-    guard bit; a degree packs its components into chunks of the same width,
-    the first lowest, and a numerator is a dict {packed degree: int}.  P and
-    K_M - target are also held dense, in float64, over the box of the
-    degrees asked for so far; float64 adds integers exactly below 2^53, and
-    a count that might not stay there is None.
+    Monomials are re-packed as _WideKeys lays them out; a degree packs its
+    components into chunks of the same width, the first lowest, and a
+    numerator is a dict {packed degree: int}.  P and K_M - target are also
+    held dense, as Python ints in numpy object arrays, over the box of the
+    degrees asked for so far, so every count is exact.
     """
 
     def __init__(self, ring, grading, deadline=None):
@@ -247,18 +271,13 @@ class HilbertCount:
                     for e in d):
                 raise GroebnerError("each degree must be %d nonnegative "
                                     "ints, not all 0; got %r" % (r, d))
-        width = (n * EXP_CAP * max(map(max, grading))).bit_length() + 1
-        self.ring = ring
+        super().__init__(ring, max(map(max, grading)))
+        width = self.width
         self.grading = grading
-        self.width = width
-        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
-        self.fill = self.guard - sum(1 << (width * v) for v in range(n))
         self.emask = (1 << (width - 1)) - 1
         self.weighers = [sum(d[i] << (width * v)
                              for v, d in enumerate(grading))
                          for i in range(r)]
-        self.wshift = width * (n - 1)
-        self.wmask = (1 << width) - 1
         self.dguard = sum(1 << (width * i + width - 1) for i in range(r))
         self.units = [self.degree_key(d) for d in grading]
         self.target = {}
@@ -269,12 +288,6 @@ class HilbertCount:
         self.box = (0,) * r
         self.counts = self.dense = None
         self.last = 0
-
-    def _pack(self, key):
-        b = 0
-        for e in self.ring.unpack(key):
-            b = (b << self.width) | e
-        return b
 
     def _degree(self, b):
         d = 0
@@ -329,16 +342,12 @@ class HilbertCount:
 
     def excess(self, c):
         """The standard monomials of packed degree c under M less those
-        under the target, or None where float64 might not count exactly."""
+        under the target."""
         i = self.degree_tuple(c)
         if any(a >= b for a, b in zip(i, self.box)):
             self._grow(i)
         k = self.dense[tuple(slice(0, a + 1) for a in i)]
         p = self.counts[tuple(slice(a, None, -1) for a in i)]
-        # each count was summed from smaller ones, so a count below 2^52 is
-        # exact, and so is this sum while its terms' sizes add up to less
-        if float((abs(k) * p).sum()) >= _EXACT:
-            return None
         return int((k * p).sum())
 
     def _grow(self, c):
@@ -350,7 +359,7 @@ class HilbertCount:
                     for b, a in zip(self.box, c))
         # P = 1 / prod_v (1 - t^deg v), each factor as
         # prod_j (1 + t^(2^j deg v)): one shifted add per j
-        counts = np.zeros(box)
+        counts = np.zeros(box, dtype=object)
         counts[(0,) * len(box)] = 1
         for d in self.grading:
             top = min((b - 1) // e for b, e in zip(box, d) if e)
@@ -359,7 +368,8 @@ class HilbertCount:
                 counts[tuple(slice(s * e, None) for e in d)] += \
                     counts[tuple(slice(0, b - s * e) for b, e in zip(box, d))]
                 s *= 2
-        self.box, self.counts, self.dense = box, counts, np.zeros(box)
+        self.box, self.counts = box, counts
+        self.dense = np.zeros(box, dtype=object)
         self.last = self.degree_key([b - 1 for b in box])
         self._iadd_dense(self.numerator, 0, 1)
         self._iadd_dense(self.target, 0, -1)
@@ -511,8 +521,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     zero = ring.zero
     pairs = _CriticalPairs(ring, bound, deadline)
     # the deficit of each degree met among the pairs of the current lcm
-    # weight: its standard monomials beyond dim (R/J) of that degree, or
-    # None where it could not be counted exactly
+    # weight: its standard monomials beyond dim (R/J) of that degree
     deficits = {}
     level = -1
     skipped = 0
@@ -540,8 +549,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
             c = hilbert.add(k)
             for e in list(deficits):
                 if e == c:
-                    if deficits[e] is not None:
-                        deficits[e] -= 1
+                    deficits[e] -= 1
                 elif hilbert.degree_divides(c, e):
                     del deficits[e]
         pairs.add(k)
@@ -575,7 +583,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
             c = hilbert.degree(exps)
             if c not in deficits:
                 left = deficits[c] = hilbert.excess(c)
-                if left is not None and left < 0:
+                if left < 0:
                     raise GroebnerError(
                         "the leading terms leave fewer standard monomials "
                         "than the ideal in degree %r"
@@ -688,10 +696,10 @@ def standard_monomial_count(gb, d):
     """Number of monomials of weighted degree d outside the leading-term
     ideal; equals dim of degree-d part of ring/ideal for homogeneous ideals.
 
-    The recursion fixes one exponent after another and carries the packed
-    key, adding a variable's unit key per step, so no leaf packs a tuple.
-    A prefix that a leading term divides ends its branch: every monomial
-    that extends it, or raises its last exponent, is divisible too."""
+    Read off the numerator of the leading terms' Hilbert series
+    (gb.standard_counts()), built on the first count and kept."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise GroebnerError("degree must be an int, got %r" % (d,))
     if gb.bound is not None and d > gb.bound:
         raise DegreeBoundExceeded(
             "degree %d beyond the computed bound %d" % (d, gb.bound))
@@ -699,25 +707,5 @@ def standard_monomial_count(gb, d):
         return 0
     if d > EXP_CAP:
         raise ExponentOverflow("weighted degree %d out of range" % d)
-    ring = gb.ring
-    weights = ring.weights
-    nv = ring.n
-    units = [ring.pack(tuple(int(i == j) for j in range(nv)))
-             for i in range(nv)]
-    first_divisor = gb.index.first_divisor
-    count = 0
-
-    def rec(pos, rem, key):
-        nonlocal count
-        w, unit = weights[pos], units[pos]
-        if pos == nv - 1:
-            if not rem % w and first_divisor(key + rem // w * unit) < 0:
-                count += 1
-            return
-        while rem >= 0 and first_divisor(key) < 0:
-            rec(pos + 1, rem, key)
-            rem -= w
-            key += unit
-
-    rec(0, d, 0)
-    return count
+    counts = gb.standard_counts()
+    return counts.excess(counts.degree_key((d,)))

@@ -388,9 +388,11 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     The walk fixes one exponent after another and carries the packed key,
     the bidegree (a, b) and the image of the prefix; its weighted degree is
     a + b.  A prefix is pruned once a leading term divides its key, by a
-    plain scan of gb.lt_keys: standard_monomial_count, which the
-    standard-monomials item compares against, uses gb.index instead, so
-    the two counts rest on two divisibility tests.
+    plain scan of gb.lt_keys.  standard_monomial_count, which the
+    standard-monomials item compares against, enumerates nothing: it reads
+    the numerator of the leading terms' Hilbert series
+    (groebner.HilbertCount), so each kernel run checks by enumeration the
+    count that the Hilbert-driven elimination's skips rest on.
 
     Over characteristic 2, when every image of the seven generators has
     all its coefficients 1 (as the generators' integer coefficients give),

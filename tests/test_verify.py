@@ -1840,3 +1840,59 @@ def test_a_changed_pullback_fails_the_base_congruence(monkeypatch):
                         lambda s, k, t: z_pullback(s, k, t) + U0)
     assert _failed_items(check_products(field)) == \
         [("congruence:base", "nonzero normal form: U0")]
+
+
+def test_a_changed_h_numerator_fails_only_its_division(monkeypatch):
+    """h_1 built first, then its numerator off by x1: only the division
+    certificate reads the numerator again."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    for s in range(3):
+        ctx.h(s)
+    h_numerator, x1 = ctx.h_numerator, ctx.R4.var("x1")
+    monkeypatch.setattr(ctx, "h_numerator",
+                        lambda s: h_numerator(s) + (x1 if s == 1 else 0))
+    assert _failed_items(check_relations(field)) == \
+        [("hdiv(1)", "division certificate broken for h_1")]
+
+
+def test_a_changed_h_fails_its_identities_star_images_and_boundary(
+        monkeypatch):
+    """h_0 + x1 in the memo at q=3: h_0 is the swap image of h_2 and equals
+    c1s, and the identities through h_0 fail with it."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["h", 0] = ctx.h(0) + ctx.R4.var("x1")
+    failed = _failed_items(check_relations(field))
+    assert [name for name, _ in failed] == [
+        "Rs(0)", "Kss(2)", "Hs(0)", "hdiv(0)", "hstar(0)", "hstar(2)",
+        "hboundary"]
+    assert failed[3:] == [
+        ("hdiv(0)", "division certificate broken for h_0"),
+        ("hstar(0)", "nonzero difference: y2"),
+        ("hstar(2)", "nonzero difference: 2*x1"),
+        ("hboundary", "nonzero difference: x1")]
+
+
+def test_a_dropped_basis_spec_fails_the_series_count(monkeypatch):
+    """The degree-0 spec dropped from the memo at q=3: the series loses
+    1 / ((1-T^8)^2 (1-T^6)^2), which is 1 at degree 0 and 2 at degree 6."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    assert ctx.enumerate_basis()[0].degree(3) == 0
+    ctx._memo["basis"] = ctx.enumerate_basis()[1:]
+    assert _failed_items(check_hilbert(field, 6)) == [
+        ("d=0", "action=1 series=0 quotient=1 disagree"),
+        ("d=6", "action=5 series=3 quotient=5 disagree")]
+
+
+def test_a_wrong_quotient_count_fails_the_census(monkeypatch):
+    """standard_monomial_count one too high at degree 5: the walk's counts,
+    which the d= items read, still agree with the oracle."""
+    field = ff_from_q(3)
+    _throwaway_context(monkeypatch, field)
+    count = verify.standard_monomial_count
+    monkeypatch.setattr(verify, "standard_monomial_count",
+                        lambda gb, d: count(gb, d) + (d == 5))
+    assert _failed_items(check_kernel(field, 8)) == \
+        [("standard-monomials", "standard-monomial census disagrees at [5]")]

@@ -1,5 +1,6 @@
 """The CI workflows against the README that describes them."""
 
+import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +37,16 @@ def test_readme_names_every_path_of_the_slow_workflow():
     assert ".github/workflows/slow.yml" in paths
     tests = _readme_section("Tests")
     assert [p for p in paths if "`%s`" % p not in tests] == []
+
+
+def test_every_file_with_a_slow_test_is_a_path_of_the_slow_workflow():
+    # a slow test in a file left out would not run on the pull requests
+    # that change it
+    paths = _slow_workflow_paths()
+    slow = [p.relative_to(ROOT).as_posix()
+            for p in sorted((ROOT / "tests").glob("test_*.py"))
+            if any(ast.unparse(node) == "pytest.mark.slow"
+                   for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.Attribute))]
+    assert "tests/test_verify.py" in slow
+    assert [p for p in slow if p not in paths] == []
