@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from operator import mul
+from operator import add, mul
 
 from . import _kernels as K
 from .mpoly import EXP_CAP, ExponentOverflow, Polynomial, RingMismatch, \
@@ -47,10 +47,11 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "reps",
                  "bound", "inputs", "pairs_processed", "pairs_skipped",
-                 "_counts")
+                 "pairs_reduced", "zero_reductions", "_counts")
 
     def __init__(self, ring, basis, monic, reps, bound, inputs,
-                 pairs_processed, pairs_skipped):
+                 pairs_processed, pairs_skipped, pairs_reduced,
+                 zero_reductions):
         self.ring = ring
         self.basis = basis
         self.monic = monic
@@ -62,6 +63,9 @@ class GroebnerBasis:
         self.pairs_processed = pairs_processed
         # S-pairs a Hilbert-driven run left unreduced
         self.pairs_skipped = pairs_skipped
+        # S-pairs reduced, and those of them that reduced to 0
+        self.pairs_reduced = pairs_reduced
+        self.zero_reductions = zero_reductions
         self._counts = None
 
     def __len__(self):
@@ -74,7 +78,7 @@ class GroebnerBasis:
             counts = HilbertCount(self.ring,
                                   [(w,) for w in self.ring.weights])
             for k in self.lt_keys:
-                counts.add(k)
+                counts.add(k, counts.colon(k))
             self._counts = counts
         return self._counts
 
@@ -97,6 +101,7 @@ class _WideKeys:
         # room below each guard bit for any weighted partial sum
         width = (n * EXP_CAP * top).bit_length() + 1
         self.ring = ring
+        self.top = top
         self.width = width
         self.guard = sum(1 << (width * v + width - 1) for v in range(n))
         self.fill = self.guard - sum(1 << (width * v) for v in range(n))
@@ -114,18 +119,22 @@ class _CriticalPairs(_WideKeys):
     """Pending S-pairs, updated by the Gebauer-Moeller criteria whenever an
     element is added (Gebauer and Moeller, JSC 6, 1988).
 
-    Leading exponents are re-packed as _WideKeys lays them out.  A
-    pair's lcm is then a chunkwise max, its weight one multiplication, "m
-    divides L" the guard test ((L | guard) - m) & guard == guard, and two
-    leading terms are coprime when their support masks share no bit.
-    Pending pairs map (i, j), i < j, to their packed lcm; they are popped in
-    (weight, i, j) order from a heap, and a pair a criterion has dropped
-    since it was pushed is skipped.  Only pushed pairs are weighed, unless
-    a degree bound needs every weight.
+    Leading exponents are re-packed as _WideKeys lays them out, for degrees
+    of at most `top` (the largest weight unless given).  A pair's lcm is
+    then a chunkwise max, its weight one multiplication, "m divides L" the
+    guard test ((L | guard) - m) & guard == guard, and two leading terms
+    are coprime when their support masks share no bit.  Pending pairs map
+    (i, j), i < j, to their packed lcm; they are popped in (weight, i, j)
+    order from a heap, and a pair a criterion has dropped since it was
+    pushed is skipped.  Only pushed pairs are weighed, unless a degree
+    bound needs every weight.  add returns the minimal generators of the
+    colon ideal of the earlier leading terms by the new one, which its
+    criteria find on the way, so that a HilbertCount of the same top takes
+    them as they are.
     """
 
-    def __init__(self, ring, bound, deadline):
-        super().__init__(ring, max(ring.weights))
+    def __init__(self, ring, bound, deadline, top=None):
+        super().__init__(ring, max(ring.weights) if top is None else top)
         self.weigher = sum(w << (self.width * v)
                            for v, w in enumerate(ring.weights))
         self.bound = bound
@@ -139,7 +148,8 @@ class _CriticalPairs(_WideKeys):
         self.created = 0
 
     def add(self, key):
-        """Update the pairs for a new element with leading key `key`."""
+        """Update the pairs for a new element with leading key `key`;
+        returns the minimal generators of (earlier leading terms : key)."""
         check_deadline(self.deadline)
         width, guard, weigher = self.width, self.guard, self.weigher
         wshift, wmask, bound = self.wshift, self.wmask, self.bound
@@ -162,11 +172,13 @@ class _CriticalPairs(_WideKeys):
         sh = ib + 1
         cands = [lcm(a) << sh | (s & st != 0) << ib | i
                  for i, a, s in zip(range(t), lts, sups)]
-        if bound is not None:
-            cands = [c for c in cands
-                     if ((c >> sh) * weigher >> wshift) & wmask <= bound]
         cands.sort()
-        self.created += len(cands)
+        if bound is None:
+            self.created += t
+        else:
+            self.created += sum(1 for c in cands
+                                if ((c >> sh) * weigher >> wshift) & wmask
+                                <= bound)
         check_deadline(self.deadline)
         # criterion B: drop an old pair whose lcm the new leading term
         # divides unless the lcm is that of the new term with either side
@@ -182,6 +194,9 @@ class _CriticalPairs(_WideKeys):
         # lcm divides; every divisor of an lcm comes before it, so each is
         # tested against what was kept.  A kept coprime pair (product
         # criterion) is not pushed, but still takes out pairs above it.
+        # The kept lcms are minimal among all of them, the bound aside: a
+        # divisor weighs no more, so the bound then keeps the same pairs,
+        # and the kept lcms less b generate the colon minimally.
         check_deadline(self.deadline)
         kept = []
         heap = self.heap
@@ -199,18 +214,22 @@ class _CriticalPairs(_WideKeys):
             else:
                 kept.append(L)
                 if c >> ib & 1:
-                    i = c & imask
-                    pending[i, t] = L
-                    heapq.heappush(heap, ((L * weigher >> wshift) & wmask,
-                                          i, t))
+                    w = (L * weigher >> wshift) & wmask
+                    if bound is None or w <= bound:
+                        i = c & imask
+                        pending[i, t] = L
+                        heapq.heappush(heap, (w, i, t))
+        return [L - b for L in kept]
 
     def pop(self):
-        """The next pending pair (i, j), or None when none is left."""
+        """The next pending pair as (weight, i, j, packed lcm), or None when
+        none is left."""
         heap, pending = self.heap, self.pending
         while heap:
-            _, i, j = heapq.heappop(heap)
-            if pending.pop((i, j), None) is not None:
-                return i, j
+            w, i, j = heapq.heappop(heap)
+            L = pending.pop((i, j), None)
+            if L is not None:
+                return w, i, j, L
         return None
 
 
@@ -237,84 +256,90 @@ def _iadd_shifted(acc, poly, d, scale):
             del acc[k]
 
 
+def _check_grading(ring, grading):
+    """grading as a tuple of degree tuples, once it gives each variable of
+    ring r nonnegative ints, not all 0."""
+    grading = tuple(tuple(d) for d in grading)
+    if len(grading) != ring.n:
+        raise GroebnerError("the grading has %d degrees for %d variables"
+                            % (len(grading), ring.n))
+    r = len(grading[0])
+    for d in grading:
+        if not r or len(d) != r or not any(d) or any(
+                not isinstance(e, int) or isinstance(e, bool) or e < 0
+                for e in d):
+            raise GroebnerError("each degree must be %d nonnegative "
+                                "ints, not all 0; got %r" % (r, d))
+    return grading
+
+
 class HilbertCount(_WideKeys):
     """Standard monomials of a growing monomial ideal M, counted by degree.
 
     grading gives each variable of ring a degree: a tuple of r nonnegative
     ints, not all 0, so that each degree holds finitely many monomials.  If
-    P(c) is their number in degree c, M leaves sum_g K_M[g] * P(c - g)
-    standard monomials of degree c, where K_M, the numerator, is the
-    Hilbert series of ring/M times prod_v (1 - t^deg v).  add(key) puts one
-    more monomial m into M and updates K_M by
+    P(c) is their number in degree c, an ideal I leaves
+    sum_g K_I[g] * P(c - g) standard monomials of degree c, where K_I, its
+    numerator, is the Hilbert series of ring/I times prod_v (1 - t^deg v).
+    add(key, colon) puts one more monomial m into M, given the minimal
+    generators of M : m, and updates K_M by
     K_(M+m) = K_M - t^deg m * K_(M:m), the numerator of the colon ideal
     coming from Bigatti's pivot recursion (Bigatti, JPAA 119, 1997).
-    excess(c) is the count in degree c less the one that the numerator
-    `target` gives, which is 0 unless it is set before the first count.
+    excess(c) is the count in degree c under M less the one that the
+    numerator `target` ({degree tuple: int}, 0 when not given) gives.
 
-    Monomials are re-packed as _WideKeys lays them out; a degree packs its
-    components into chunks of the same width, the first lowest, and a
-    numerator is a dict {packed degree: int}.  P and K_M - target are also
-    held dense, as Python ints in numpy object arrays, over the box of the
-    degrees asked for so far, so every count is exact.
+    Monomials are re-packed as _WideKeys lays them out, for degrees of at
+    most the largest weight or grading component, so that a _CriticalPairs
+    of the same top shares the layout.  A degree packs its components into
+    chunks of the same width, the first lowest, and their sum, its total
+    degree, above them, so packed degrees add as the tuples do; a
+    numerator is a dict {packed degree: int}.  Only D = K_M - target is
+    kept, sparse, in buckets by total degree: the terms of D below a
+    degree c lie in the buckets up to c's total, and excess(c) reads them
+    against P, which is held dense, as Python ints in a numpy object array
+    over the box of the degrees asked for so far, so every count is exact.
+    D is empty exactly when M and the target have the same Hilbert series.
     """
 
-    def __init__(self, ring, grading, deadline=None):
-        n = ring.n
-        grading = tuple(tuple(d) for d in grading)
-        if len(grading) != n:
-            raise GroebnerError("the grading has %d degrees for %d variables"
-                                % (len(grading), n))
-        r = len(grading[0])
-        for d in grading:
-            if not r or len(d) != r or not any(d) or any(
-                    not isinstance(e, int) or isinstance(e, bool) or e < 0
-                    for e in d):
-                raise GroebnerError("each degree must be %d nonnegative "
-                                    "ints, not all 0; got %r" % (r, d))
-        super().__init__(ring, max(map(max, grading)))
+    def __init__(self, ring, grading, target=None, deadline=None):
+        grading = _check_grading(ring, grading)
+        super().__init__(ring, max(max(ring.weights), max(map(max, grading))))
         width = self.width
+        r = len(grading[0])
         self.grading = grading
         self.emask = (1 << (width - 1)) - 1
         self.weighers = [sum(d[i] << (width * v)
                              for v, d in enumerate(grading))
                          for i in range(r)]
         self.dguard = sum(1 << (width * i + width - 1) for i in range(r))
-        self.units = [self.degree_key(d) for d in grading]
-        self.target = {}
         self.deadline = deadline
         self.gens = []
-        self.numerator = {0: 1}
         self.shifts = [width * i for i in range(r)]
+        self.tshift = width * r
         self.box = (0,) * r
-        self.counts = self.dense = None
-        self.last = 0
+        self.counts = None
+        # D as {total degree: {packed degree: int}}, no bucket empty
+        self.diff = {0: {0: 1}}
+        if target:
+            self._iadd_diff({self.degree_key(c): v
+                             for c, v in target.items()}, 0, -1)
 
     def _degree(self, b):
-        d = 0
+        d = total = 0
         for i, w in enumerate(self.weighers):
-            d |= ((b * w >> self.wshift) & self.wmask) << (self.width * i)
-        return d
-
-    def degree(self, exps):
-        """The packed degree of the monomial with exponents exps."""
-        return sum(map(mul, exps, self.units))
+            a = (b * w >> self.wshift) & self.wmask
+            d |= a << (self.width * i)
+            total += a
+        return d | total << self.tshift
 
     def degree_key(self, c):
         """The packed form of the degree tuple c."""
-        return sum(a << (self.width * i) for i, a in enumerate(c))
+        return sum(a << (self.width * i) for i, a in enumerate(c)) \
+            | sum(c) << self.tshift
 
     def degree_tuple(self, d):
         """The degree tuple of the packed degree d."""
         return tuple([(d >> s) & self.wmask for s in self.shifts])
-
-    def _iadd_dense(self, poly, d, scale):
-        """dense += scale * t^d * poly, over the terms in the box."""
-        dense, shifts, wmask = self.dense, self.shifts, self.wmask
-        g, last = self.dguard, self.last | self.dguard
-        for k, c in poly.items():
-            k += d
-            if (last - k) & g == g:
-                dense[tuple([(k >> s) & wmask for s in shifts])] += scale * c
 
     def degree_divides(self, c, e):
         """True when e - c is a degree: every component of c is at most
@@ -322,22 +347,42 @@ class HilbertCount(_WideKeys):
         g = self.dguard
         return ((e | g) - c) & g == g
 
-    def add(self, key):
-        """Put the monomial `key` (the ring's packed key) into M; returns
-        its packed degree."""
-        check_deadline(self.deadline)
+    def _iadd_diff(self, poly, d, scale):
+        """D += scale * t^d * poly."""
+        diff, tshift = self.diff, self.tshift
+        for k, c in poly.items():
+            k += d
+            level = k >> tshift
+            bucket = diff.get(level)
+            if bucket is None:
+                bucket = diff[level] = {}
+            v = bucket.get(k, 0) + scale * c
+            if v:
+                bucket[k] = v
+            else:
+                del bucket[k]
+                if not bucket:
+                    del diff[level]
+
+    def colon(self, key):
+        """The minimal generators of M : m, for the monomial m with the
+        ring's packed key `key`, packed as _WideKeys lays them out."""
         m = self._pack(key)
         guard, top = self.guard, self.width - 1
         # chunkwise saturating g - m: the guard bits flag the chunks where
         # g >= m, and only those keep their difference
-        colon = [(d := (g | guard) - m) & ((s := d & guard) - (s >> top))
-                 for g in self.gens]
+        return self._minimal(
+            [(d := (g | guard) - m) & ((s := d & guard) - (s >> top))
+             for g in self.gens])
+
+    def add(self, key, colon):
+        """Put the monomial `key` (the ring's packed key) into M, given the
+        minimal generators `colon` of M : key; returns its packed degree."""
+        check_deadline(self.deadline)
+        m = self._pack(key)
         self.gens.append(m)
         d = self._degree(m)
-        k = self._numerator(self._minimal(colon))
-        _iadd_shifted(self.numerator, k, d, -1)
-        if self.dense is not None:
-            self._iadd_dense(k, d, -1)
+        self._iadd_diff(self._numerator(colon), d, -1)
         return d
 
     def excess(self, c):
@@ -346,12 +391,17 @@ class HilbertCount(_WideKeys):
         i = self.degree_tuple(c)
         if any(a >= b for a, b in zip(i, self.box)):
             self._grow(i)
-        k = self.dense[tuple(slice(0, a + 1) for a in i)]
-        p = self.counts[tuple(slice(a, None, -1) for a in i)]
-        return int((k * p).sum())
+        counts, diff, g = self.counts, self.diff, self.dguard
+        cg = c | g
+        n = 0
+        for level in range(sum(i) + 1):
+            for k, v in diff.get(level, {}).items():
+                if (cg - k) & g == g:
+                    n += v * counts[self.degree_tuple(c - k)]
+        return n
 
     def _grow(self, c):
-        """Rebuild the dense tables over a box that holds the degree c."""
+        """Rebuild P over a box that holds the degree c."""
         # imported on first use, as in action
         import numpy as np
 
@@ -369,10 +419,6 @@ class HilbertCount(_WideKeys):
                     counts[tuple(slice(0, b - s * e) for b, e in zip(box, d))]
                 s *= 2
         self.box, self.counts = box, counts
-        self.dense = np.zeros(box, dtype=object)
-        self.last = self.degree_key([b - 1 for b in box])
-        self._iadd_dense(self.numerator, 0, 1)
-        self._iadd_dense(self.target, 0, -1)
 
     def _minimal(self, gens):
         """The minimal generators among gens: a divisor packs to a smaller
@@ -440,14 +486,14 @@ class HilbertCount(_WideKeys):
         return prod
 
 
-def _graph_numerator(hilbert, inputs):
-    """prod_g (1 - t^deg g) over the inputs g, the numerator of the ideal
-    they generate, once they are checked to be homogeneous for the grading
-    and in graph form: each input has a term c*v whose variable v occurs in
-    no other term of any input.  Each such v is then the rest of its input
-    over -c, so the ring modulo the ideal is the polynomial ring in the
-    other variables."""
-    ring = hilbert.ring
+def _graph_numerator(ring, grading, inputs):
+    """prod_g (1 - t^deg g) over the inputs g, as {degree tuple: int}, the
+    numerator of the ideal they generate, once they are checked to be
+    homogeneous for the grading (checked by _check_grading) and in graph
+    form: each input has a term c*v whose variable v occurs in no other
+    term of any input.  Each such v is then the rest of its input over -c,
+    so the ring modulo the ideal is the polynomial ring in the other
+    variables."""
     exps = [[ring.unpack(k) for k in g.terms] for g in inputs]
     uses = [0] * ring.n
     for es in exps:
@@ -455,11 +501,13 @@ def _graph_numerator(hilbert, inputs):
             for v, a in enumerate(e):
                 if a:
                     uses[v] += 1
-    numerator = {0: 1}
+    columns = list(zip(*grading))
+    numerator = {(0,) * len(columns): 1}
     for t, (g, es) in enumerate(zip(inputs, exps)):
         if not g:
             raise GroebnerError("generator %d is 0, not in graph form" % t)
-        degrees = set(map(hilbert.degree, es))
+        degrees = {tuple([sum(map(mul, e, col)) for col in columns])
+                   for e in es}
         if len(degrees) != 1:
             raise GroebnerError("generator %d is not homogeneous for the "
                                 "grading" % t)
@@ -467,7 +515,16 @@ def _graph_numerator(hilbert, inputs):
             raise GroebnerError(
                 "generator %d is not in graph form: it has no term c*v whose "
                 "variable v occurs in no other term of any generator" % t)
-        numerator = _times_one_minus(numerator, degrees.pop())
+        d = degrees.pop()
+        out = dict(numerator)
+        for k, c in numerator.items():
+            k = tuple(map(add, k, d))
+            v = out.get(k, 0) - c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        numerator = out
     return numerator
 
 
@@ -494,7 +551,11 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     degree c under the current leading terms with dim (R/J)_c, and skips
     the pair when they are equal: LT(G) lies in LT(J), so the two then
     agree in degree c, and every element of J of degree c reduces to 0.
-    The result is the same reduced basis as without the grading.
+    The result is the same reduced basis as without the grading.  The
+    count and the pair update share one _WideKeys layout: the count takes
+    the colon of each new leading term from the pair update, and a popped
+    pair's degree comes from its packed lcm, so a skipped pair is never
+    unpacked.
     """
     _check_bound(bound)
     inputs = [g for g in gens]
@@ -509,8 +570,10 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
                 "degree truncation needs weighted-homogeneous generators")
     hilbert = None
     if grading is not None:
-        hilbert = HilbertCount(ring, grading, deadline=deadline)
-        hilbert.target = _graph_numerator(hilbert, inputs)
+        grading = _check_grading(ring, grading)
+        hilbert = HilbertCount(ring, grading,
+                               _graph_numerator(ring, grading, inputs),
+                               deadline)
     fld = ring.field
     minus = fld.neg_flat[1]
 
@@ -519,12 +582,13 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     lt_keys = monic.keys
     reps = [] if track else None
     zero = ring.zero
-    pairs = _CriticalPairs(ring, bound, deadline)
+    pairs = _CriticalPairs(ring, bound, deadline,
+                           None if hilbert is None else hilbert.top)
     # the deficit of each degree met among the pairs of the current lcm
     # weight: its standard monomials beyond dim (R/J) of that degree
     deficits = {}
     level = -1
-    skipped = 0
+    skipped = reduced = zeros = 0
 
     def nf(f):
         return K.normal_form_terms(f, monic, fld, track)
@@ -543,16 +607,16 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
         monic.add(k, t)
         if track:
             reps.append(rep)
+        colon = pairs.add(k)
         if hilbert is not None:
             # k was standard: its own degree loses exactly one standard
             # monomial, and a degree above it an unknown number
-            c = hilbert.add(k)
+            c = hilbert.add(k, colon)
             for e in list(deficits):
                 if e == c:
                     deficits[e] -= 1
                 elif hilbert.degree_divides(c, e):
                     del deficits[e]
-        pairs.add(k)
 
     def unit_rep(t):
         return [ring.one if i == t else zero for i in range(len(inputs))]
@@ -569,18 +633,15 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
 
     while True:
         check_deadline(deadline)
-        ij = pairs.pop()
-        if ij is None:
+        popped = pairs.pop()
+        if popped is None:
             break
-        i, j = ij
-        exps = tuple(map(max, ring.unpack(lt_keys[i]),
-                         ring.unpack(lt_keys[j])))
-        klcm = ring.pack(exps)
+        w, i, j, wide = popped
         if hilbert is not None:
-            if ring.key_wdeg(klcm) != level:
-                level = ring.key_wdeg(klcm)
+            if w != level:
+                level = w
                 deficits.clear()
-            c = hilbert.degree(exps)
+            c = hilbert._degree(wide)
             if c not in deficits:
                 left = deficits[c] = hilbert.excess(c)
                 if left < 0:
@@ -591,10 +652,14 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
             if deficits[c] == 0:
                 skipped += 1
                 continue
+        klcm = ring.pack(tuple(map(max, ring.unpack(lt_keys[i]),
+                                   ring.unpack(lt_keys[j]))))
         si = klcm - lt_keys[i]
         sj = klcm - lt_keys[j]
+        reduced += 1
         r_terms, cof = nf((i, j, si, sj))
         if not r_terms:
+            zeros += 1
             continue
         rep = None
         if track:
@@ -604,13 +669,12 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
                         cof, reps, minus)
         add_element(Polynomial(ring, r_terms), rep)
 
-    if hilbert is not None and bound is None \
-            and hilbert.numerator != hilbert.target:
+    if hilbert is not None and bound is None and hilbert.diff:
         raise GroebnerError("the finished basis leaves another Hilbert "
                             "series than the graph ideal")
     basis, monic, reps = _inter_reduce(ring, basis, monic, reps, deadline)
     return GroebnerBasis(ring, basis, monic, reps, bound, inputs,
-                         pairs.created, skipped)
+                         pairs.created, skipped, reduced, zeros)
 
 
 def _inter_reduce(ring, basis, work, reps, deadline):

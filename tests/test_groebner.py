@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_action import ExpiringClock
 
@@ -344,8 +344,34 @@ def test_incremental_count_equals_enumeration(case):
     added = []
     for e in exps:
         added.append(R.pack(tuple(e)))
-        hc.add(added[-1])
+        hc.add(added[-1], hc.colon(added[-1]))
         assert counts(hc, box) == brute_counts(R, grading, added, box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+             max_size=10),
+    st.none() | st.integers(0, 12))))
+@example(([1, 1], [[1, 0], [1, 0], [2, 1]], None))      # a duplicate
+@example(([1, 2], [[2, 0], [0, 1], [1, 1]], 2))         # coprime pairs
+@example(([1, 1, 1], [[2, 0, 0], [0, 3, 0], [0, 0, 1]], 3))  # disjoint
+@example(([1, 1], [[0, 0], [1, 2]], None))              # the monomial 1
+def test_pair_update_returns_the_minimal_colon(case):
+    # the minimal lcms of the criteria, less the new leading term, are the
+    # minimal generators of the colon, also where the bound drops pairs
+    weights, exps, bound = case
+    R = PolyRing(ff_make(2), "abcd"[:len(weights)], order="lex",
+                 weights=weights)
+    pairs = groebner._CriticalPairs(R, bound, None)
+    hc = HilbertCount(R, [(w,) for w in weights])
+    assert pairs.width == hc.width
+    for e in exps:
+        k = R.pack(tuple(e))
+        colon = hc.colon(k)
+        assert pairs.add(k) == colon
+        hc.add(k, colon)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
@@ -416,6 +442,64 @@ def test_random_graph_ideals_are_driven_to_the_plain_basis(p, order):
             buchberger(gens, bound=5).basis
         skipped += driven.pairs_skipped
     assert skipped
+
+
+def test_graded_and_bounded_run_counts_the_colon_beyond_the_bound():
+    # weights that are no function of the grading, the largest (9) not the
+    # largest grading component (6): an lcm beyond the bound can have a
+    # smaller degree than a pair within it, whose count needs the colon
+    # generator that lcm gives
+    R = PolyRing(ff_make(3), ("a", "b", "u", "v", "w"), order="lex",
+                 weights=(2, 3, 9, 2, 5))
+    grading = ((2,), (2,), (6,), (2,), (4,))
+    gens = [R.parse("u + 2*b^3"), R.parse("v + 2*a"), R.parse("w + a*b")]
+    skipped = 0
+    for bound in range(20):
+        driven = buchberger(gens, bound=bound, grading=grading)
+        assert driven.basis == buchberger(gens, bound=bound).basis, bound
+        skipped += driven.pairs_skipped
+    assert skipped
+
+
+def elimination_graph_ideal(q):
+    return (verify._elimination_generators(context_for_q(q)),
+            verify._elimination_grading(q))
+
+
+def test_a_target_too_large_raises_on_the_first_short_degree(monkeypatch):
+    # the numerator of all inputs but one: its degrees hold more standard
+    # monomials than the leading terms can leave
+    gens, grading = elimination_graph_ideal(2)
+    whole = groebner._graph_numerator
+    monkeypatch.setattr(groebner, "_graph_numerator",
+                        lambda ring, grading, inputs:
+                        whole(ring, grading, inputs[:-1]))
+    with pytest.raises(GroebnerError, match="the leading terms leave fewer "
+                       "standard monomials than the ideal in degree"):
+        buchberger(gens, grading=grading)
+
+
+def test_a_target_too_small_raises_once_the_basis_is_finished(monkeypatch):
+    # the numerator times 1 - t^(1,1), as if one more input of bidegree
+    # (1, 1) were there: no degree ever falls short, so the run reaches
+    # its end, where the series disagree
+    gens, grading = elimination_graph_ideal(2)
+    whole = groebner._graph_numerator
+
+    def smaller(ring, grading, inputs):
+        numerator = whole(ring, grading, inputs)
+        out = dict(numerator)
+        for (a, b), c in numerator.items():
+            out[a + 1, b + 1] = out.get((a + 1, b + 1), 0) - c
+        return {k: c for k, c in out.items() if c}
+
+    monkeypatch.setattr(groebner, "_graph_numerator", smaller)
+    with pytest.raises(GroebnerError, match="the finished basis leaves "
+                       "another Hilbert series than the graph ideal"):
+        buchberger(gens, grading=grading)
+    # within a bound a run stops early, so the series are not compared
+    assert buchberger(gens, bound=6, grading=grading).basis == \
+        buchberger(gens, bound=6).basis
 
 
 def test_grading_needs_homogeneous_inputs():

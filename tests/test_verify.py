@@ -304,14 +304,16 @@ SKIPPED_PAIRS = {2: (152, 212), 3: (931, 1168), 4: (2474, 3032),
 
 
 def _reductions(monkeypatch):
-    """A list that records each S-pair reduction of buchberger."""
+    """A list that records each S-pair reduction of buchberger as whether
+    it reduced to 0."""
     seen = []
     kernel = K.normal_form_terms
 
     def spy(f, basis, field, track):
+        out = kernel(f, basis, field, track)
         if type(f) is tuple:
-            seen.append(f)
-        return kernel(f, basis, field, track)
+            seen.append(not out[0])
+        return out
 
     monkeypatch.setattr(K, "normal_form_terms", spy)
     return seen
@@ -328,6 +330,11 @@ def _assert_driven_basis_is_plain(q, monkeypatch):
     assert plain.pairs_skipped == 0
     assert (driven.pairs_skipped, reduced) == SKIPPED_PAIRS[q]
     assert len(seen) - reduced == reduced - driven.pairs_skipped
+    # the counters on the basis are what the spy saw
+    assert (plain.pairs_reduced, plain.zero_reductions) == \
+        (reduced, sum(seen[:reduced]))
+    assert (driven.pairs_reduced, driven.zero_reductions) == \
+        (len(seen) - reduced, sum(seen[reduced:]))
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))

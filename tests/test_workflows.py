@@ -1,7 +1,10 @@
 """The CI workflows against the README that describes them."""
 
 import ast
+import re
 from pathlib import Path
+
+from test_verify import SKIPPED_PAIRS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +53,13 @@ def test_every_file_with_a_slow_test_is_a_path_of_the_slow_workflow():
                    if isinstance(node, ast.Attribute))]
     assert "tests/test_verify.py" in slow
     assert [p for p in slow if p not in paths] == []
+
+
+def test_readme_quotes_the_pinned_hilbert_driven_skips():
+    # the skipped and reduced S-pairs at q = 2..5 that test_verify pins
+    text = " ".join((ROOT / "README.md").read_text().split())
+    start = text.index("At q = 2, 3, 4 and 5 it skips ")
+    sentence = text[start:text.index(" S-pairs.", start)]
+    quoted = [(int(a.replace(",", "")), int(b.replace(",", "")))
+              for a, b in re.findall(r"([\d,]*\d) of ([\d,]*\d)", sentence)]
+    assert quoted == [SKIPPED_PAIRS[q] for q in (2, 3, 4, 5)]
