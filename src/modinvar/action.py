@@ -227,7 +227,7 @@ def _binomial_tables(p, n):
     return tuple(t[:n + 1, :n + 1] for t in held)
 
 
-def invariant_bidegree_dimension(field, a, b, use_full_group=False):
+def invariant_bidegree_dimension(field, a, b):
     """dim of the GL2-invariants of x-degree a and y-degree b.
 
     The action maps x-monomials to x-polynomials and y-monomials to
@@ -258,11 +258,9 @@ def invariant_bidegree_dimension(field, a, b, use_full_group=False):
     added into its representative's, and the representative columns are
     copied out compact for the rank.
 
-    use_full_group instead stacks g - I for every g in GL2(F_q) and takes
-    the rank over GF(q): the exhaustive cross-check of the above.
+    _full_group_dimension, which stacks g - I for every g in GL2(F_q) and
+    takes the rank over GF(q), is the exhaustive cross-check of the above.
     """
-    if use_full_group:
-        return _full_group_dimension(field, a, b)
     q, p = field.q, field.p
     if a < 0 or b < 0 or (a - b) % (q - 1):
         return 0
@@ -382,13 +380,12 @@ def _full_group_dimension(field, a, b):
     return ncols - linalg.rank_field(mat, fld)
 
 
-def invariant_dimension(field, d, use_full_group=False, deadline=None):
+def invariant_dimension(field, d, deadline=None):
     """dim of the degree-d GL2-invariants of F_q[x1,x2,y1,y2], summed over
     the (x-degree, y-degree) blocks.  Raises TimeoutExceeded when the
     deadline (a time.monotonic() reading) passes before a block."""
     total = 0
     for xd in range(d + 1):
         check_deadline(deadline)
-        total += invariant_bidegree_dimension(field, xd, d - xd,
-                                              use_full_group)
+        total += invariant_bidegree_dimension(field, xd, d - xd)
     return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from operator import add, mul
+from operator import mul
 
 from . import _kernels as K
 from .mpoly import EXP_CAP, ExponentOverflow, Polynomial, RingMismatch, \
@@ -222,14 +222,14 @@ class _CriticalPairs(_WideKeys):
         return [L - b for L in kept]
 
     def pop(self):
-        """The next pending pair as (weight, i, j, packed lcm), or None when
-        none is left."""
+        """The next pending pair as (i, j, packed lcm), or None when none
+        is left."""
         heap, pending = self.heap, self.pending
         while heap:
-            w, i, j = heapq.heappop(heap)
+            _, i, j = heapq.heappop(heap)
             L = pending.pop((i, j), None)
             if L is not None:
-                return w, i, j, L
+                return i, j, L
         return None
 
 
@@ -277,7 +277,8 @@ class HilbertCount(_WideKeys):
     """Standard monomials of a growing monomial ideal M, counted by degree.
 
     grading gives each variable of ring a degree: a tuple of r nonnegative
-    ints, not all 0, so that each degree holds finitely many monomials.  If
+    ints, not all 0 (as _check_grading checks them), so that each degree
+    holds finitely many monomials.  If
     P(c) is their number in degree c, an ideal I leaves
     sum_g K_I[g] * P(c - g) standard monomials of degree c, where K_I, its
     numerator, is the Hilbert series of ring/I times prod_v (1 - t^deg v).
@@ -285,24 +286,26 @@ class HilbertCount(_WideKeys):
     generators of M : m, and updates K_M by
     K_(M+m) = K_M - t^deg m * K_(M:m), the numerator of the colon ideal
     coming from Bigatti's pivot recursion (Bigatti, JPAA 119, 1997).
-    excess(c) is the count in degree c under M less the one that the
-    numerator `target` ({degree tuple: int}, 0 when not given) gives.
+    target, when given, is the degree tuples of the generators of a graph
+    ideal J (see _graph_degrees), whose numerator K_J is
+    prod (1 - t^deg) over them; without it K_J is 0.  excess(c) is the
+    count in degree c under M less the one under J.
 
     Monomials are re-packed as _WideKeys lays them out, for degrees of at
     most the largest weight or grading component, so that a _CriticalPairs
     of the same top shares the layout.  A degree packs its components into
     chunks of the same width, the first lowest, and their sum, its total
     degree, above them, so packed degrees add as the tuples do; a
-    numerator is a dict {packed degree: int}.  Only D = K_M - target is
-    kept, sparse, in buckets by total degree: the terms of D below a
-    degree c lie in the buckets up to c's total, and excess(c) reads them
-    against P, which is held dense, as Python ints in a numpy object array
-    over the box of the degrees asked for so far, so every count is exact.
-    D is empty exactly when M and the target have the same Hilbert series.
+    numerator is a dict {packed degree: int}.  Only D = K_M - K_J is
+    kept, sparse, as a list of buckets indexed by total degree, each a
+    numerator without zero terms: the terms of D below a degree c lie in
+    the buckets up to c's total, and excess(c) reads them against P, which
+    is held dense, as Python ints in a numpy object array over the box of
+    the degrees asked for so far, so every count is exact.  Every bucket
+    is empty exactly when M and J have the same Hilbert series.
     """
 
     def __init__(self, ring, grading, target=None, deadline=None):
-        grading = _check_grading(ring, grading)
         super().__init__(ring, max(max(ring.weights), max(map(max, grading))))
         width = self.width
         r = len(grading[0])
@@ -318,11 +321,12 @@ class HilbertCount(_WideKeys):
         self.tshift = width * r
         self.box = (0,) * r
         self.counts = None
-        # D as {total degree: {packed degree: int}}, no bucket empty
-        self.diff = {0: {0: 1}}
-        if target:
-            self._iadd_diff({self.degree_key(c): v
-                             for c, v in target.items()}, 0, -1)
+        self.diff = [{0: 1}]
+        if target is not None:
+            numerator = {0: 1}
+            for c in target:
+                numerator = _times_one_minus(numerator, self.degree_key(c))
+            self._iadd_diff(numerator, 0, -1)
 
     def _degree(self, b):
         d = total = 0
@@ -341,28 +345,23 @@ class HilbertCount(_WideKeys):
         """The degree tuple of the packed degree d."""
         return tuple([(d >> s) & self.wmask for s in self.shifts])
 
-    def degree_divides(self, c, e):
-        """True when e - c is a degree: every component of c is at most
-        e's (packed degrees)."""
-        g = self.dguard
-        return ((e | g) - c) & g == g
-
     def _iadd_diff(self, poly, d, scale):
         """D += scale * t^d * poly."""
         diff, tshift = self.diff, self.tshift
         for k, c in poly.items():
             k += d
-            level = k >> tshift
-            bucket = diff.get(level)
-            if bucket is None:
-                bucket = diff[level] = {}
+            total = k >> tshift
+            while len(diff) <= total:
+                diff.append({})
+            bucket = diff[total]
             v = bucket.get(k, 0) + scale * c
             if v:
                 bucket[k] = v
             else:
                 del bucket[k]
                 if not bucket:
-                    del diff[level]
+                    # a fresh dict: an emptied one keeps its table
+                    diff[total] = {}
 
     def colon(self, key):
         """The minimal generators of M : m, for the monomial m with the
@@ -377,13 +376,11 @@ class HilbertCount(_WideKeys):
 
     def add(self, key, colon):
         """Put the monomial `key` (the ring's packed key) into M, given the
-        minimal generators `colon` of M : key; returns its packed degree."""
+        minimal generators `colon` of M : key."""
         check_deadline(self.deadline)
         m = self._pack(key)
         self.gens.append(m)
-        d = self._degree(m)
-        self._iadd_diff(self._numerator(colon), d, -1)
-        return d
+        self._iadd_diff(self._numerator(colon), self._degree(m), -1)
 
     def excess(self, c):
         """The standard monomials of packed degree c under M less those
@@ -391,11 +388,11 @@ class HilbertCount(_WideKeys):
         i = self.degree_tuple(c)
         if any(a >= b for a, b in zip(i, self.box)):
             self._grow(i)
-        counts, diff, g = self.counts, self.diff, self.dguard
+        counts, g = self.counts, self.dguard
         cg = c | g
         n = 0
-        for level in range(sum(i) + 1):
-            for k, v in diff.get(level, {}).items():
+        for bucket in self.diff[:sum(i) + 1]:
+            for k, v in bucket.items():
                 if (cg - k) & g == g:
                     n += v * counts[self.degree_tuple(c - k)]
         return n
@@ -486,14 +483,13 @@ class HilbertCount(_WideKeys):
         return prod
 
 
-def _graph_numerator(ring, grading, inputs):
-    """prod_g (1 - t^deg g) over the inputs g, as {degree tuple: int}, the
-    numerator of the ideal they generate, once they are checked to be
-    homogeneous for the grading (checked by _check_grading) and in graph
-    form: each input has a term c*v whose variable v occurs in no other
-    term of any input.  Each such v is then the rest of its input over -c,
-    so the ring modulo the ideal is the polynomial ring in the other
-    variables."""
+def _graph_degrees(ring, grading, inputs):
+    """The degree tuple of each input, once the inputs are checked to be
+    homogeneous for the grading and in graph form: each input has a term
+    c*v whose variable v occurs in no other term of any input.  Each such v
+    is then the rest of its input over -c, so the ring modulo the ideal they
+    generate is the polynomial ring in the other variables, and the
+    numerator of its Hilbert series is prod (1 - t^deg) over the inputs."""
     exps = [[ring.unpack(k) for k in g.terms] for g in inputs]
     uses = [0] * ring.n
     for es in exps:
@@ -502,7 +498,7 @@ def _graph_numerator(ring, grading, inputs):
                 if a:
                     uses[v] += 1
     columns = list(zip(*grading))
-    numerator = {(0,) * len(columns): 1}
+    out = []
     for t, (g, es) in enumerate(zip(inputs, exps)):
         if not g:
             raise GroebnerError("generator %d is 0, not in graph form" % t)
@@ -515,17 +511,8 @@ def _graph_numerator(ring, grading, inputs):
             raise GroebnerError(
                 "generator %d is not in graph form: it has no term c*v whose "
                 "variable v occurs in no other term of any generator" % t)
-        d = degrees.pop()
-        out = dict(numerator)
-        for k, c in numerator.items():
-            k = tuple(map(add, k, d))
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        numerator = out
-    return numerator
+        out.append(degrees.pop())
+    return out
 
 
 def _check_bound(bound):
@@ -545,7 +532,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
 
     grading, one degree per variable as HilbertCount takes it, makes the
     run Hilbert-driven (Traverso, JSC 22, 1996).  The generators must then
-    be homogeneous for it and in graph form (see _graph_numerator), which
+    be homogeneous for it and in graph form (see _graph_degrees), which
     fixes the numerator K_J of the ideal J.  Before it reduces an S-pair
     whose lcm has degree c, the run compares the standard monomials of
     degree c under the current leading terms with dim (R/J)_c, and skips
@@ -555,7 +542,8 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     count and the pair update share one _WideKeys layout: the count takes
     the colon of each new leading term from the pair update, and a popped
     pair's degree comes from its packed lcm, so a skipped pair is never
-    unpacked.
+    unpacked.  Each degree's count is cached until the next leading term
+    is added, the only event that changes it.
     """
     _check_bound(bound)
     inputs = [g for g in gens]
@@ -572,7 +560,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     if grading is not None:
         grading = _check_grading(ring, grading)
         hilbert = HilbertCount(ring, grading,
-                               _graph_numerator(ring, grading, inputs),
+                               _graph_degrees(ring, grading, inputs),
                                deadline)
     fld = ring.field
     minus = fld.neg_flat[1]
@@ -584,10 +572,9 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     zero = ring.zero
     pairs = _CriticalPairs(ring, bound, deadline,
                            None if hilbert is None else hilbert.top)
-    # the deficit of each degree met among the pairs of the current lcm
-    # weight: its standard monomials beyond dim (R/J) of that degree
+    # the deficit of each degree met since the last leading term was added:
+    # its standard monomials beyond dim (R/J) of that degree
     deficits = {}
-    level = -1
     skipped = reduced = zeros = 0
 
     def nf(f):
@@ -609,14 +596,8 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
             reps.append(rep)
         colon = pairs.add(k)
         if hilbert is not None:
-            # k was standard: its own degree loses exactly one standard
-            # monomial, and a degree above it an unknown number
-            c = hilbert.add(k, colon)
-            for e in list(deficits):
-                if e == c:
-                    deficits[e] -= 1
-                elif hilbert.degree_divides(c, e):
-                    del deficits[e]
+            hilbert.add(k, colon)
+            deficits.clear()
 
     def unit_rep(t):
         return [ring.one if i == t else zero for i in range(len(inputs))]
@@ -636,20 +617,18 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
         popped = pairs.pop()
         if popped is None:
             break
-        w, i, j, wide = popped
+        i, j, wide = popped
         if hilbert is not None:
-            if w != level:
-                level = w
-                deficits.clear()
             c = hilbert._degree(wide)
-            if c not in deficits:
+            left = deficits.get(c)
+            if left is None:
                 left = deficits[c] = hilbert.excess(c)
                 if left < 0:
                     raise GroebnerError(
                         "the leading terms leave fewer standard monomials "
                         "than the ideal in degree %r"
                         % (hilbert.degree_tuple(c),))
-            if deficits[c] == 0:
+            if left == 0:
                 skipped += 1
                 continue
         klcm = ring.pack(tuple(map(max, ring.unpack(lt_keys[i]),
@@ -669,7 +648,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
                         cof, reps, minus)
         add_element(Polynomial(ring, r_terms), rep)
 
-    if hilbert is not None and bound is None and hilbert.diff:
+    if hilbert is not None and bound is None and any(hilbert.diff):
         raise GroebnerError("the finished basis leaves another Hilbert "
                             "series than the graph ideal")
     basis, monic, reps = _inter_reduce(ring, basis, monic, reps, deadline)

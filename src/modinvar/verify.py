@@ -387,8 +387,9 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
 
     The walk fixes one exponent after another and carries the packed key,
     the bidegree (a, b) and the image of the prefix; its weighted degree is
-    a + b.  A prefix is pruned once a leading term divides its key, by a
-    plain scan of gb.lt_keys.  standard_monomial_count, which the
+    a + b.  A prefix is pruned once a leading term divides its key, found
+    by the basis's own divisor index, as every reduction finds its
+    reducer.  standard_monomial_count, which the
     standard-monomials item compares against, enumerates nothing: it reads
     the numerator of the leading terms' Hilbert series
     (groebner.HilbertCount), so each kernel run checks by enumeration the
@@ -416,6 +417,7 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     images = [ctx.pi_images()[name] for name in S7_NAMES]
     bidegs = ctx.bidegrees
     units = [S.pack(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    first_divisor = gb.index.first_divisor
     counts = [0] * (bound + 1)
     ranks = [0] * (bound + 1)
 
@@ -458,7 +460,7 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
             leaf(image, a, b)
             return
         da, db = bidegs[pos]
-        while not any(S.key_divides(lt, key) for lt in gb.lt_keys):
+        while first_divisor(key) < 0:
             walk(pos + 1, key, image, a, b)
             a += da
             b += db

@@ -180,8 +180,8 @@ def test_invariant_dimension_oracle():
 def test_invariant_dimension_group_mode_agrees():
     F = ff_from_q(3)
     for d in (4, 6):
-        assert invariant_dimension(F, d) == \
-            invariant_dimension(F, d, use_full_group=True)
+        assert invariant_dimension(F, d) == sum(
+            action._full_group_dimension(F, a, d - a) for a in range(d + 1))
 
 
 @pytest.mark.parametrize("q,dims", ((4, DIMS_Q4), (5, DIMS_Q5)))
@@ -198,8 +198,7 @@ def test_oracle_matches_full_group_on_every_block(q, top):
         for a in range(d + 1):
             b = d - a
             dim = invariant_bidegree_dimension(F, a, b)
-            assert dim == invariant_bidegree_dimension(
-                F, a, b, use_full_group=True), (a, b)
+            assert dim == action._full_group_dimension(F, a, b), (a, b)
             if (a - b) % (q - 1):
                 # scalars act by lambda^(b-a): no invariants at all
                 assert dim == 0
@@ -220,8 +219,7 @@ def test_bit_column_oracle_matches_full_group_on_every_block(q, top):
     for d in range(top + 1):
         for a in range(d + 1):
             assert invariant_bidegree_dimension(F, a, d - a) == \
-                invariant_bidegree_dimension(F, a, d - a,
-                                             use_full_group=True), (a, d - a)
+                action._full_group_dimension(F, a, d - a), (a, d - a)
 
 
 def int64_orbit_matrix(field, a, b):
@@ -351,7 +349,7 @@ def test_oracle_matches_full_group_at_larger_p(q, blocks):
     F = ff_from_q(q)
     for a, b in blocks:
         assert invariant_bidegree_dimension(F, a, b) == \
-            invariant_bidegree_dimension(F, a, b, use_full_group=True)
+            action._full_group_dimension(F, a, b)
 
 
 @pytest.mark.parametrize("q", (3, 4))
@@ -362,8 +360,7 @@ def test_negative_bidegree_is_empty(q, monkeypatch):
     F = ff_from_q(q)
     for a, b in ((-1, 2), (2, -1), (-1, -1), (-3, 0)):
         assert invariant_bidegree_dimension(F, a, b) == 0
-        assert invariant_bidegree_dimension(
-            F, a, b, use_full_group=True) == 0
+        assert action._full_group_dimension(F, a, b) == 0
     assert invariant_dimension(F, -2) == 0
     assert action._BINOMIALS == {}
 

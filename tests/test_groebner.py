@@ -467,33 +467,27 @@ def elimination_graph_ideal(q):
 
 
 def test_a_target_too_large_raises_on_the_first_short_degree(monkeypatch):
-    # the numerator of all inputs but one: its degrees hold more standard
-    # monomials than the leading terms can leave
+    # the degrees of all inputs but one: they hold more standard monomials
+    # than the leading terms can leave
     gens, grading = elimination_graph_ideal(2)
-    whole = groebner._graph_numerator
-    monkeypatch.setattr(groebner, "_graph_numerator",
+    whole = groebner._graph_degrees
+    monkeypatch.setattr(groebner, "_graph_degrees",
                         lambda ring, grading, inputs:
-                        whole(ring, grading, inputs[:-1]))
+                        whole(ring, grading, inputs)[:-1])
     with pytest.raises(GroebnerError, match="the leading terms leave fewer "
                        "standard monomials than the ideal in degree"):
         buchberger(gens, grading=grading)
 
 
 def test_a_target_too_small_raises_once_the_basis_is_finished(monkeypatch):
-    # the numerator times 1 - t^(1,1), as if one more input of bidegree
-    # (1, 1) were there: no degree ever falls short, so the run reaches
-    # its end, where the series disagree
+    # one more input degree (1, 1), the numerator times 1 - t^(1,1): no
+    # degree ever falls short, so the run reaches its end, where the series
+    # disagree
     gens, grading = elimination_graph_ideal(2)
-    whole = groebner._graph_numerator
-
-    def smaller(ring, grading, inputs):
-        numerator = whole(ring, grading, inputs)
-        out = dict(numerator)
-        for (a, b), c in numerator.items():
-            out[a + 1, b + 1] = out.get((a + 1, b + 1), 0) - c
-        return {k: c for k, c in out.items() if c}
-
-    monkeypatch.setattr(groebner, "_graph_numerator", smaller)
+    whole = groebner._graph_degrees
+    monkeypatch.setattr(groebner, "_graph_degrees",
+                        lambda ring, grading, inputs:
+                        whole(ring, grading, inputs) + [(1, 1)])
     with pytest.raises(GroebnerError, match="the finished basis leaves "
                        "another Hilbert series than the graph ideal"):
         buchberger(gens, grading=grading)

@@ -1903,3 +1903,59 @@ def test_a_wrong_quotient_count_fails_the_census(monkeypatch):
                         lambda gb, d: count(gb, d) + (d == 5))
     assert _failed_items(check_kernel(field, 8)) == \
         [("standard-monomials", "standard-monomial census disagrees at [5]")]
+
+
+def test_a_wrong_invariant_dimension_fails_its_degree(monkeypatch):
+    """dim R_6 one too high in the memo at q=3: only the d=6 item compares
+    the oracle's dimension with the quotient count and the image rank."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["dim", 6] = action.invariant_dimension(field, 6) + 1
+    assert _failed_items(check_kernel(field, 8)) == \
+        [("d=6", "quotient=5 image=5 invariants=6 disagree")]
+
+
+def _build_invariance_inputs(ctx):
+    """Every polynomial check_invariance reads, built into the memo, so
+    that one changed afterwards reaches no other."""
+    ctx.generators()
+    ctx.d(2) * ctx.ds(2)
+    for s in range(ctx.q):
+        ctx.h(s)
+
+
+def test_a_changed_generator_fails_its_invariance(monkeypatch):
+    """u0 + x1 put in the memo once the others are built: only the
+    gl2(u0) item sees it."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    _build_invariance_inputs(ctx)
+    ctx._memo["u", 0] = ctx.u(0) + ctx.R4.var("x1")
+    failed = _failed_items(check_invariance(field))
+    assert [name for name, _ in failed] == ["gl2(u0)"]
+    assert failed[0][1].startswith("moved by ")
+
+
+def test_a_moved_d2_fails_the_control_at_q2(monkeypatch):
+    """d2 + x1 at q=2, where every determinant is 1 and d2 must be fixed:
+    the control fails, and so does d2*d2s, which reads the same d2."""
+    field = ff_from_q(2)
+    ctx = _throwaway_context(monkeypatch, field)
+    _build_invariance_inputs(ctx)
+    ctx._memo["d", 2] = ctx.d(2) + ctx.R4.var("x1")
+    failed = _failed_items(check_invariance(field))
+    assert [name for name, _ in failed] == ["gl2(d2*d2s)", "d2-control"]
+    assert failed[1][1].startswith("moved by ")
+
+
+def test_a_fixed_d2_fails_the_control_at_q3(monkeypatch):
+    """d2 replaced by the invariant d2*d2s at q=3, and d2s by 1 so that
+    their product stays d2*d2s: only the control, which needs d2 moved,
+    fails."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    _build_invariance_inputs(ctx)
+    ctx._memo["d", 2] = ctx.d(2) * ctx.ds(2)
+    ctx._memo["ds", 2] = ctx.R4.one
+    assert _failed_items(check_invariance(field)) == \
+        [("d2-control", "d2 unexpectedly fixed by all of GL2")]
