@@ -12,8 +12,8 @@ dict.  A kernel that needs the term order takes the ring's order key
 `okey` (see `mpoly.PolyRing`), never the name of the order.
 Every order key is affine in the packed key, okey(a + b) == okey(a) +
 okey(b) - okey(0), so reduction works on the combined keys
-E(k) = okey(k) << W | k of a MonicBasis: a heap of plain ints, and one
-addition per product term.
+E(k) = okey(k) << W | k, under which a MonicBasis keeps its tails: a heap
+of plain ints, and one addition per product term.
 """
 
 import heapq
@@ -149,30 +149,28 @@ class DivisorIndex:
 class MonicBasis:
     """A monic basis as the reduction kernel reads it.
 
-    Element i is the leading key keys[i], coefficient 1, plus the term dict
-    tails[i], whose terms all lie below it.  Every ring's order key is
-    affine in the packed key, okey(a + b) == okey(a) + okey(b) - okey(0),
-    so the combined key E(k) = okey(k) << W | k, W = CHUNK * (n + 1) the
-    width of a packed key, is too: E(a + b) == E(a) + E(b) - E(0), and
-    combined keys compare as the monomials do.  Beside each plain tail the
-    basis keeps the combined tail {E(k): c} and the combined leading key
-    E(keys[i]); both are built by add() and rebuilt by set_tail().
+    Element i is the leading key keys[i], coefficient 1, plus a tail whose
+    terms all lie below it.  Every ring's order key is affine in the packed
+    key, okey(a + b) == okey(a) + okey(b) - okey(0), so the combined key
+    E(k) = okey(k) << W | k, W = CHUNK * (n + 1) the width of a packed key,
+    is too: E(a + b) == E(a) + E(b) - E(0), and combined keys compare as
+    the monomials do.  The basis keeps each tail only combined, as
+    etails[i] = {E(k): c}, beside the combined leading key ekeys[i]; the
+    plain tail is etails[i] with each key masked by kmask, its low W bits.
     """
 
-    __slots__ = ("index", "keys", "tails", "ekeys", "etails", "okey",
-                 "width", "ezero")
+    __slots__ = ("index", "keys", "ekeys", "etails", "okey", "width",
+                 "kmask", "ezero")
 
-    def __init__(self, n, okey, elements=()):
+    def __init__(self, n, okey):
         self.index = DivisorIndex(n)
         self.keys = self.index.keys
-        self.tails = []
         self.ekeys = []
         self.etails = []
         self.okey = okey
         self.width = CHUNK * (n + 1)
+        self.kmask = (1 << self.width) - 1
         self.ezero = self.ekey(0)
-        for lt, tail in elements:
-            self.add(lt, tail)
 
     def ekey(self, k):
         """The combined key E(k) of packed key k."""
@@ -183,17 +181,11 @@ class MonicBasis:
         okey, width = self.okey, self.width
         return {okey(k) << width | k: c for k, c in terms.items()}
 
-    def add(self, lt, tail):
-        """Append the element lt + tail."""
+    def add(self, lt, etail):
+        """Append the element lt + tail, given its combined tail."""
         self.index.add(lt)
-        self.tails.append(tail)
         self.ekeys.append(self.ekey(lt))
-        self.etails.append(self.combined(tail))
-
-    def set_tail(self, i, tail):
-        """Replace the tail of element i, which keeps its leading key."""
-        self.tails[i] = tail
-        self.etails[i] = self.combined(tail)
+        self.etails.append(etail)
 
 
 def spair_terms(basis, i, j, si, sj, field):
@@ -210,27 +202,34 @@ def spair_terms(basis, i, j, si, sj, field):
 
 
 def normal_form_terms(f, basis, field, track):
-    """Complete reduction of f by a MonicBasis.
+    """Complete reduction of f by a MonicBasis, as reduce_combined makes it.
 
     f is a term dict, or an S-pair (i, j, si, sj) taken as
-    spair_terms(basis, i, j, si, sj).  Terms are held under their combined
-    keys in a heap of plain ints and taken highest first, each reduced by
-    the first basis element whose leading term divides it: if E is the
-    term's combined key and E_i the leading one's, a tail term E_t becomes
-    E_t + (E - E_i), one addition and one dict lookup.
-    Returns (remainder_dict, cofactors) where cofactors[i] is a term dict with
-    f = sum_i cofactors[i] * basis[i] + remainder (None unless track).
+    spair_terms(basis, i, j, si, sj)."""
+    pending = spair_terms(basis, *f, field) if type(f) is tuple \
+        else basis.combined(f)
+    return reduce_combined(pending, basis, field, track)
+
+
+def reduce_combined(pending, basis, field, track):
+    """Complete reduction of the term dict `pending`, held under combined
+    keys, by a MonicBasis; pending is used up.
+
+    Terms are held under their combined keys in a heap of plain ints and
+    taken highest first, each reduced by the first basis element whose
+    leading term divides it: if E is the term's combined key and E_i the
+    leading one's, a tail term E_t becomes E_t + (E - E_i), one addition
+    and one dict lookup.
+    Returns (remainder_dict, cofactors), the remainder under plain keys,
+    where cofactors[i] is a term dict with pending, as given, equal to
+    sum_i cofactors[i] * basis[i] + remainder (None unless track).
     """
     q, mul_flat, add_flat, neg_flat = field.q, field.mul_flat, \
         field.add_flat, field.neg_flat
     keys, ekeys, etails = basis.keys, basis.ekeys, basis.etails
     first_divisor = basis.index.first_divisor
-    kmask = (1 << basis.width) - 1
+    kmask = basis.kmask
     heappop, heappush = heapq.heappop, heapq.heappush
-    if type(f) is tuple:
-        pending = spair_terms(basis, *f, field)
-    else:
-        pending = basis.combined(f)
     heap = [-e for e in pending]
     heapq.heapify(heap)
     remainder = {}

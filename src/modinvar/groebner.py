@@ -40,9 +40,10 @@ class GroebnerBasis:
 
     reps[k], present when tracked, is a list of cofactor polynomials with
     basis[k] == sum_t reps[k][t] * inputs[t].  monic is the basis as the
-    reduction kernel reads it (a `_kernels.MonicBasis`), index its divisor
-    index and lt_keys the leading keys; every normal form modulo the basis
-    reuses them.
+    reduction kernel reads it (a `_kernels.MonicBasis`, the one store of
+    each element's tail during the run; basis is built from it at the end),
+    index its divisor index and lt_keys the leading keys; every normal form
+    modulo the basis reuses them.
     """
 
     __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "reps",
@@ -565,7 +566,6 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     fld = ring.field
     minus = fld.neg_flat[1]
 
-    basis = []
     monic = K.MonicBasis(ring.n, ring.okey)
     lt_keys = monic.keys
     reps = [] if track else None
@@ -580,18 +580,17 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     def nf(f):
         return K.normal_form_terms(f, monic, fld, track)
 
-    def add_element(f, rep):
-        lc = f.leading_coeff()
-        if lc.i != 1:
-            inv = lc.inverse()
-            f = f * inv
+    def add_element(terms, rep):
+        tail = monic.combined(terms)
+        top = max(tail)
+        lc = tail.pop(top)
+        if lc != 1:
+            inv = fld.inv_i(lc)
+            tail = K.scale_terms(tail, inv, 0, fld)
             if track:
-                rep = [r * inv for r in rep]
-        basis.append(f)
-        k = f.leading_key()
-        t = dict(f.terms)
-        del t[k]
-        monic.add(k, t)
+                rep = [r * fld.from_index(inv) for r in rep]
+        k = top & monic.kmask
+        monic.add(k, tail)
         if track:
             reps.append(rep)
         colon = pairs.add(k)
@@ -610,7 +609,7 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
         if not r_terms:
             continue
         rep = _fold(unit_rep(t), cof, reps, minus) if track else None
-        add_element(Polynomial(ring, r_terms), rep)
+        add_element(r_terms, rep)
 
     while True:
         check_deadline(deadline)
@@ -646,49 +645,51 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
             mj = Polynomial(ring, {sj: 1})
             rep = _fold([mi * a - mj * b for a, b in zip(reps[i], reps[j])],
                         cof, reps, minus)
-        add_element(Polynomial(ring, r_terms), rep)
+        add_element(r_terms, rep)
 
     if hilbert is not None and bound is None and any(hilbert.diff):
         raise GroebnerError("the finished basis leaves another Hilbert "
                             "series than the graph ideal")
-    basis, monic, reps = _inter_reduce(ring, basis, monic, reps, deadline)
+    basis, monic, reps = _inter_reduce(ring, monic, reps, deadline)
     return GroebnerBasis(ring, basis, monic, reps, bound, inputs,
                          pairs.created, skipped, reduced, zeros)
 
 
-def _inter_reduce(ring, basis, work, reps, deadline):
+def _inter_reduce(ring, work, reps, deadline):
     """The reduced basis in increasing leading-term order, with its
     MonicBasis.
 
     Minimalisation first: a proper divisor has a strictly smaller order key,
     so a scan in increasing key order only looks back at what was kept, and
-    the index of the kept keys is the final one.  Then one pass reduces each
-    tail against the whole basis: no tail term is divisible by its own
-    leading term, so element i is reduced by elements below it only, whose
-    tails are final by then.
+    the index of the kept keys is the final one.  A kept element keeps its
+    combined tail as it is.  Then one pass reduces each tail that has a term
+    some leading term divides: no tail term is divisible by its own leading
+    term, so element i is reduced by elements below it only, whose tails
+    are final by then.  The Polynomials of the basis are built last.
     """
     track = reps is not None
-    order = sorted(range(len(basis)), key=work.ekeys.__getitem__)
+    order = sorted(range(len(work.keys)), key=work.ekeys.__getitem__)
     monic = K.MonicBasis(ring.n, ring.okey)
+    first_divisor = monic.index.first_divisor
     kept = []
     for k in order:
         check_deadline(deadline)
-        if monic.index.first_divisor(work.keys[k]) < 0:
-            monic.add(work.keys[k], work.tails[k])
+        if first_divisor(work.keys[k]) < 0:
+            monic.add(work.keys[k], work.etails[k])
             kept.append(k)
-    basis = [basis[k] for k in kept]
     reps = [reps[k] for k in kept] if track else None
-    for i, tail in enumerate(monic.tails):
+    kmask = monic.kmask
+    for i, tail in enumerate(monic.etails):
         check_deadline(deadline)
-        r, cof = K.normal_form_terms(tail, monic, ring.field, track)
-        if r == tail:
+        if all(first_divisor(e & kmask) < 0 for e in tail):
             continue
-        terms = dict(r)
-        terms[monic.keys[i]] = 1
-        basis[i] = Polynomial(ring, terms)
-        monic.set_tail(i, r)
+        r, cof = K.reduce_combined(dict(tail), monic, ring.field, track)
+        monic.etails[i] = monic.combined(r)
         if track:
             reps[i] = _fold(reps[i], cof, reps, ring.field.neg_flat[1])
+    basis = [Polynomial(ring, {e & kmask: c for e, c in tail.items()}
+                        | {k: 1})
+             for k, tail in zip(monic.keys, monic.etails)]
     return basis, monic, reps
 
 

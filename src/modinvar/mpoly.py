@@ -483,10 +483,10 @@ class Polynomial:
             g = g * f.from_index(inv)
         else:
             inv = 1
-        tail = dict(g.terms)
-        del tail[ltk]
-        rem, cof = K.normal_form_terms(
-            self.terms, K.MonicBasis(r.n, r.okey, [(ltk, tail)]), f, True)
+        basis = K.MonicBasis(r.n, r.okey)
+        basis.add(ltk, basis.combined(
+            {k: c for k, c in g.terms.items() if k != ltk}))
+        rem, cof = K.normal_form_terms(self.terms, basis, f, True)
         if rem:
             raise NotDivisible("remainder has %d terms" % len(rem))
         q = cof[0] or {}

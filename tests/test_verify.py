@@ -384,6 +384,33 @@ def test_elimination_of_one_generator_eliminates_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("q", (2, 3))
+def test_elimination_of_the_c_generators_eliminates_nothing(q, monkeypatch):
+    """Only the four generators C - c: their lex basis has no element free
+    of the base variables, so both items fail."""
+    field = ff_from_q(q)
+    _throwaway_context(monkeypatch, field)
+    whole = verify._elimination_generators
+    monkeypatch.setattr(verify, "_elimination_generators",
+                        lambda ctx: whole(ctx)[:4])
+    assert _failed_items(elimination_crosscheck(field)) == [
+        ("lex-elimination", "no eliminated elements in a 4-element basis"),
+        ("ideal-equality", "no eliminated ideal to compare")]
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_elimination_against_a_multiple_of_t1_fails_ideal_equality(
+        q, monkeypatch):
+    """T10 replaced by C0*T1 in the memo: the relations then generate a
+    smaller ideal than the kernel, so only the comparison fails."""
+    field = ff_from_q(q)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["rel", "T10"] = ctx.S7var("C0") * ctx.relation("T1")
+    assert _failed_items(elimination_crosscheck(field)) == [
+        ("ideal-equality",
+         "reduced bases differ; kernel-only 1, relations-only 3")]
+
+
+@pytest.mark.parametrize("q", (2, 3))
 def test_negative_controls_detect(q):
     rep = negative_controls(ff_from_q(q))
     assert rep.overall == "pass"
@@ -454,8 +481,9 @@ def _digest(report):
 
 
 def test_reports_print_the_basis_of_the_bound_asked_for(monkeypatch):
-    # products leaves a basis for a higher bound in the context; hilbert and
-    # kernel must still report the basis of their own bound
+    # no suite keeps a basis in the context: each builds the basis of its
+    # own bound where it uses it, so a products run first and a kernel run
+    # at another bound leave the hilbert and kernel reports unchanged
     monkeypatch.setattr(gens, "_CONTEXTS", {})
     field = ff_from_q(3)
     fresh24 = _digest(check_kernel(field, 24))
