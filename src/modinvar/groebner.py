@@ -1,11 +1,11 @@
 """Buchberger's algorithm over the packed-monomial rings.
 
 Supports degree-truncated runs (sound for weighted-homogeneous inputs: the
-truncated basis decides membership in every weighted degree up to the bound),
-representation tracking, where each basis element carries its expression
-as a combination of the original generators, and Hilbert-driven runs, which
-skip the S-pairs of every degree whose standard monomials already number
-what the ideal leaves.
+truncated basis decides membership in every weighted degree up to the bound)
+and Hilbert-driven runs, which skip the S-pairs of every degree whose
+standard monomials already number what the ideal leaves.  A normal form can
+return its cofactors on the basis; they move onto the inputs only when each
+basis element is one input made monic (input_multiples).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import time
 from operator import mul
 
 from . import _kernels as K
-from .mpoly import EXP_CAP, ExponentOverflow, Polynomial, RingMismatch, \
-    iadd_product
+from .mpoly import EXP_CAP, ExponentOverflow, Polynomial, RingMismatch
 
 
 class GroebnerError(Exception):
@@ -38,27 +37,24 @@ class TimeoutExceeded(GroebnerError):
 class GroebnerBasis:
     """Monic, inter-reduced truncated basis, in increasing leading-term order.
 
-    reps[k], present when tracked, is a list of cofactor polynomials with
-    basis[k] == sum_t reps[k][t] * inputs[t].  monic is the basis as the
-    reduction kernel reads it (a `_kernels.MonicBasis`, the one store of
-    each element's tail during the run; basis is built from it at the end),
-    index its divisor index and lt_keys the leading keys; every normal form
-    modulo the basis reuses them.
+    monic is the basis as the reduction kernel reads it (a
+    `_kernels.MonicBasis`, the one store of each element's tail during the
+    run; basis is built from it at the end), index its divisor index and
+    lt_keys the leading keys; every normal form modulo the basis reuses
+    them.
     """
 
-    __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "reps",
-                 "bound", "inputs", "pairs_processed", "pairs_skipped",
-                 "pairs_reduced", "zero_reductions", "_counts")
+    __slots__ = ("ring", "basis", "monic", "index", "lt_keys", "bound",
+                 "inputs", "pairs_processed", "pairs_skipped",
+                 "pairs_reduced", "zero_reductions", "_counts", "_multiples")
 
-    def __init__(self, ring, basis, monic, reps, bound, inputs,
-                 pairs_processed, pairs_skipped, pairs_reduced,
-                 zero_reductions):
+    def __init__(self, ring, basis, monic, bound, inputs, pairs_processed,
+                 pairs_skipped, pairs_reduced, zero_reductions):
         self.ring = ring
         self.basis = basis
         self.monic = monic
         self.index = monic.index
         self.lt_keys = monic.keys
-        self.reps = reps
         self.bound = bound
         self.inputs = inputs
         self.pairs_processed = pairs_processed
@@ -68,6 +64,7 @@ class GroebnerBasis:
         self.pairs_reduced = pairs_reduced
         self.zero_reductions = zero_reductions
         self._counts = None
+        self._multiples = None
 
     def __len__(self):
         return len(self.basis)
@@ -525,7 +522,7 @@ def _check_bound(bound):
                             "got %r" % (EXP_CAP, bound))
 
 
-def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
+def buchberger(gens, bound=None, deadline=None, grading=None):
     """Truncated Groebner basis of the ideal generated by gens.
 
     With bound set, every generator must be homogeneous for the ring's
@@ -564,12 +561,8 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
                                _graph_degrees(ring, grading, inputs),
                                deadline)
     fld = ring.field
-    minus = fld.neg_flat[1]
-
     monic = K.MonicBasis(ring.n, ring.okey)
     lt_keys = monic.keys
-    reps = [] if track else None
-    zero = ring.zero
     pairs = _CriticalPairs(ring, bound, deadline,
                            None if hilbert is None else hilbert.top)
     # the deficit of each degree met since the last leading term was added:
@@ -578,38 +571,27 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
     skipped = reduced = zeros = 0
 
     def nf(f):
-        return K.normal_form_terms(f, monic, fld, track)
+        return K.normal_form_terms(f, monic, fld, False)[0]
 
-    def add_element(terms, rep):
+    def add_element(terms):
         tail = monic.combined(terms)
         top = max(tail)
         lc = tail.pop(top)
         if lc != 1:
-            inv = fld.inv_i(lc)
-            tail = K.scale_terms(tail, inv, 0, fld)
-            if track:
-                rep = [r * fld.from_index(inv) for r in rep]
+            tail = K.scale_terms(tail, fld.inv_i(lc), 0, fld)
         k = top & monic.kmask
         monic.add(k, tail)
-        if track:
-            reps.append(rep)
         colon = pairs.add(k)
         if hilbert is not None:
             hilbert.add(k, colon)
             deficits.clear()
 
-    def unit_rep(t):
-        return [ring.one if i == t else zero for i in range(len(inputs))]
-
     # seed with the reduced nonzero inputs
-    for t, g in enumerate(inputs):
-        if not g:
-            continue
-        r_terms, cof = nf(g.terms)
-        if not r_terms:
-            continue
-        rep = _fold(unit_rep(t), cof, reps, minus) if track else None
-        add_element(r_terms, rep)
+    for g in inputs:
+        if g:
+            r_terms = nf(g.terms)
+            if r_terms:
+                add_element(r_terms)
 
     while True:
         check_deadline(deadline)
@@ -635,27 +617,21 @@ def buchberger(gens, bound=None, track=False, deadline=None, grading=None):
         si = klcm - lt_keys[i]
         sj = klcm - lt_keys[j]
         reduced += 1
-        r_terms, cof = nf((i, j, si, sj))
-        if not r_terms:
+        r_terms = nf((i, j, si, sj))
+        if r_terms:
+            add_element(r_terms)
+        else:
             zeros += 1
-            continue
-        rep = None
-        if track:
-            mi = Polynomial(ring, {si: 1})
-            mj = Polynomial(ring, {sj: 1})
-            rep = _fold([mi * a - mj * b for a, b in zip(reps[i], reps[j])],
-                        cof, reps, minus)
-        add_element(r_terms, rep)
 
     if hilbert is not None and bound is None and any(hilbert.diff):
         raise GroebnerError("the finished basis leaves another Hilbert "
                             "series than the graph ideal")
-    basis, monic, reps = _inter_reduce(ring, monic, reps, deadline)
-    return GroebnerBasis(ring, basis, monic, reps, bound, inputs,
-                         pairs.created, skipped, reduced, zeros)
+    basis, monic = _inter_reduce(ring, monic, deadline)
+    return GroebnerBasis(ring, basis, monic, bound, inputs, pairs.created,
+                         skipped, reduced, zeros)
 
 
-def _inter_reduce(ring, work, reps, deadline):
+def _inter_reduce(ring, work, deadline):
     """The reduced basis in increasing leading-term order, with its
     MonicBasis.
 
@@ -667,45 +643,24 @@ def _inter_reduce(ring, work, reps, deadline):
     term, so element i is reduced by elements below it only, whose tails
     are final by then.  The Polynomials of the basis are built last.
     """
-    track = reps is not None
     order = sorted(range(len(work.keys)), key=work.ekeys.__getitem__)
     monic = K.MonicBasis(ring.n, ring.okey)
     first_divisor = monic.index.first_divisor
-    kept = []
     for k in order:
         check_deadline(deadline)
         if first_divisor(work.keys[k]) < 0:
             monic.add(work.keys[k], work.etails[k])
-            kept.append(k)
-    reps = [reps[k] for k in kept] if track else None
     kmask = monic.kmask
     for i, tail in enumerate(monic.etails):
         check_deadline(deadline)
         if all(first_divisor(e & kmask) < 0 for e in tail):
             continue
-        r, cof = K.reduce_combined(dict(tail), monic, ring.field, track)
+        r = K.reduce_combined(dict(tail), monic, ring.field, False)[0]
         monic.etails[i] = monic.combined(r)
-        if track:
-            reps[i] = _fold(reps[i], cof, reps, ring.field.neg_flat[1])
     basis = [Polynomial(ring, {e & kmask: c for e, c in tail.items()}
                         | {k: 1})
              for k, tail in zip(monic.keys, monic.etails)]
-    return basis, monic, reps
-
-
-def _fold(rep, cof, reps, c):
-    """rep + c * sum_k cof[k] * reps[k], for a coefficient index c, where
-    cof[k] is a term dict (empty or None where basis element k does not
-    occur).  Each entry accumulates in one term dict."""
-    ring = rep[0].ring
-    acc = [dict(a.terms) for a in rep]
-    for k, terms in enumerate(cof):
-        if terms:
-            f = Polynomial(ring, terms)
-            for t, b in zip(acc, reps[k]):
-                if b:
-                    iadd_product(t, f, b, c)
-    return [Polynomial(ring, t) for t in acc]
+    return basis, monic
 
 
 def normal_form(f, gb, track=False):
@@ -723,12 +678,39 @@ def normal_form(f, gb, track=False):
         [Polynomial(gb.ring, c or {}) for c in cof]
 
 
+def input_multiples(gb):
+    """For each input t, (k, u) with gb.basis[k] == u * gb.inputs[t], u a
+    coefficient index, when each basis element is exactly one input made
+    monic; found on first use and kept.  Raises GroebnerError in any other
+    case: an input that is no constant times a basis element, or inputs
+    that do not match the basis one to one."""
+    if gb._multiples is None:
+        fld = gb.ring.field
+        position = {k: i for i, k in enumerate(gb.lt_keys)}
+        out = []
+        for t, g in enumerate(gb.inputs):
+            lead = g.leading_key() if g else None
+            k = position.get(lead)
+            if k is not None:
+                u = fld.inv_i(g.terms[lead])
+                if K.scale_terms(g.terms, u, 0, fld) == gb.basis[k].terms:
+                    out.append((k, u))
+                    continue
+            raise GroebnerError("input %d is not a constant times a basis "
+                                "element" % t)
+        if sorted(k for k, _ in out) != list(range(len(gb.basis))):
+            raise GroebnerError("the inputs do not match the basis "
+                                "elements one to one")
+        gb._multiples = out
+    return gb._multiples
+
+
 def cofactors_on_inputs(gb, cof):
-    """Rewrite cofactors over gb.basis as cofactors over gb.inputs."""
-    if gb.reps is None:
-        raise GroebnerError("basis was computed without tracking")
-    return _fold([gb.ring.zero] * len(gb.inputs), [c.terms for c in cof],
-                 gb.reps, 1)
+    """Rewrite cofactors over gb.basis as cofactors over gb.inputs, when
+    each basis element is one input made monic (input_multiples)."""
+    return [Polynomial(gb.ring, K.scale_terms(cof[k].terms, u, 0,
+                                              gb.ring.field))
+            for k, u in input_multiples(gb)]
 
 
 def in_ideal(f, gb):

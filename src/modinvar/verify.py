@@ -666,13 +666,14 @@ class _CLast(NamedTuple):
     """The product certificates' data in the C-last ring, built once per
     context by _build_clast.  For spec index m: pullbacks[m] is the pullback
     p_m in ring, and NF(p_m) = sum_b L_{m,b}(C) b, with p_m - NF(p_m) =
-    sum_i cofactors[m][i] rel_i (term dicts).  Relation i is u times the
-    Groebner basis element k for (k, u) = on_basis[i], so its cofactor is
-    u times that element's.  tails[m] holds the terms of NF(p_m) outside
-    its constant part L(0), and shifts[m] their C-monomials.  units maps
-    the U-exponent bits of each b in B_U to its packed key, and blocks maps
-    a degree d to the keys of B_U of degree d and, for each, the row of the
-    inverse of L(0)'s block of degree d as {spec index: coefficient}."""
+    sum_i cofactors[m][i] rel_i (term dicts).  on_basis[i] = (k, u), read
+    off groebner.input_multiples, says that Groebner basis element k is u
+    times relation i, so a cofactor of element k times u is one of relation
+    i.  tails[m] holds the terms of NF(p_m) outside its constant part L(0),
+    and shifts[m] their C-monomials.  units maps the U-exponent bits of
+    each b in B_U to its packed key, and blocks maps a degree d to the keys
+    of B_U of degree d and, for each, the row of the inverse of L(0)'s
+    block of degree d as {spec index: coefficient}."""
 
     ring: PolyRing
     gb: object
@@ -693,12 +694,12 @@ def _build_clast(ctx, relations, deadline=None):
     Raises NotExpressible, before it enumerates B_U, unless the relations
     form a Groebner basis in the C-last order with the five pure-U leading
     terms, and each element of the reduced basis is a constant times one
-    relation (distinct leading terms make that match one to one); and
-    unless every block of L(0) is square and nonsingular.  Then B_U is
-    finite and the basis M is a k[C]-basis of S7/I.  Each block B is
-    inverted once, by one elimination of [B | I] (linalg.inverse_field),
-    and each row of its inverse is kept as Python ints.  Checks the
-    deadline before each basis pullback and each block."""
+    relation, one to one (groebner.input_multiples); and unless every
+    block of L(0) is square and nonsingular.  Then B_U is finite and the
+    basis M is a k[C]-basis of S7/I.  Each block B is inverted once, by
+    one elimination of [B | I] (linalg.inverse_field), and each row of its
+    inverse is kept as Python ints.  Checks the deadline before each basis
+    pullback and each block."""
     q, fld = ctx.q, ctx.field
     weight = dict(zip(ctx.S7.names, ctx.S7.weights))
     ring = PolyRing(fld, _CLAST_NAMES,
@@ -706,7 +707,7 @@ def _build_clast(ctx, relations, deadline=None):
     # once per context, through the groebner module: the names verify
     # imports serve the reduction made per product alone
     gb = groebner.buchberger([rel.remap(ring) for rel in relations],
-                             track=True, deadline=deadline)
+                             deadline=deadline)
     leading = sorted(ring.unpack(key) for key in gb.lt_keys)
     # U1^q, Um1^q, U0^(q^2-1), U0^(q^2-q-1) U1 and Um1 U0^(q^2-q-1)
     if leading != sorted(exps + (0, 0, 0, 0) for exps in (
@@ -715,14 +716,11 @@ def _build_clast(ctx, relations, deadline=None):
         raise NotExpressible("the relations in the C-last order have "
                              "leading terms %s, not the five pure-U ones"
                              % leading)
-    on_basis = [None] * len(relations)
-    for k, rep in enumerate(gb.reps):
-        entries = [(i, r.terms) for i, r in enumerate(rep) if r]
-        if len(entries) != 1 or set(entries[0][1]) != {0}:
-            raise NotExpressible("the reduced basis element %d is not a "
-                                 "constant times one relation" % k)
-        i, terms = entries[0]
-        on_basis[i] = k, terms[0]
+    try:
+        on_basis = groebner.input_multiples(gb)
+    except groebner.GroebnerError as exc:
+        raise NotExpressible("a reduced basis element is not a constant "
+                             "times one relation: %s" % exc) from None
     units = {key & _CLAST_UMASK: key for key in _u_basis(ring, gb, q)}
 
     specs = ctx.enumerate_basis()
@@ -1195,8 +1193,7 @@ def negative_controls(field, max_degree=None, deadline=None):
 
     def dropped_t10():
         gens = [ctx.relation(n) for n in RELATION_NAMES if n != "T10"]
-        small = buchberger(gens, bound=max_degree, track=False,
-                           deadline=deadline)
+        small = buchberger(gens, bound=max_degree, deadline=deadline)
         for d in range(max_degree + 1):
             count = standard_monomial_count(small, d)
             if count != _cached_dim(ctx, d, deadline):

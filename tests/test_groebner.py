@@ -134,28 +134,54 @@ def test_membership():
     assert not in_ideal(R.parse("x + y"), gb)
 
 
-def test_tracked_division_certificate():
+def scaled_reduced_basis():
+    """A reduced basis of three elements, each input scaled by a nonzero
+    constant, in another order than the basis."""
     R = textbook_ring()
-    inputs = [R.parse("x^2 + y*z"), R.parse("x*y + z^2")]
-    gb = buchberger(inputs, track=True)
-    f = R.parse("x^3*y + x*z^4 + y^2")
-    rem, cof = normal_form(f, gb, track=True)
-    assert sum((c * b for c, b in zip(cof, gb.basis)), rem) == f
-    oncof = cofactors_on_inputs(gb, cof)
-    assert sum((c * g for c, g in zip(oncof, inputs)), rem) == f
+    basis = buchberger([R.parse("x^2 + y*z"), R.parse("x*y + z^2")]).basis
+    assert len(basis) == 3
+    return R, [basis[2] * 3, basis[0] * 6, basis[1] * 2]
 
 
-def test_tracked_reps_express_each_basis_element():
-    """Every cofactor fold (seeding, S-pairs, inter-reduction) keeps
-    basis[k] == sum_t reps[k][t] * inputs[t]."""
-    R = textbook_ring()
-    for texts in (("x^2 + y*z", "x*y + z^2", "y^3 + x*z"),
-                  ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")):
-        inputs = [R.parse(t) for t in texts]
-        gb = buchberger(inputs, track=True)
-        assert any(sum(1 for c in rep if c) > 1 for rep in gb.reps)
-        for b, rep in zip(gb.basis, gb.reps):
-            assert sum((c * g for c, g in zip(rep, inputs)), R.zero) == b
+def test_scaled_basis_inputs_divide_exactly_through_cofactors_on_inputs():
+    R, inputs = scaled_reduced_basis()
+    gb = buchberger(inputs)
+    multiples = groebner.input_multiples(gb)
+    assert [k for k, _ in multiples] == [2, 0, 1]
+    for g, (k, u) in zip(inputs, multiples):
+        assert gb.basis[k] == g * R.field.from_index(u)
+    assert groebner.input_multiples(gb) is multiples
+    for text in ("x^3*y + x*z^4 + y^2", "x^5 + y^4*z", "0"):
+        f = R.parse(text)
+        rem, cof = normal_form(f, gb, track=True)
+        oncof = cofactors_on_inputs(gb, cof)
+        assert len(oncof) == 3
+        assert sum((c * g for c, g in zip(oncof, inputs)), rem) == f
+        assert rem == normal_form(f, gb)
+
+
+@pytest.mark.parametrize("change", ("plus-a-multiple", "redundant",
+                                    "repeated", "zero"))
+def test_inputs_that_are_not_the_scaled_basis_have_no_cofactors(change):
+    """An input plus a multiple of another leaves the same reduced basis,
+    but that input is not a constant times one of its elements; a
+    redundant, repeated or zero input has no element of its own."""
+    R, inputs = scaled_reduced_basis()
+    if change == "plus-a-multiple":
+        inputs[0] = inputs[0] + R.parse("x") * inputs[1]
+    elif change == "redundant":
+        inputs.append(R.parse("y") * inputs[0] + inputs[2])
+    elif change == "repeated":
+        inputs.append(inputs[1] * 5)
+    else:
+        inputs.append(R.zero)
+    gb = buchberger(inputs)
+    assert len(gb.basis) == 3
+    _, cof = normal_form(R.parse("x^3*y + x*z^4 + y^2"), gb, track=True)
+    with pytest.raises(GroebnerError):
+        cofactors_on_inputs(gb, cof)
+    with pytest.raises(GroebnerError):
+        groebner.input_multiples(gb)
 
 
 def test_remainder_is_fully_reduced():
@@ -226,7 +252,7 @@ def test_budget_is_checked_in_pair_updates_and_inter_reduction(monkeypatch):
 
 def test_relation_ideal_membership():
     ctx = context_for_q(2)
-    gb = buchberger(ctx.ideal_generators(), bound=16, track=True)
+    gb = buchberger(ctx.ideal_generators(), bound=16)
     t1, t1s = ctx.relation("T1"), ctx.relation("T1s")
     assert in_ideal(t1 * ctx.S7var("U0") + t1s * ctx.S7var("C0"), gb)
     assert not in_ideal(ctx.S7var("U0"), gb)
@@ -484,17 +510,17 @@ def assert_one_store(gb):
 
 
 @pytest.mark.parametrize("q", (2, 3, 4))
-@pytest.mark.parametrize("track", (False, True))
+@pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("driven", (False, True))
 @pytest.mark.parametrize("bounded", (False, True))
-def test_the_basis_is_built_from_the_one_store(q, track, driven, bounded):
+def test_the_basis_is_built_from_the_one_store(q, reverse, driven, bounded):
+    """In either seed order of the inputs."""
     gens, grading = elimination_graph_ideal(q)
-    gb = buchberger(gens, bound=2 * q * q if bounded else None, track=track,
+    gb = buchberger(gens[::-1] if reverse else gens,
+                    bound=2 * q * q if bounded else None,
                     grading=grading if driven else None)
     assert len(gb.basis) > 5
     assert_one_store(gb)
-    if track:
-        assert len(gb.reps) == len(gb.basis)
 
 
 def test_the_graded_lex_basis_holds_each_element_once():

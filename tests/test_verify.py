@@ -27,7 +27,7 @@ from modinvar.gens import (
 from modinvar.gf import ff_from_q
 from modinvar.groebner import TimeoutExceeded
 from modinvar.mpoly import EXP_CAP, ExponentOverflow, Polynomial, \
-    PolyRing, RingMismatch
+    PolyRing, RingMismatch, iadd_product
 from modinvar.verify import (
     check_hilbert,
     elimination_crosscheck,
@@ -1124,7 +1124,7 @@ def test_a_basis_without_a_carry_relation_fails_that_carry(q, dropped):
     bound = 2 * max(sp.degree(q) for sp in ctx.enumerate_basis())
     basis = groebner.buchberger(
         [ctx.relation(n) for n in RELATION_NAMES if n != dropped],
-        bound=bound, track=False)
+        bound=bound)
     power = {"T1s": "Um1^%d" % q, "T1": "U1^%d" % q,
              "T00": "W^%d" % (q - 1)}[dropped]
     ok, detail = verify._product_congruence(ctx, basis)
@@ -1610,33 +1610,27 @@ def test_clast_context_facts_at_large_q(q):
     _clast_context_facts(q)
 
 
-def _polynomial_fold(rep, cof, reps):
-    """rep - sum_k cof[k] * reps[k] with a Polynomial for every partial
-    product and sum: the cofactor fold before it accumulated in term
-    dicts, kept as its oracle."""
-    ring = rep[0].ring
-    for k, terms in enumerate(cof):
-        if terms:
-            c = Polynomial(ring, terms)
-            rep = [a - c * b if b else a for a, b in zip(rep, reps[k])]
-    return rep
-
-
-def test_cofactors_on_inputs_equal_the_polynomial_fold():
+def test_cofactors_on_inputs_give_the_exact_identity():
     """On the tracked normal form of every one of the 1,176 q=3 products,
-    as reduce_product takes it."""
+    as reduce_product takes it: P - rem == sum_t c_t * relation_t, and the
+    cofactors are reduce_product's, read off on_basis."""
     field = ff_from_q(3)
     ctx = InvariantContext(field)
     cl = verify._build_clast(ctx, ctx.ideal_generators())
     gb = cl.gb
-    zero = [gb.ring.zero] * len(gb.inputs)
+    assert groebner.input_multiples(gb) is cl.on_basis
     pairs = _sampled_pairs(ctx, "all")
     assert len(pairs) == 1176
     for f, g in pairs:
         product = cl.pullbacks[cl.index[f]] * cl.pullbacks[cl.index[g]]
-        _, cof = groebner.normal_form(product, gb, track=True)
-        assert groebner.cofactors_on_inputs(gb, cof) == _polynomial_fold(
-            zero, [(-c).terms for c in cof], gb.reps), (f.label(), g.label())
+        rem, cof = groebner.normal_form(product, gb, track=True)
+        oncof = groebner.cofactors_on_inputs(gb, cof)
+        identity = dict((product - rem).terms)
+        for c, rel in zip(oncof, gb.inputs):
+            iadd_product(identity, c, rel, field.neg_flat[1])
+        assert not identity, (f.label(), g.label())
+        assert [c.terms for c in oncof] == [
+            K.scale_terms(cof[k].terms, u, 0, field) for k, u in cl.on_basis]
 
 
 def _ell_equals_the_fit(q, sample):
@@ -1875,6 +1869,23 @@ def test_a_changed_pullback_fails_the_base_congruence(monkeypatch):
                         lambda s, k, t: z_pullback(s, k, t) + U0)
     assert _failed_items(check_products(field)) == \
         [("congruence:base", "nonzero normal form: U0")]
+
+
+def test_a_carry_range_violation_fails_the_exponent_carry(monkeypatch):
+    """_carry_decomposition made to report a violation at q=2: only
+    congruence:exponent-carry fails, and it names the pairs."""
+    field = ff_from_q(2)
+    _throwaway_context(monkeypatch, field)
+    monkeypatch.setattr(verify, "_carry_decomposition",
+                        lambda q: [(1, 1), ("t", 0, 0)])
+    assert _failed_items(check_products(field, "all")) == \
+        [("congruence:exponent-carry",
+          "range violation at [(1, 1), ('t', 0, 0)]")]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+def test_every_carry_stays_in_range(q):
+    assert verify._carry_decomposition(q) == []
 
 
 def test_a_changed_h_numerator_fails_only_its_division(monkeypatch):
