@@ -104,13 +104,8 @@ def enumerate_gl2(field):
 
 
 def enumerate_sl2(field):
-    out = []
-    q = field.q
-    for a, b, c, d in itertools.product(range(q), repeat=4):
-        det = field.add_i(field.mul_i(a, d), field.neg_i(field.mul_i(b, c)))
-        if det == 1:
-            out.append(Mat2.from_indices(field, (a, b, c, d)))
-    return out
+    """The elements of enumerate_gl2 of determinant 1, in its order."""
+    return [g for g in enumerate_gl2(field) if g.det().i == 1]
 
 
 def multiplicative_generator(field):

@@ -126,12 +126,9 @@ def cmd_show(args):
 
 def cmd_reduce(args):
     field = _field_from_args(args)
-    spec_f = BasisSpec.parse(args.f)
-    spec_g = BasisSpec.parse(args.g)
-    spec_f.validate(args.q)
-    spec_g.validate(args.q)
     try:
-        cert = verify.reduce_product(field, spec_f, spec_g,
+        cert = verify.reduce_product(field, BasisSpec.parse(args.f),
+                                     BasisSpec.parse(args.g),
                                      deadline=_deadline(args))
     except verify.NotExpressible as exc:
         doc = {"f": args.f, "g": args.g, "reverified": "fail",

@@ -4,18 +4,21 @@ ring that surjects onto the invariant ring, and the free-module basis.
 Everything lives in one cached per-field context so repeated CLI calls and
 test cases share the (sometimes expensive) constructions: each context keeps
 one memo, read through InvariantContext.memo.  It holds the generator
-families, the relations, the basis list, and the value and pullback of every
-basis element asked for, each built once; verify adds invariant
-dimensions, the product certificates' data in the C-last ring, the
-reference module fit's blocks with their factorizations, and the certificate
-verifier's checks that pi sends the relations to 0 ("relations-vanish") and
-each pullback to its basis value ("pullback-value"), each kept beside the
-objects it compared, to the same memo.
+families, the relations, the alternating sums in S7 (the tail of T10 and
+T01, one per s for the Z-pullbacks, and delta), the basis list, and the
+value and pullback of every basis element asked for, each built once;
+verify adds invariant dimensions, the product certificates' data in the
+C-last ring, the reference module fit's blocks with their factorizations,
+and the checks that pi sends the relations to 0 ("relations-vanish", read
+by the kernel suite and the certificate verifier) and each pullback to its
+basis value ("pullback-value"), each kept beside the objects it compared,
+to the same memo.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .action import R4_NAMES, involution_star
@@ -155,6 +158,20 @@ class BasisSpec:
             + self.t * (2 * q + 2)
 
 
+def alternating_sum(n, lo, mm, v):
+    """sum_{i=lo}^{n} (-1)^i binom(n,i) mm^(n-i) v^(i-1), for lo >= 1, in
+    the ring of mm and v: the tail of T10 and T01, delta and the sums of
+    the Ks identities and the Z-pullbacks are all of this form."""
+    fld = mm.ring.field
+    P = mm.ring.zero
+    for i in range(lo, n + 1):
+        coef = fld.elem(math.comb(n, i))
+        if i % 2:
+            coef = -coef
+        P = P + mm ** (n - i) * v ** (i - 1) * coef
+    return P
+
+
 class InvariantContext:
     """All named polynomials for one base field, built once and cached."""
 
@@ -176,9 +193,6 @@ class InvariantContext:
             return value
 
     # ---- scalar helpers -------------------------------------------------
-
-    def binom(self, n, k):
-        return self.field.elem(math.comb(n, k))
 
     def r4_bidegree(self, f):
         """(x-degree, y-degree) of a bihomogeneous element of the base ring.
@@ -294,24 +308,17 @@ class InvariantContext:
         return self.memo("W", lambda: self.S7var("Um1") * self.S7var("U1")
                          - self.S7var("U0") ** (self.q + 1))
 
-    def _tail_sum_s7(self, lo):
-        """sum_{i=lo}^{q-1} (-1)^i binom(q-1,i) (Um1*U1)^(q-1-i)
-        U0^((q+1)(i-1))."""
-        q, S = self.q, self.S7
-        P = S.zero
-        mm = self.S7var("Um1") * self.S7var("U1")
-        u0 = self.S7var("U0")
-        for i in range(lo, q):
-            coef = self.binom(q - 1, i)
-            if i % 2:
-                coef = -coef
-            P = P + mm ** (q - 1 - i) * u0 ** ((q + 1) * (i - 1)) * coef
-        return P
+    def _s7_tail(self, n):
+        """alternating_sum(n, 1, Um1*U1, U0^(q+1)), kept in the memo: the
+        tail of T10 and T01 at n = q-1, and the Z-pullbacks' sum at n = s."""
+        return self.memo(("tail", n), lambda: alternating_sum(
+            n, 1, self.S7var("Um1") * self.S7var("U1"),
+            self.S7var("U0", self.q + 1)))
 
     def relation_tail_s7(self):
         """The full tail sum (from i=1) appearing in the two mixed
         relations."""
-        return self.memo("tail1", lambda: self._tail_sum_s7(1))
+        return self._s7_tail(self.q - 1)
 
     def delta_sum_s7(self):
         """The correction term delta: the tail sum from i=2, equal after
@@ -320,14 +327,15 @@ class InvariantContext:
 
     def _build_delta_sum_s7(self):
         q, S = self.q, self.S7
-        P = self._tail_sum_s7(2)
+        mm = self.S7var("Um1") * self.S7var("U1")
+        P = alternating_sum(q - 1, 2, mm, self.S7var("U0", q + 1))
         # expansion cross-check against the W-form double sum
         alt = S.zero
-        mm = self.S7var("Um1") * self.S7var("U1")
         W = self.w_poly()
         for i in range(2, q):
             for j in range(i):
-                coef = self.binom(q - 1, i) * self.binom(i - 1, j)
+                coef = self.field.elem(math.comb(q - 1, i)
+                                       * math.comb(i - 1, j))
                 if (i + j) % 2:
                     coef = -coef
                 alt = alt + mm ** (q - 2 - j) * W ** j * coef
@@ -356,17 +364,9 @@ class InvariantContext:
         return f
 
     def ks_sum(self, s):
-        """sum_{i=1}^{s} (-1)^i binom(s,i) (um1*u1)^(s-i) (u0^(q+1))^(i-1)."""
-        R, q = self.R4, self.q
-        P = R.zero
-        mm = self.u(-1) * self.u(1)
-        u0 = self.u(0)
-        for i in range(1, s + 1):
-            coef = self.binom(s, i)
-            if i % 2:
-                coef = -coef
-            P = P + mm ** (s - i) * u0 ** ((q + 1) * (i - 1)) * coef
-        return P
+        """alternating_sum(s, 1, um1*u1, u0^(q+1)), of the Ks identity."""
+        return alternating_sum(s, 1, self.u(-1) * self.u(1),
+                               self.u(0) ** (self.q + 1))
 
     def relation(self, name):
         """Abstract ideal generators T1, T1s, T00, T01, T10."""
@@ -477,18 +477,12 @@ class InvariantContext:
             * self.w_poly() ** t))
 
     def z_pullback(self, s, k, t):
-        """Abstract preimage of (h_s d2s^s) u0^k (d2s d2)^t, read off the
-        expansion of h_s d2s^s over the seven generators."""
-        q = self.q
-        F = self.S7var("C1s") * self.S7var("U0") ** k * self.x_pullback(0, s, t)
-        u0 = self.S7var("U0")
-        for i in range(1, s + 1):
-            coef = self.binom(s, i)
-            if i % 2:
-                coef = -coef
-            F = F + u0 ** ((q + 1) * (i - 1) + k + 1) \
-                * self.x_pullback(q - i, s - i, t) * coef
-        return F
+        """Abstract preimage of (h_s d2s^s) u0^k (d2s d2)^t: the Ks identity
+        h_s d2s^s = c1s u1^s + um1^(q-s) u0 ks_sum(s), lifted to S7."""
+        U0 = self.S7var("U0")
+        return self.S7var("C1s") * U0 ** k * self.x_pullback(0, s, t) \
+            + U0 ** (k + 1) * self.x_pullback(self.q - s, 0, t) \
+            * self._s7_tail(s)
 
     def basis_pullback(self, spec):
         """A 7-variable polynomial mapping onto the basis element, built once
@@ -531,12 +525,13 @@ class InvariantContext:
         return tuple(out)
 
     def census(self):
-        """Family sizes; the total must equal the group order."""
+        """Family sizes counted in enumerate_basis(), and the group order
+        |GL2(F_q)| from its formula; the total must equal the group
+        order."""
         q = self.q
-        a = q * q * (q - 1)
-        b = q * (q - 1) ** 3
-        c = q * (q - 1) * (q - 2)
-        return {"A": a, "B": b, "C": c, "total": a + b + c,
+        sizes = Counter(spec.kind for spec in self.enumerate_basis())
+        return {"A": sizes["A"], "B": sizes["B"], "C": sizes["C"],
+                "total": sum(sizes.values()),
                 "group_order": (q * q - 1) * (q * q - q)}
 
 

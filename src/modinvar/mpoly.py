@@ -11,6 +11,8 @@ divisibility test.
 
 from __future__ import annotations
 
+import functools
+
 from . import _kernels as K
 from ._kernels import CHUNK, MASK
 from .gf import FieldElement, FieldError, FieldMismatch
@@ -291,22 +293,21 @@ class PolyRing:
             self.field.q, "[%s]" % ",".join(self.names), self.order)
 
 
-# Polynomial.remap's plans by (source ring, target ring, var_map items).
-# Rings are compared by value, so equal rings share a plan.
-_REMAP_PLANS = {}
-
-
-def _remap_plan(src, ring, var_map):
-    """How a packed key of src moves to ring under var_map: (moves,
-    missing, weights).  Each move (mask, left, right) takes a run of chunks
-    that keep their order and spacing, (k & mask) << left >> right; the
-    runs are disjoint, so the moved key ORs them together.  missing masks
-    the chunks of the variables with no place in ring.  The weighted degree
+@functools.lru_cache(maxsize=None)
+def _remap_plan(src, ring, mapping):
+    """How a packed key of src moves to ring under the var_map whose items
+    are the frozenset mapping: (moves, missing, weights).  Kept per
+    (src, ring, mapping); rings are compared by value, so equal rings share
+    a plan.  Each move (mask, left, right) takes a run of chunks that keep
+    their order and spacing, (k & mask) << left >> right; the runs are
+    disjoint, so the moved key ORs them together.  missing masks the
+    chunks of the variables with no place in ring.  The weighted degree
     moves as a chunk when every placed variable keeps its weight; otherwise
     weights lists (shift, weight) of each placed variable's chunk, and the
     degree is recomputed.  Raises as remap does for a bad map."""
     if ring.field != src.field:
         raise FieldMismatch("remap must preserve the field")
+    var_map = dict(mapping)
     for nm in var_map:
         if nm not in src._index:
             raise PolyError("no variable %r in %r" % (nm, src.names))
@@ -562,12 +563,8 @@ class Polynomial:
         by ring equality.
         """
         src = self.ring
-        mapping = frozenset(var_map.items()) if var_map else None
-        plan = _REMAP_PLANS.get((src, ring, mapping))
-        if plan is None:
-            plan = _REMAP_PLANS[src, ring, mapping] = _remap_plan(
-                src, ring, var_map or {})
-        moves, missing, weights = plan
+        moves, missing, weights = _remap_plan(
+            src, ring, frozenset(var_map.items() if var_map else ()))
         terms = self.terms
         if missing:
             for k in terms:

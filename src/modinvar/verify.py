@@ -223,6 +223,11 @@ def hilbert_series_from_basis(ctx, bound):
         q, [spec.degree(q) for spec in ctx.enumerate_basis()], bound)
 
 
+# the shifts of the x1 and y1 chunks of a base-ring key [wdeg|x1|x2|y1|y2]
+_X1_SHIFT = CHUNK * (len(R4_NAMES) - 1)
+_Y1_SHIFT = CHUNK * (len(R4_NAMES) - 3)
+
+
 def _block_vector(poly, a, b):
     """Coefficient indices of a bihomogeneous base-ring polynomial of
     bidegree (a, b) as a bytearray, one uint8 slot (every index is below
@@ -230,13 +235,11 @@ def _block_vector(poly, a, b):
 
     Reads e1 and e3 straight off the packed keys and never looks at e2 or
     e4: the caller vouches for the bidegree."""
-    n = poly.ring.n
-    sh1 = CHUNK * (n - 1)   # x1, the first variable
-    sh3 = CHUNK * (n - 3)   # y1, the third
     width = b + 1
     vec = bytearray((a + 1) * width)
     for key, cidx in poly.terms.items():
-        vec[((key >> sh1) & MASK) * width + ((key >> sh3) & MASK)] = cidx
+        vec[((key >> _X1_SHIFT) & MASK) * width
+            + ((key >> _Y1_SHIFT) & MASK)] = cidx
     return vec
 
 
@@ -424,10 +427,9 @@ def _standard_image_ranks(ctx, gb, bound, deadline=None):
     bits = ctx.field.p == 2 and all(set(img.terms.values()) == {1}
                                     for img in images)
     if bits:
-        sh1 = CHUNK * (ctx.R4.n - 1)   # x1, the first variable
-        sh3 = CHUNK * (ctx.R4.n - 3)   # y1, the third
-        shifts = [[((key >> sh1) & MASK) * (bound + 1) + ((key >> sh3) & MASK)
-                   for key in img.terms] for img in images]
+        shifts = [[((key >> _X1_SHIFT) & MASK) * (bound + 1)
+                   + ((key >> _Y1_SHIFT) & MASK) for key in img.terms]
+                  for img in images]
         bases = {}
 
         def times(row, pos):
@@ -487,10 +489,8 @@ def check_kernel(field, max_degree, deadline=None):
     rec = _Recorder(deadline)
 
     def vanishing():
-        bad = []
-        for name in RELATION_NAMES:
-            if ctx.pi(ctx.relation(name)):
-                bad.append(name)
+        bad = _nonvanishing(ctx, tuple(ctx.relation(name)
+                                       for name in RELATION_NAMES))
         if not bad:
             return True, "all five relations evaluate to 0"
         return False, "nonvanishing relations: %s" % ", ".join(bad)
@@ -856,6 +856,14 @@ def _kept(ctx, key, sources, build):
     return kept[1]
 
 
+def _nonvanishing(ctx, relations):
+    """The names of the relations (ctx's, in RELATION_NAMES order) that pi
+    does not send to 0, kept under "relations-vanish" beside the relations
+    it evaluated (_kept)."""
+    return _kept(ctx, "relations-vanish", relations, lambda: [
+        name for name, rel in zip(RELATION_NAMES, relations) if ctx.pi(rel)])
+
+
 def verify_certificate(field, cert):
     """Re-verify a certificate by pure expansion: the exact 7-variable
     cofactor identity on the full ell, then the facts about the context
@@ -877,9 +885,10 @@ def verify_certificate(field, cert):
     then follows from three facts that do not depend on the certificate:
     pi(r) = 0 for the five relations, pi(pf) = value(f) and pi(pg) =
     value(g).  Each is checked once and kept in the memo beside the objects
-    it compared (_kept): the relations under "relations-vanish", and each
-    pullback with its value under ("pullback-value", spec), so a relation,
-    pullback or value replaced in the memo is compared again."""
+    it compared (_kept): the relations under "relations-vanish"
+    (_nonvanishing, which the kernel suite reads too), and each pullback
+    with its value under ("pullback-value", spec), so a relation, pullback
+    or value replaced in the memo is compared again."""
     ctx = context(field)
     S7 = ctx.S7
     if len(cert.cofactors) != len(RELATION_NAMES):
@@ -909,8 +918,7 @@ def verify_certificate(field, cert):
         return False, "cofactor identity fails: %s" \
             % _clip(Polynomial(S7, identity))
 
-    bad = _kept(ctx, "relations-vanish", relations, lambda: [
-        name for name, rel in zip(RELATION_NAMES, relations) if ctx.pi(rel)])
+    bad = _nonvanishing(ctx, relations)
     if bad:
         return False, "nonvanishing relations: %s" % ", ".join(bad)
     for spec, pull in ((cert.f, pf), (cert.g, pg)):

@@ -60,6 +60,14 @@ def test_group_orders(q):
     assert set(sl) <= set(gl)
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_sl2_is_the_determinant_one_part_of_gl2_in_order(q):
+    # one enumerator: the order, and so every "moved by" witness, is shared
+    F = ff_from_q(q)
+    assert enumerate_sl2(F) == [g for g in enumerate_gl2(F)
+                                if g.det() == F.one]
+
+
 def test_mat2_algebra():
     F = ff_make(5)
     g = Mat2(F, (F.elem(1), F.elem(2), F.elem(3), F.elem(4)))

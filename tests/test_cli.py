@@ -174,6 +174,9 @@ def test_reduce_bad_spec(capsys):
     code, _, err = run_cli(capsys, "reduce", "A:9,9,9", "A:0,0,0",
                            "--q", "2")
     assert code == 2
+    # raised by reduce_product's own validation
+    assert err.startswith("IndexOutOfRange: parameters BasisSpec(kind='A', "
+                          "i=9, j=9")
 
 
 def test_invariance_exit_zero(capsys):

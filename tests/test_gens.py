@@ -169,6 +169,15 @@ def test_census_matches_group_order(q, total):
     assert c == q * (q - 1) * (q - 2)
     stars = sum(1 for s in specs if s.star)
     assert 2 * stars == c
+    assert (census["A"], census["B"], census["C"]) == (a, b, c)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_ks_sum_at_q_minus_1_is_the_relation_tail(q):
+    """One alternating sum over two rings: ks_sum in the base ring at
+    s = q-1 is the image of the tail of T10 and T01."""
+    ctx = context_for_q(q)
+    assert ctx.ks_sum(q - 1) == ctx.pi(ctx.relation_tail_s7())
 
 
 def test_basis_spec_label_round_trip():

@@ -377,15 +377,11 @@ def test_planned_remap_raises_as_unpacking_does():
             assert f.remap(ring, var_map) == want
 
 
-def test_remap_plans_are_shared_by_equal_rings_only(monkeypatch):
+def test_remap_plans_are_shared_by_equal_rings_only():
     import random
 
     from modinvar import mpoly
 
-    built = []
-    plan = mpoly._remap_plan
-    monkeypatch.setattr(mpoly, "_remap_plan", lambda *args: (
-        built.append(args[1]), plan(*args))[1])
     rng = random.Random(7)
     fld = ff_from_q(5)
     w7 = s7_weights(5)
@@ -395,16 +391,19 @@ def test_remap_plans_are_shared_by_equal_rings_only(monkeypatch):
                              weights=(1,) * 4 + w7, order="lex"),
                     rng, names=S7_VARS)
     f.remap(first)
-    plans, builds = len(mpoly._REMAP_PLANS), len(built)
+    before = mpoly._remap_plan.cache_info()
     g = f.remap(twin)
-    assert len(built) == builds      # the plan of first serves twin
-    assert len(mpoly._REMAP_PLANS) == plans and g.ring is twin
-    assert g == _remap_by_unpacking(f, twin)
+    after = mpoly._remap_plan.cache_info()
+    # the plan of first serves twin
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits + 1, before.misses, before.currsize)
+    assert g.ring is twin and g == _remap_by_unpacking(f, twin)
     # other weights: a plan of its own, with the weighted degree recomputed
     heavy = PolyRing(fld, S7_VARS, weights=[w + 1 for w in w7])
     h = f.remap(heavy)
-    assert len(mpoly._REMAP_PLANS) == plans + 1
-    assert len(built) == builds + 1 and built[-1] is heavy
+    after = mpoly._remap_plan.cache_info()
+    assert (after.misses, after.currsize) == \
+        (before.misses + 1, before.currsize + 1)
     assert h == _remap_by_unpacking(f, heavy)
     assert h.wdeg() > f.wdeg()
     # a degree the target weights cannot hold overflows as packing does

@@ -1860,6 +1860,30 @@ def test_a_nonvanishing_relation_fails_relations_in_kernel(monkeypatch):
         [("relations-in-kernel", "nonvanishing relations: T1")]
 
 
+def test_kernel_and_certificate_evaluate_each_relation_once(monkeypatch):
+    """relations-in-kernel and a following verify_certificate read one
+    vanishing list, kept in the memo: pi of each relation is computed once
+    per context."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    relations = [ctx.relation(name) for name in RELATION_NAMES]
+    evaluated = []
+    pi = ctx.pi
+
+    def counting_pi(F):
+        evaluated.extend(name for name, rel in zip(RELATION_NAMES, relations)
+                         if rel is F)
+        return pi(F)
+
+    monkeypatch.setattr(ctx, "pi", counting_pi)
+    assert check_kernel(field, 8).overall == "pass"
+    assert evaluated == list(RELATION_NAMES)
+    cert = reduce_product(field, BasisSpec.parse("A:2,1,1"),
+                          BasisSpec.parse("B:1,1,3,1"))
+    assert verify_certificate(field, cert)[0]
+    assert evaluated == list(RELATION_NAMES)
+
+
 def test_a_changed_pullback_fails_the_base_congruence(monkeypatch):
     """z_pullback + U0 at q=2: the base congruence is off by U0."""
     field = ff_from_q(2)
@@ -1922,14 +1946,31 @@ def test_a_changed_h_fails_its_identities_star_images_and_boundary(
 
 def test_a_dropped_basis_spec_fails_the_series_count(monkeypatch):
     """The degree-0 spec dropped from the memo at q=3: the series loses
-    1 / ((1-T^8)^2 (1-T^6)^2), which is 1 at degree 0 and 2 at degree 6."""
+    1 / ((1-T^8)^2 (1-T^6)^2), which is 1 at degree 0 and 2 at degree 6,
+    and the census counts one member short."""
     field = ff_from_q(3)
     ctx = _throwaway_context(monkeypatch, field)
     assert ctx.enumerate_basis()[0].degree(3) == 0
     ctx._memo["basis"] = ctx.enumerate_basis()[1:]
     assert _failed_items(check_hilbert(field, 6)) == [
+        ("census", "basis count 47 but group order 48"),
         ("d=0", "action=1 series=0 quotient=1 disagree"),
         ("d=6", "action=5 series=3 quotient=5 disagree")]
+
+
+def test_a_dropped_basis_spec_fails_the_census(monkeypatch):
+    """The census counts the families in the basis it is given, not by
+    their formulas: with the first spec dropped from the memo at q=3 it
+    counts 47 members against |GL2(F_3)| = 48."""
+    field = ff_from_q(3)
+    ctx = _throwaway_context(monkeypatch, field)
+    ctx._memo["basis"] = ctx.enumerate_basis()[1:]
+    assert ctx.census() == {"A": 17, "B": 24, "C": 6, "total": 47,
+                            "group_order": 48}
+    failed = _failed_items(check_hilbert(field, 16))
+    assert failed[0] == ("census", "basis count 47 but group order 48")
+    assert [name for name, _ in failed[1:]] == \
+        ["d=0", "d=6", "d=8", "d=12", "d=14", "d=16"]
 
 
 def test_a_wrong_quotient_count_fails_the_census(monkeypatch):
